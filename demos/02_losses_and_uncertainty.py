@@ -9,7 +9,6 @@ import numpy as np
 from multirater import (
     Branch,
     GradingRecord,
-    LossConfig,
     RaterWeights,
     branch_loss,
     consensus_loss,
@@ -36,8 +35,7 @@ print(f"opposite one-hots          -> u = {uncertainty([1.0, 0.0], [0.0, 1.0]):.
 
 print()
 print("=== branch loss: cross entropy plus weighted consensus term ===")
-cfg = LossConfig(margin=1.0, alpha=0.5)
-loss, _, _ = branch_loss([0.2, 0.8], [0.0, 1.0], [0.2, 0.8], a=0, config=cfg)
+loss, _, _ = branch_loss([0.2, 0.8], [0.0, 1.0], [0.2, 0.8], a=0, alpha=0.5, margin=1.0)
 print(f"-log(0.8) + 0.5 * 0.5 = {loss:.5f}")
 
 print()

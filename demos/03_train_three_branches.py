@@ -35,9 +35,18 @@ print("=== stratified test report ===")
 report = evaluate(params, test, threshold=cfg.threshold)
 print(report.format_table())
 m = report.metrics
-print(f"sensitivity by branch:  sen {m['sen']['all']['sen']:.3f} > "
-      f"fusion {m['fusion']['all']['sen']:.3f} > spec {m['spec']['all']['sen']:.3f}")
-print(f"specificity by branch:  spec {m['spec']['all']['spec']:.3f} > "
-      f"fusion {m['fusion']['all']['spec']:.3f} > sen {m['sen']['all']['spec']:.3f}")
-print(f"mean uncertainty: consensus {report.mean_uncertainty['consensus']:.4f} "
-      f"< non-consensus {report.mean_uncertainty['non_consensus']:.4f}")
+
+
+def chain(*pairs):
+    """'a X > b Y < c Z', with each relation the one the numbers satisfy."""
+    text = f"{pairs[0][0]} {pairs[0][1]:.4f}"
+    for (_, left), (name, right) in zip(pairs, pairs[1:]):
+        relation = "<" if left < right else ">" if left > right else "="
+        text += f" {relation} {name} {right:.4f}"
+    return text
+
+
+print("sensitivity by branch: ", chain(*((b, m[b]["all"]["sen"]) for b in ("sen", "fusion", "spec"))))
+print("specificity by branch: ", chain(*((b, m[b]["all"]["spec"]) for b in ("spec", "fusion", "sen"))))
+u = report.mean_uncertainty
+print("mean uncertainty:", chain(("consensus", u["consensus"]), ("non-consensus", u["non_consensus"])))

@@ -9,6 +9,7 @@ loss and uncertainty-weighted soft-label distillation.
 from .errors import (
     ContractError,
     DataError,
+    EmptyDatasetError,
     ParameterError,
     TrainingDivergedError,
     UndefinedMetricError,
@@ -24,7 +25,7 @@ from .labels import (
     sample_branch_label,
     soft_label,
 )
-from .losses import LossConfig, branch_loss, consensus_loss, fusion_loss, uncertainty
+from .losses import branch_loss, consensus_loss, fusion_loss, uncertainty
 from .metrics import ConfusionMetrics, EvalReport, confusion_metrics, evaluate, roc_auc
 from .model import (
     BatchOutputs,

@@ -22,10 +22,11 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, EmptyDatasetError, ParameterError
 from .labels import attach_soft_labels, compute_rater_weights
 from .metrics import METRIC_NAMES, EvalReport, evaluate
 from .model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
@@ -152,27 +153,19 @@ class ExperimentConfig:
         return out
 
 
-_INT_KEYS = {"n_samples", "feature_dim", "branch_dim", "batch_size", "max_epochs",
-             "lr_halving_period", "seed"}
-_FLOAT_KEYS = {"class_balance", "difficulty_mix", "error_gain", "rater1_sensitivity",
-               "rater1_specificity", "rater2_sensitivity", "rater2_specificity",
-               "adjudicator_sensitivity", "adjudicator_specificity", "train_ratio",
-               "val_ratio", "test_ratio", "lr", "alpha", "margin", "threshold"}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _coerce(key: str, raw: str):
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ParameterError(f"unknown config key {key!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "trunk_dims":
+        if kind == tuple[int, ...]:
             return tuple(int(x) for x in raw.split(","))
-        if key == "ablation":
-            return raw
+        return kind(raw)
     except ValueError as exc:
         raise ParameterError(f"config key {key}: cannot parse {raw!r}") from exc
-    raise ParameterError(f"unknown config key {key!r}")
 
 
 def parse_config_file(path) -> dict:
@@ -282,14 +275,10 @@ def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
 def cmd_eval(cfg: ExperimentConfig, checkpoint: Path, data_csv: Path, out_dir: Path) -> int:
     if not data_csv.is_file():
         raise FileNotFoundError(f"missing dataset file {data_csv}")
-    if data_csv.stat().st_size == 0:
-        raise _UsageError(f"{data_csv} is empty")
     try:
         dataset = read_dataset_csv(data_csv)
-    except DataError as exc:
-        if "no rows" in str(exc):
-            raise _UsageError(str(exc)) from exc
-        raise
+    except EmptyDatasetError as exc:
+        raise _UsageError(str(exc)) from exc
     params, checkpoint_meta = load_checkpoint(checkpoint)
     if dataset.features.shape[1] != params.config.input_dim:
         raise DataError(

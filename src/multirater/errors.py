@@ -13,6 +13,10 @@ class DataError(ValueError):
     """A record references data that is missing or inconsistent."""
 
 
+class EmptyDatasetError(DataError):
+    """A dataset file holds no samples."""
+
+
 class UndefinedMetricError(ValueError):
     """A metric has no defined value on the given inputs (e.g. AUC with one class)."""
 

@@ -23,10 +23,8 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .rng import STREAM_BRANCH_LABEL, seeded_rng
-from .simulate import GradingRecord
+from .simulate import SOFT_LABEL_MAX, SOFT_LABEL_MIN, GradingRecord
 
-SOFT_LABEL_MIN = 0.01
-SOFT_LABEL_MAX = 0.99
 WEIGHT_FLOOR = 1e-6
 
 

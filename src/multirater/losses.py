@@ -2,23 +2,24 @@
 
 All functions operate on post-softmax two-class probability vectors and
 return gradients with respect to those vectors; the model's backward pass
-maps them through the softmax onto parameters.
+maps them through the softmax onto parameters. The batched functions are the
+one implementation of each quantity; the trainer and the model call them
+unchecked, and the single-sample functions are checked n=1 views of them.
 
-* ``consensus_loss`` -- contrastive penalty between the sensitivity and
-  specificity branch outputs: pull together on consensus samples, push apart
-  (up to a margin) on disagreement samples.
-* ``uncertainty`` -- 0.5 * (1 - cosine similarity) of the two branch outputs,
-  a per-sample difficulty score in [0, 0.5]. Used as a constant weight; no
-  gradient flows through it.
-* ``branch_loss`` -- cross entropy against a sampled branch label plus the
-  weighted consensus term.
+* ``cross_entropy`` -- -log p[label], with p clamped at LOG_CLAMP.
+* ``consensus_terms`` / ``consensus_loss`` -- contrastive penalty between the
+  sensitivity and specificity branch outputs: pull together on consensus
+  samples, push apart (up to a margin) on disagreement samples.
+* ``uncertainties`` / ``uncertainty`` -- 0.5 * (1 - cosine similarity) of the
+  two branch outputs, a per-sample difficulty score in [0, 0.5]. Used as a
+  constant weight; no gradient flows through it.
+* ``branch_loss`` -- cross entropy against a branch label plus the weighted
+  consensus term.
 * ``fusion_loss`` -- KL divergence from soft labels to the fusion output,
   with per-sample weights (1 + u_i), normalized by their sum.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,81 +31,84 @@ LOG_CLAMP = 1e-12
 PROB_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    margin: float = 1.0
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if self.margin <= 0:
-            raise ParameterError(f"margin must be > 0, got {self.margin}")
-        if self.alpha < 0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-
-
-def _check_prob(vec, name: str) -> np.ndarray:
+def _check_prob(vec, name: str, batch: bool = False) -> np.ndarray:
+    """A (2,) probability vector, or with ``batch`` an (n, 2) batch of them."""
     arr = np.asarray(vec, dtype=float)
-    if arr.shape != (2,):
-        raise ContractError(f"{name} must be a two-class vector, got shape {arr.shape}")
-    if np.any(arr < -PROB_TOL) or abs(float(arr.sum()) - 1.0) > PROB_TOL:
-        raise ContractError(f"{name} is not a normalized probability vector: {arr}")
+    if arr.ndim != (2 if batch else 1) or arr.shape[-1] != 2:
+        kind = "an (n, 2) batch" if batch else "a two-class vector"
+        raise ContractError(f"{name} must be {kind}, got shape {arr.shape}")
+    rows = arr.reshape(-1, 2)
+    bad = np.any(rows < -PROB_TOL, axis=1) | (np.abs(rows.sum(axis=1) - 1.0) > PROB_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        where = f"{name}[{i}]" if batch else name
+        raise ContractError(f"{where} is not a normalized probability vector: {rows[i]}")
     return arr
-
-
-def _check_flag(a) -> int:
-    if a not in (0, 1):
-        raise ParameterError(f"consensus flag must be 0 or 1, got {a!r}")
-    return int(a)
-
-
-def consensus_loss(y_sen, y_spec, a, margin: float = 1.0):
-    """Contrastive consensus penalty and its gradients.
-
-    loss = 0.5 * a * ||d||^2 + 0.5 * (1 - a) * max(0, margin - ||d||)^2,
-    d = y_sen - y_spec.
-
-    Returns (loss, grad_sen, grad_spec). In the disagreement term the
-    gradient is 0 throughout the inactive region ||d|| >= margin (including
-    the kink at ||d|| = margin) and, by subgradient choice, at d = 0.
-    """
-    y_sen = _check_prob(y_sen, "y_sen")
-    y_spec = _check_prob(y_spec, "y_spec")
-    a = _check_flag(a)
-    if margin <= 0:
-        raise ParameterError(f"margin must be > 0, got {margin}")
-
-    d = y_sen - y_spec
-    dist = float(np.linalg.norm(d))
-    if a == 1:
-        loss = 0.5 * dist * dist
-        return loss, d.copy(), -d
-    gap = margin - dist
-    if gap <= 0:
-        return 0.0, np.zeros(2), np.zeros(2)
-    if dist == 0.0:
-        return 0.5 * gap * gap, np.zeros(2), np.zeros(2)
-    grad_sen = -(gap / dist) * d
-    return 0.5 * gap * gap, grad_sen, -grad_sen
-
-
-def uncertainty(y_sen, y_spec) -> float:
-    """0.5 * (1 - cosine similarity); in [0, 0.5] for nonnegative vectors."""
-    y_sen = _check_prob(y_sen, "y_sen")
-    y_spec = _check_prob(y_spec, "y_spec")
-    n_sen = float(np.linalg.norm(y_sen))
-    n_spec = float(np.linalg.norm(y_spec))
-    if n_sen == 0.0 or n_spec == 0.0:
-        raise ContractError("uncertainty undefined for a zero vector")
-    cos = float(y_sen @ y_spec) / (n_sen * n_spec)
-    return float(np.clip(0.5 * (1.0 - cos), 0.0, 0.5))
 
 
 def _log_clamped(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, LOG_CLAMP))
 
 
-def branch_loss(y_pred, y_label, partner_pred, a, config: LossConfig):
-    """Cross entropy against a one-hot branch label plus the consensus term.
+def cross_entropy(probs: np.ndarray, idx: np.ndarray):
+    """Per-sample -log(max(probs[i, idx[i]], LOG_CLAMP)) and its (n, 2) gradient.
+
+    The gradient is zero in the clamped region.
+    """
+    rows = np.arange(idx.size)
+    p = probs[rows, idx]
+    ce = -_log_clamped(p)
+    dprob = np.zeros_like(probs)
+    dprob[rows, idx] = np.where(p > LOG_CLAMP, -1.0 / np.maximum(p, LOG_CLAMP), 0.0)
+    return ce, dprob
+
+
+def consensus_terms(y_sen: np.ndarray, y_spec: np.ndarray, a: np.ndarray, margin: float):
+    """Per-sample consensus loss and its gradient wrt y_sen (negate for y_spec).
+
+    loss = 0.5 * a * ||d||^2 + 0.5 * (1 - a) * max(0, margin - ||d||)^2,
+    d = y_sen - y_spec. In the disagreement term the gradient is 0 throughout
+    the inactive region ||d|| >= margin (including the kink at
+    ||d|| = margin) and, by subgradient choice, at d = 0.
+    """
+    d = y_sen - y_spec
+    dist = np.linalg.norm(d, axis=1)
+    gap = margin - dist
+    agree = a == 1
+    loss = np.where(agree, 0.5 * dist**2, 0.5 * np.maximum(gap, 0.0) ** 2)
+    safe_dist = np.maximum(dist, 1e-300)
+    scale = np.where(agree, 1.0, np.where((gap > 0) & (dist > 0), -gap / safe_dist, 0.0))
+    return loss, scale[:, None] * d
+
+
+def uncertainties(y_sen: np.ndarray, y_spec: np.ndarray) -> np.ndarray:
+    """Per-sample 0.5 * (1 - cosine similarity), clipped to [0, 0.5]."""
+    dots = (y_sen * y_spec).sum(axis=1)
+    norms = np.linalg.norm(y_sen, axis=1) * np.linalg.norm(y_spec, axis=1)
+    return np.clip(0.5 * (1.0 - dots / norms), 0.0, 0.5)
+
+
+def consensus_loss(y_sen, y_spec, a, margin: float = 1.0):
+    """Consensus penalty of one sample; returns (loss, grad_sen, grad_spec)."""
+    y_sen = _check_prob(y_sen, "y_sen")
+    y_spec = _check_prob(y_spec, "y_spec")
+    if a not in (0, 1):
+        raise ParameterError(f"consensus flag must be 0 or 1, got {a!r}")
+    if margin <= 0:
+        raise ParameterError(f"margin must be > 0, got {margin}")
+    loss, grad = consensus_terms(y_sen[None], y_spec[None], np.array([int(a)]), margin)
+    return float(loss[0]), grad[0], -grad[0]
+
+
+def uncertainty(y_sen, y_spec) -> float:
+    """0.5 * (1 - cosine similarity) of one sample; in [0, 0.5]."""
+    y_sen = _check_prob(y_sen, "y_sen")
+    y_spec = _check_prob(y_spec, "y_spec")
+    return float(uncertainties(y_sen[None], y_spec[None])[0])
+
+
+def branch_loss(y_pred, y_label, partner_pred, a, *, alpha: float = 0.5, margin: float = 1.0):
+    """Cross entropy against a one-hot branch label plus alpha times the consensus term.
 
     Returns (loss, grad_pred, grad_partner); the consensus term contributes
     gradient to both branch outputs.
@@ -114,13 +118,12 @@ def branch_loss(y_pred, y_label, partner_pred, a, config: LossConfig):
     y_label = np.asarray(y_label, dtype=float)
     if y_label.shape != (2,) or sorted(y_label.tolist()) != [0.0, 1.0]:
         raise ContractError(f"y_label must be one-hot over 2 classes, got {y_label}")
+    if alpha < 0:
+        raise ParameterError(f"alpha must be >= 0, got {alpha}")
 
-    ce = -float(y_label @ _log_clamped(y_pred))
-    # d/dp of -label*log(max(p, clamp)): zero in the clamped region.
-    grad_ce = np.where(y_pred > LOG_CLAMP, -y_label / np.maximum(y_pred, LOG_CLAMP), 0.0)
-    con, g_own, g_partner = consensus_loss(y_pred, partner_pred, a, config.margin)
-    loss = ce + config.alpha * con
-    return loss, grad_ce + config.alpha * g_own, config.alpha * g_partner
+    ce, grad_ce = cross_entropy(y_pred[None], np.array([int(y_label[1])]))
+    con, g_own, g_partner = consensus_loss(y_pred, partner_pred, a, margin)
+    return float(ce[0]) + alpha * con, grad_ce[0] + alpha * g_own, alpha * g_partner
 
 
 def fusion_loss(batch_preds, batch_soft, batch_u):
@@ -141,9 +144,8 @@ def fusion_loss(batch_preds, batch_soft, batch_u):
         )
     if preds.shape[0] < 1:
         raise ParameterError("batch must contain at least one sample")
-    for i in range(preds.shape[0]):
-        _check_prob(preds[i], f"batch_preds[{i}]")
-        _check_prob(soft[i], f"batch_soft[{i}]")
+    _check_prob(preds, "batch_preds", batch=True)
+    _check_prob(soft, "batch_soft", batch=True)
     if np.any(u < -PROB_TOL) or np.any(u > 0.5 + PROB_TOL):
         raise ParameterError("uncertainty weights must lie in [0, 0.5]")
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
+from .losses import uncertainties
 from .rng import seeded_rng
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -75,35 +76,23 @@ class ModelParams:
         return dup
 
 
-def _layer_names(multi_branch: bool) -> list[str]:
-    names = ["trunk.0", "trunk.1", "trunk.2"]
-    if multi_branch:
-        names += ["sen.feat", "sen.head", "spec.feat", "spec.head"]
-    names += ["fusion.feat", "fusion.head"]
-    return names
-
-
 def _layer_shapes(config: ModelConfig, multi_branch: bool) -> dict[str, tuple[int, int]]:
+    """(fan_in, fan_out) of every dense layer, in parameter order."""
     t1, t2, t3 = config.trunk_dims
     bd = config.branch_dim
     shapes = {"trunk.0": (config.input_dim, t1), "trunk.1": (t1, t2), "trunk.2": (t2, t3)}
     if multi_branch:
         shapes.update({"sen.feat": (t3, bd), "sen.head": (bd, 2), "spec.feat": (t3, bd), "spec.head": (bd, 2)})
-        shapes["fusion.feat"] = (t3, bd)
-        shapes["fusion.head"] = (3 * bd, 2)
-    else:
-        shapes["fusion.feat"] = (t3, bd)
-        shapes["fusion.head"] = (bd, 2)
+    shapes["fusion.feat"] = (t3, bd)
+    shapes["fusion.head"] = (3 * bd if multi_branch else bd, 2)
     return shapes
 
 
 def init_params(config: ModelConfig, multi_branch: bool = True) -> ModelParams:
     """Symmetric uniform fan-in initialization; all biases zero."""
     rng = seeded_rng(config.seed)
-    shapes = _layer_shapes(config, multi_branch)
     tensors: dict[str, np.ndarray] = {}
-    for name in _layer_names(multi_branch):
-        fan_in, fan_out = shapes[name]
+    for name, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
         bound = 1.0 / np.sqrt(fan_in)
         tensors[f"{name}.W"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         tensors[f"{name}.b"] = np.zeros(fan_out)
@@ -151,9 +140,7 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[BatchOutputs, For
         probs["spec"] = _softmax(feats["spec"] @ t["spec.head.W"] + t["spec.head.b"])
         concat = np.concatenate([feats["sen"], feats["spec"], feats["fusion"]], axis=1)
         probs["fusion"] = _softmax(concat @ t["fusion.head.W"] + t["fusion.head.b"])
-        dots = (probs["sen"] * probs["spec"]).sum(axis=1)
-        norms = np.linalg.norm(probs["sen"], axis=1) * np.linalg.norm(probs["spec"], axis=1)
-        u = np.clip(0.5 * (1.0 - dots / norms), 0.0, 0.5)
+        u = uncertainties(probs["sen"], probs["spec"])
     else:
         probs["fusion"] = _softmax(feats["fusion"] @ t["fusion.head.W"] + t["fusion.head.b"])
         probs["sen"] = probs["fusion"]
@@ -287,23 +274,30 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format {doc.get('format_version')!r}")
-    m = doc["model"]
-    config = ModelConfig(
-        input_dim=m["input_dim"],
-        trunk_dims=tuple(m["trunk_dims"]),
-        branch_dim=m["branch_dim"],
-        seed=m["seed"],
-    )
-    multi_branch = bool(m["multi_branch"])
-    expected = _layer_shapes(config, multi_branch)
-    tensors: dict[str, np.ndarray] = {}
-    for entry in doc["tensors"]:
-        arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
-        tensors[entry["name"]] = arr
-    for name in _layer_names(multi_branch):
-        fan_in, fan_out = expected[name]
-        if tensors.get(f"{name}.W") is None or tensors[f"{name}.W"].shape != (fan_in, fan_out):
-            raise DataError(f"{path}: tensor {name}.W missing or mis-shaped")
-        if tensors.get(f"{name}.b") is None or tensors[f"{name}.b"].shape != (fan_out,):
-            raise DataError(f"{path}: tensor {name}.b missing or mis-shaped")
+    try:
+        m = doc["model"]
+        config = ModelConfig(
+            input_dim=m["input_dim"],
+            trunk_dims=tuple(m["trunk_dims"]),
+            branch_dim=m["branch_dim"],
+            seed=m["seed"],
+        )
+        multi_branch = bool(m["multi_branch"])
+        tensors = {
+            entry["name"]: np.array(entry["data"], dtype=float).reshape(entry["shape"])
+            for entry in doc["tensors"]
+        }
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint has no key {exc}") from exc
+    expected = {}
+    for layer, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
+        expected[f"{layer}.W"], expected[f"{layer}.b"] = (fan_in, fan_out), (fan_out,)
+    for name, arr in tensors.items():
+        if name not in expected:
+            raise DataError(f"{path}: unknown tensor {name}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: tensor {name} holds non-finite values")
+    for name, shape in expected.items():
+        if name not in tensors or tensors[name].shape != shape:
+            raise DataError(f"{path}: tensor {name} missing or mis-shaped")
     return ModelParams(config, multi_branch, tensors), doc.get("metadata", {})

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, EmptyDatasetError, ParameterError
 from .rng import STREAM_GENERATE, STREAM_GRADE, STREAM_SPLIT, seeded_rng
 
 # Cluster separation interpolates between these extremes as difficulty_mix goes 0 -> 1.
@@ -34,6 +34,9 @@ SEPARATION_HARD = 1.0
 DIFFICULTY_SCALE = 4.0
 # Rater error on a sample = base_error * (1 + ERROR_GAIN * difficulty), clipped to [0, 0.5].
 DEFAULT_ERROR_GAIN = 2.0
+# Soft labels are clipped away from hard 0/1.
+SOFT_LABEL_MIN = 0.01
+SOFT_LABEL_MAX = 0.99
 
 # Defaults calibrated so that a default-sized run (6318 samples) lands near the
 # reference consensus profile 34.4 / 36.6 / 12.4 / 16.6 percent for the
@@ -242,7 +245,7 @@ def grade_sample(
         adjudicator_label = (panel.adjudicator.rater_id, int(label))
         final = int(label)
     raw = [lab for _, lab in stage1] + ([adjudicator_label[1]] if adjudicator_label else [])
-    soft = float(np.clip(np.mean(raw), 0.01, 0.99))
+    soft = float(np.clip(np.mean(raw), SOFT_LABEL_MIN, SOFT_LABEL_MAX))
     return GradingRecord(
         sample_id=sample_id,
         stage1_labels=(stage1[0], stage1[1]),
@@ -412,46 +415,73 @@ def write_dataset_csv(dataset: GradedDataset, path) -> None:
             )
 
 
-def read_dataset_csv(path) -> GradedDataset:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty dataset file")
-    header = rows[0]
-    d = len(header) - 7
-    if d < 1 or header != _csv_header(d):
-        raise DataError(f"{path}: unexpected CSV header")
-    if len(rows) == 1:
-        raise DataError(f"{path}: dataset has a header but no rows")
+def _protocol_violation(rec: GradingRecord, true_label: int) -> str | None:
+    """Why a parsed CSV row breaks the grading protocol, or None when it does not."""
+    (_, l1), (_, l2) = rec.stage1_labels
+    adjudicated = rec.adjudicator_label is not None
+    if not {true_label, l1, l2, rec.consensus, rec.final_label} <= {0, 1} or (
+        adjudicated and rec.adjudicator_label[1] not in (0, 1)
+    ):
+        return "label outside {0, 1}"
+    if rec.consensus != (l1 == l2):
+        return "consensus flag disagrees with the stage-1 ratings"
+    if rec.consensus and (adjudicated or rec.final_label != l1):
+        return "consensus sample must have no adjudicator and the agreed final label"
+    if not rec.consensus and (not adjudicated or rec.final_label != rec.adjudicator_label[1]):
+        return "disagreement sample must have the adjudicator's final label"
+    if not SOFT_LABEL_MIN <= rec.soft_label <= SOFT_LABEL_MAX:
+        return f"soft_label {rec.soft_label!r} outside [{SOFT_LABEL_MIN}, {SOFT_LABEL_MAX}]"
+    return None
 
+
+def read_dataset_csv(path) -> GradedDataset:
+    """Read a dataset written by write_dataset_csv, validating every row.
+
+    Raises EmptyDatasetError for a file without samples and DataError naming
+    ``path:line`` for a malformed row.
+    """
+    path = Path(path)
     features, trues, records = [], [], []
-    for row in rows[1:]:
-        sample_id = int(row[0])
-        feats = np.array([float(x) for x in row[1 : 1 + d]])
-        true_label = int(row[1 + d])
-        stage1 = tuple(
-            (int(ri), int(la)) for ri, la in (pair.split(":") for pair in row[2 + d].split(";"))
-        )
-        adj_field = row[3 + d]
-        adjudicator = None
-        if adj_field:
-            rid, lab = adj_field.split(":")
-            adjudicator = (int(rid), int(lab))
-        records.append(
-            GradingRecord(
-                sample_id=sample_id,
-                stage1_labels=stage1,
-                adjudicator_label=adjudicator,
-                consensus=int(row[4 + d]),
-                final_label=int(row[5 + d]),
-                soft_label=float(row[6 + d]),
-            )
-        )
-        features.append(feats)
-        trues.append(true_label)
-    return GradedDataset(
-        features=np.stack(features),
-        true_labels=np.array(trues, dtype=int),
-        records=records,
-    )
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDatasetError(f"{path}: empty dataset file")
+        d = len(header) - 7
+        if d < 1 or header != _csv_header(d):
+            raise DataError(f"{path}: unexpected CSV header")
+        for row in reader:
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}")
+            try:
+                feats = np.array([float(x) for x in row[1 : 1 + d]])
+                true_label = int(row[1 + d])
+                (r1, l1), (r2, l2) = (pair.split(":") for pair in row[2 + d].split(";"))
+                adjudicator = None
+                if row[3 + d]:
+                    rid, lab = row[3 + d].split(":")
+                    adjudicator = (int(rid), int(lab))
+                record = GradingRecord(
+                    sample_id=int(row[0]),
+                    stage1_labels=((int(r1), int(l1)), (int(r2), int(l2))),
+                    adjudicator_label=adjudicator,
+                    consensus=int(row[4 + d]),
+                    final_label=int(row[5 + d]),
+                    soft_label=float(row[6 + d]),
+                )
+            except ValueError as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+            problem = _protocol_violation(record, true_label)
+            if problem is not None:
+                raise DataError(f"{path}:{reader.line_num}: {problem}")
+            records.append(record)
+            features.append(feats)
+            trues.append(true_label)
+    if not records:
+        raise EmptyDatasetError(f"{path}: dataset has a header but no rows")
+    matrix = np.stack(features)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        # Rows never span lines, so row i sits on line i + 2.
+        raise DataError(f"{path}:{int(finite.argmin()) + 2}: non-finite feature")
+    return GradedDataset(features=matrix, true_labels=np.array(trues, dtype=int), records=records)

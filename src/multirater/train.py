@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, TrainingDivergedError, UndefinedMetricError
 from .labels import Branch, RaterWeights, compute_rater_weights, sample_branch_label, soft_label
-from .losses import LOG_CLAMP, fusion_loss
+from .losses import consensus_terms, cross_entropy, fusion_loss
 from .metrics import roc_auc
 from .model import BatchOutputs, ModelConfig, ModelParams, backward, forward_batch, init_params
 from .rng import STREAM_SHUFFLE, seeded_rng
@@ -59,6 +59,10 @@ class TrainConfig:
             raise ParameterError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.lr_halving_period < 1:
             raise ParameterError(f"lr_halving_period must be >= 1, got {self.lr_halving_period}")
+        if self.margin <= 0:
+            raise ParameterError(f"margin must be > 0, got {self.margin}")
+        if self.alpha < 0:
+            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
 
 
 def learning_rate(config: TrainConfig, epoch: int) -> float:
@@ -93,32 +97,6 @@ def _one_hot(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clamped_log_prob(probs: np.ndarray, idx: np.ndarray):
-    """Per-sample -log p[idx] with the clamp of losses.branch_loss; also d/dp."""
-    rows = np.arange(idx.size)
-    p = probs[rows, idx]
-    ce = -np.log(np.maximum(p, LOG_CLAMP))
-    dprob = np.zeros_like(probs)
-    dprob[rows, idx] = np.where(p > LOG_CLAMP, -1.0 / np.maximum(p, LOG_CLAMP), 0.0)
-    return ce, dprob
-
-
-def _consensus_terms(y_sen: np.ndarray, y_spec: np.ndarray, a: np.ndarray, margin: float):
-    """Vectorized consensus loss and gradient wrt y_sen (negate for y_spec).
-
-    Matches losses.consensus_loss sample by sample, including the zero
-    gradient on the inactive hinge region and at zero distance.
-    """
-    d = y_sen - y_spec
-    dist = np.linalg.norm(d, axis=1)
-    gap = margin - dist
-    agree = a == 1
-    loss = np.where(agree, 0.5 * dist**2, 0.5 * np.maximum(gap, 0.0) ** 2)
-    safe_dist = np.maximum(dist, 1e-300)
-    scale = np.where(agree, 1.0, np.where((gap > 0) & (dist > 0), -gap / safe_dist, 0.0))
-    return loss, scale[:, None] * d
-
-
 def _losses_and_grads(
     out: BatchOutputs,
     sen_idx: np.ndarray,
@@ -134,7 +112,7 @@ def _losses_and_grads(
     grads: dict[str, np.ndarray] = {}
 
     if not config.multi_branch:
-        ce, dfus = _clamped_log_prob(out.y_fusion, final_idx)
+        ce, dfus = cross_entropy(out.y_fusion, final_idx)
         scalars.update(
             loss_sen=0.0, loss_spec=0.0, loss_consensus=0.0, loss_fusion=float(ce.mean())
         )
@@ -142,9 +120,9 @@ def _losses_and_grads(
         scalars["total"] = scalars["loss_fusion"]
         return scalars, grads
 
-    ce_sen, d_sen = _clamped_log_prob(out.y_sen, sen_idx)
-    ce_spec, d_spec = _clamped_log_prob(out.y_spec, spec_idx)
-    con, g_con_sen = _consensus_terms(out.y_sen, out.y_spec, a, config.margin)
+    ce_sen, d_sen = cross_entropy(out.y_sen, sen_idx)
+    ce_spec, d_spec = cross_entropy(out.y_spec, spec_idx)
+    con, g_con_sen = consensus_terms(out.y_sen, out.y_spec, a, config.margin)
     alpha = config.alpha if config.consensus_loss else 0.0
 
     u = out.uncertainty if config.uncertainty_weighting else np.zeros(n)

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from multirater.cli import ExperimentConfig, resolve_config
+
 BASE_CONFIG = """
 # small experiment for fast tests
 n_samples = 240
@@ -75,6 +77,25 @@ class TestGenerate:
         result = run_cli("generate", "--config", cfg, "--out", tmp_path / "x")
         assert result.returncode == 2
         assert "nonsense_key" in result.stderr
+
+
+class TestConfigFile:
+    def test_every_field_at_its_default_resolves_to_the_defaults(self, tmp_path):
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(
+            f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+            for key, value in ExperimentConfig().to_dict().items()
+        ))
+        assert resolve_config(path, {}) == ExperimentConfig()
+
+    @pytest.mark.parametrize("line", ["seed = 1.5", "lr = abc", "margin = 0", "alpha = -1"])
+    def test_bad_value_is_a_usage_error(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        result = run_cli("generate", "--config", cfg, "--out", tmp_path / "x")
+        assert result.returncode == 2
+        assert line.split()[0] in result.stderr
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -152,6 +173,14 @@ class TestEval:
                          "--data", empty, "--out", tmp_path / "e")
         assert result.returncode == 2
 
+    def test_header_only_dataset_is_a_usage_error(self, tmp_path, small_run):
+        header_only = tmp_path / "header.csv"
+        header_only.write_text((small_run / "data" / "test.csv").read_text().splitlines()[0] + "\n")
+        result = run_cli("eval", "--checkpoint", small_run / "run" / "checkpoint.json",
+                         "--data", header_only, "--out", tmp_path / "e")
+        assert result.returncode == 2
+        assert "no rows" in result.stderr
+
     def test_feature_dim_mismatch_fails(self, tmp_path, config_file, generated, trained):
         other_cfg = tmp_path / "wide.cfg"
         other_cfg.write_text(BASE_CONFIG.replace("feature_dim = 6", "feature_dim = 9"))
@@ -162,6 +191,60 @@ class TestEval:
                          "--data", wide / "test.csv", "--out", tmp_path / "m")
         assert result.returncode == 1
         assert "features" in result.stderr
+
+
+def _set(column, value):
+    def edit(fields, header):
+        fields[header.index(column)] = value
+    return edit
+
+
+def _flip(column):
+    def edit(fields, header):
+        i = header.index(column)
+        fields[i] = str(1 - int(fields[i]))
+    return edit
+
+
+BROKEN_ROWS = {
+    "truncated": lambda fields, header: fields.pop(),
+    "non_integer_label": _set("consensus", "yes"),
+    "true_label_out_of_domain": _set("true_label", "7"),
+    "stage1_label_out_of_domain": _set("rater_labels", "1:7;2:7"),
+    "three_stage1_ratings": _set("rater_labels", "1:0;2:0;4:0"),
+    "consensus_flag_flipped": _flip("consensus"),
+    "final_label_flipped": _flip("final_label"),
+    "soft_label_out_of_range": _set("soft_label", "1.5"),
+    "non_finite_feature": _set("f_0", "nan"),
+}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """One generated dataset and a checkpoint trained on it, shared by the tests below."""
+    root = tmp_path_factory.mktemp("small_run")
+    config = root / "small.cfg"
+    config.write_text(BASE_CONFIG)
+    assert run_cli("generate", "--config", config, "--seed", 5, "--out", root / "data").returncode == 0
+    assert run_cli("train", "--config", config, "--seed", 5, "--epochs", 1,
+                   "--data", root / "data", "--out", root / "run").returncode == 0
+    return root
+
+
+class TestEvalRejectsBrokenRows:
+    @pytest.mark.parametrize("breakage", sorted(BROKEN_ROWS))
+    def test_exit_1_naming_path_and_line(self, tmp_path, small_run, breakage):
+        lines = (small_run / "data" / "test.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        fields = lines[2].split(",")
+        BROKEN_ROWS[breakage](fields, header)
+        lines[2] = ",".join(fields)
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        result = run_cli("eval", "--checkpoint", small_run / "run" / "checkpoint.json",
+                         "--data", broken, "--out", tmp_path / "e")
+        assert result.returncode == 1
+        assert f"{broken}:3: " in result.stderr
 
 
 class TestAblation:

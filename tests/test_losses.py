@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirater.errors import ContractError, ParameterError
-from multirater.losses import LossConfig, branch_loss, consensus_loss, fusion_loss, uncertainty
+from multirater.losses import branch_loss, consensus_loss, fusion_loss, uncertainty
+from multirater.train import TrainConfig
 
 import oracles
 
@@ -126,27 +127,26 @@ class TestBranchLoss:
     def test_perfect_prediction_vanishes(self):
         label = np.array([0.0, 1.0])
         pred = np.array([1e-12, 1.0 - 1e-12])
-        loss, _, _ = branch_loss(pred, label, pred, a=1, config=LossConfig())
+        loss, _, _ = branch_loss(pred, label, pred, a=1)
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_alpha_zero_reduces_to_cross_entropy(self):
         pred = np.array([0.2, 0.8])
         label = np.array([0.0, 1.0])
-        loss, g_pred, g_partner = branch_loss(pred, label, np.array([0.9, 0.1]), a=0,
-                                              config=LossConfig(alpha=0.0))
+        loss, g_pred, g_partner = branch_loss(pred, label, np.array([0.9, 0.1]), a=0, alpha=0.0)
         assert loss == pytest.approx(-math.log(0.8), abs=1e-12)
         np.testing.assert_array_equal(g_partner, 0.0)
 
     def test_worked_example(self):
         # -log(0.8) + 0.5 * consensus(identical, a=0) = 0.22314... + 0.25
         loss, _, _ = branch_loss(
-            (0.2, 0.8), (0.0, 1.0), (0.2, 0.8), a=0, config=LossConfig(margin=1.0, alpha=0.5)
+            (0.2, 0.8), (0.0, 1.0), (0.2, 0.8), a=0, margin=1.0, alpha=0.5
         )
         assert loss == pytest.approx(-math.log(0.8) + 0.25, abs=1e-12)
         assert loss == pytest.approx(0.4731435513142097, abs=1e-12)
 
     def test_gradients_match_central_differences(self):
-        cfg = LossConfig(margin=1.0, alpha=0.5)
+        margin, alpha = 1.0, 0.5
         checked = 0
         while checked < 100:
             pred, partner = random_prob(RNG), random_prob(RNG)
@@ -154,9 +154,9 @@ class TestBranchLoss:
             label[RNG.integers(2)] = 1.0
             a = int(RNG.integers(2))
             dist = float(np.linalg.norm(pred - partner))
-            if a == 0 and (abs(dist - cfg.margin) < 1e-3 or dist < 1e-3):
+            if a == 0 and (abs(dist - margin) < 1e-3 or dist < 1e-3):
                 continue
-            _, g_pred, g_partner = branch_loss(pred, label, partner, a, cfg)
+            _, g_pred, g_partner = branch_loss(pred, label, partner, a, alpha=alpha, margin=margin)
             fd_pred = oracles.central_difference(
                 lambda v: oracles.branch_loss_scalar(v, label.tolist(), partner.tolist(), a),
                 pred.tolist(),
@@ -171,7 +171,11 @@ class TestBranchLoss:
 
     def test_rejects_non_onehot_label(self):
         with pytest.raises(ContractError):
-            branch_loss((0.5, 0.5), (0.4, 0.6), (0.5, 0.5), a=1, config=LossConfig())
+            branch_loss((0.5, 0.5), (0.4, 0.6), (0.5, 0.5), a=1)
+
+    def test_rejects_negative_alpha(self):
+        with pytest.raises(ParameterError):
+            branch_loss((0.5, 0.5), (0.0, 1.0), (0.5, 0.5), a=1, alpha=-0.1)
 
 
 class TestFusionLoss:
@@ -245,6 +249,16 @@ class TestFusionLoss:
             shares.append(norms[0] / norms.sum())
         assert all(b > a for a, b in zip(shares, shares[1:]))
 
+    @pytest.mark.parametrize("arg", ["batch_preds", "batch_soft"])
+    def test_rejects_unnormalized_row_after_the_first(self, arg):
+        good = np.array([[0.7, 0.3], [0.4, 0.6], [0.5, 0.5]])
+        bad = good.copy()
+        bad[1:] = (0.9, 0.9)
+        args = {"batch_preds": good, "batch_soft": good}
+        args[arg] = bad
+        with pytest.raises(ContractError, match=rf"{arg}\[1\]"):
+            fusion_loss(args["batch_preds"], args["batch_soft"], np.zeros(3))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             fusion_loss(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [0.4, 0.6]]), np.zeros(1))
@@ -252,9 +266,9 @@ class TestFusionLoss:
             fusion_loss(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([0.9]))
 
 
-class TestLossConfig:
+class TestTrainConfigLossSettings:
     def test_rejects_bad_values(self):
         with pytest.raises(ParameterError):
-            LossConfig(margin=0.0)
+            TrainConfig(margin=0.0)
         with pytest.raises(ParameterError):
-            LossConfig(alpha=-0.1)
+            TrainConfig(alpha=-0.1)

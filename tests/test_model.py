@@ -1,10 +1,12 @@
 """Model: forward/backward correctness, topology routing, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from multirater.errors import ContractError, DataError, ParameterError
-from multirater.losses import LossConfig, branch_loss, fusion_loss, uncertainty
+from multirater.losses import branch_loss, fusion_loss, uncertainty
 from multirater.model import (
     ModelConfig,
     backward,
@@ -31,29 +33,29 @@ def toy_params(seed=123, multi_branch=True, jitter=None):
     return params
 
 
-def total_loss(params, x, sen_labels, spec_labels, softs, a, u_weights, cfg=LossConfig()):
+def total_loss(params, x, sen_labels, spec_labels, softs, a, u_weights):
     """Full objective via the per-sample loss functions (all terms active)."""
     out, _ = forward_batch(params, x)
     total = 0.0
     n = x.shape[0]
     for i in range(n):
-        ls, _, _ = branch_loss(out.y_sen[i], sen_labels[i], out.y_spec[i], a[i], cfg)
-        lp, _, _ = branch_loss(out.y_spec[i], spec_labels[i], out.y_sen[i], a[i], cfg)
+        ls, _, _ = branch_loss(out.y_sen[i], sen_labels[i], out.y_spec[i], a[i])
+        lp, _, _ = branch_loss(out.y_spec[i], spec_labels[i], out.y_sen[i], a[i])
         total += (ls + lp) / n
     lf, _ = fusion_loss(out.y_fusion, softs, u_weights)
     return total + lf
 
 
-def assemble_prob_grads(out, sen_labels, spec_labels, softs, a, u_weights, cfg=LossConfig()):
+def assemble_prob_grads(out, sen_labels, spec_labels, softs, a, u_weights):
     """Probability-space gradients matching total_loss."""
     n = out.y_sen.shape[0]
     dy_sen = np.zeros_like(out.y_sen)
     dy_spec = np.zeros_like(out.y_spec)
     for i in range(n):
-        _, g_own, g_partner = branch_loss(out.y_sen[i], sen_labels[i], out.y_spec[i], a[i], cfg)
+        _, g_own, g_partner = branch_loss(out.y_sen[i], sen_labels[i], out.y_spec[i], a[i])
         dy_sen[i] += g_own / n
         dy_spec[i] += g_partner / n
-        _, g_own, g_partner = branch_loss(out.y_spec[i], spec_labels[i], out.y_sen[i], a[i], cfg)
+        _, g_own, g_partner = branch_loss(out.y_spec[i], spec_labels[i], out.y_sen[i], a[i])
         dy_spec[i] += g_own / n
         dy_sen[i] += g_partner / n
     _, dy_fus = fusion_loss(out.y_fusion, softs, u_weights)
@@ -230,6 +232,35 @@ class TestCheckpoint:
         doc["tensors"] = doc["tensors"][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+
+    def _tampered(self, tmp_path, edit):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(toy_params(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("key", ["model", "tensors"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        path = self._tampered(tmp_path, lambda doc: doc.pop(key))
+        with pytest.raises(DataError, match=f"ckpt.json: checkpoint has no key '{key}'"):
+            load_checkpoint(path)
+
+    def test_unknown_tensor_rejected(self, tmp_path):
+        extra = {"name": "extra.W", "shape": [1, 1], "data": [0.0]}
+        path = self._tampered(tmp_path, lambda doc: doc["tensors"].append(extra))
+        with pytest.raises(DataError, match="ckpt.json: unknown tensor extra.W"):
+            load_checkpoint(path)
+
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        def poison(doc):
+            doc["tensors"][0]["data"][0] = float("nan")
+
+        path = self._tampered(tmp_path, poison)
+        with pytest.raises(DataError, match="ckpt.json: tensor trunk.0.W holds non-finite values"):
             load_checkpoint(path)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from multirater.errors import TrainingDivergedError
 from multirater.labels import Branch, compute_rater_weights, sample_branch_label, soft_label
-from multirater.losses import LossConfig, branch_loss, fusion_loss
+from multirater.losses import branch_loss, fusion_loss
 from multirater.model import ModelConfig, forward_batch, init_params
 from multirater.rng import STREAM_SHUFFLE, seeded_rng
 from multirater.simulate import (
@@ -92,7 +92,6 @@ class TestTrainStep:
         a = np.array([r.consensus for r in records])
         scalars, grads = _losses_and_grads(out, sen_idx, spec_idx, softs, final_idx, a, cfg)
 
-        loss_cfg = LossConfig(margin=cfg.margin, alpha=cfg.alpha)
         n = len(records)
         eye = np.eye(2)
         want_sen = np.zeros((n, 2))
@@ -100,13 +99,13 @@ class TestTrainStep:
         sen_losses, spec_losses = [], []
         for i in range(n):
             ls, g_own, g_partner = branch_loss(
-                out.y_sen[i], eye[sen_idx[i]], out.y_spec[i], a[i], loss_cfg
+                out.y_sen[i], eye[sen_idx[i]], out.y_spec[i], a[i], alpha=cfg.alpha, margin=cfg.margin
             )
             sen_losses.append(ls)
             want_sen[i] += g_own / n
             want_spec[i] += g_partner / n
             lp, g_own, g_partner = branch_loss(
-                out.y_spec[i], eye[spec_idx[i]], out.y_sen[i], a[i], loss_cfg
+                out.y_spec[i], eye[spec_idx[i]], out.y_sen[i], a[i], alpha=cfg.alpha, margin=cfg.margin
             )
             spec_losses.append(lp)
             want_spec[i] += g_own / n
