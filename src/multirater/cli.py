@@ -243,7 +243,7 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> int:
         },
         "proportions": {key: count / total for key, count in counts.items()},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     print(f"wrote {', '.join(sorted(p.name for p in out_dir.iterdir()))} to {out_dir}")
     return 0
 
@@ -257,13 +257,13 @@ def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     snapshot = {"seed": cfg.seed, "ablation": cfg.ablation, "config": cfg.to_dict()}
-    (out_dir / "config_resolved.json").write_text(json.dumps(snapshot, indent=2) + "\n")
+    (out_dir / "config_resolved.json").write_text(json.dumps(snapshot, indent=2, allow_nan=False) + "\n")
 
     model_config = cfg.model_config(input_dim=train_ds.features.shape[1])
     log_path = out_dir / "train_log.jsonl"
     with open(log_path, "w") as log_file:
         def write_record(record):
-            log_file.write(json.dumps(record) + "\n")
+            log_file.write(json.dumps(record, allow_nan=False) + "\n")
             log_file.flush()
 
         params, log = fit(train_ds, val_ds, model_config, cfg.train_config(), on_epoch=write_record)
@@ -293,16 +293,21 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint: Path, data_csv: Path, out_dir: P
         "checkpoint_metadata": checkpoint_meta,
         "report": report.to_dict(),
     }
-    (out_dir / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
+    (out_dir / "report.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     table = report.format_table()
     (out_dir / "report.txt").write_text(table)
     print(table, end="")
     return 0
 
 
-def _arm_summary(per_seed: dict[str, list[float]]) -> dict:
+def _arm_summary(per_seed: dict[str, list[float | None]]) -> dict:
+    """Mean, sd and median over seeds; None for a metric undefined at any seed."""
     summary = {"mean": {}, "sd": {}, "median": {}}
     for metric, values in per_seed.items():
+        if None in values:
+            for stat in summary.values():
+                stat[metric] = None
+            continue
         arr = np.asarray(values, dtype=float)
         summary["mean"][metric] = float(arr.mean())
         summary["sd"][metric] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -316,10 +321,13 @@ def _format_grid_table(grid: dict) -> str:
     for arm in grid["row_order"]:
         row = grid["arms"][arm]
         if row["failed"]:
-            lines.append(f"{arm:<10}  FAILED: {'; '.join(row['errors'])}")
+            messages = (f"seed {e['seed']}: {e['message']}" for e in row["errors"])
+            lines.append(f"{arm:<10}  FAILED: {'; '.join(messages)}")
             continue
         cells = "".join(
-            f"{100 * row['mean'][m]:>8.2f} ±{100 * row['sd'][m]:>5.2f} " for m in METRIC_NAMES
+            f"{'-':>8}{'':8}" if row["mean"][m] is None
+            else f"{100 * row['mean'][m]:>8.2f} ±{100 * row['sd'][m]:>5.2f} "
+            for m in METRIC_NAMES
         )
         lines.append(f"{arm:<10}{cells}")
     return "\n".join(lines) + "\n"
@@ -342,10 +350,11 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
                 _, _, report = run_experiment(run_cfg)
                 fusion_all = report.metrics["fusion"]["all"]
                 for metric in METRIC_NAMES:
-                    value = fusion_all[metric]
-                    per_seed[metric].append(float(value) if value is not None else float("nan"))
+                    per_seed[metric].append(fusion_all[metric])
             except Exception as exc:  # arm keeps going; grid marks the failure
-                errors.append(f"seed {seed}: {exc}")
+                import traceback  # only on this failure path, so start-up stays lean
+
+                errors.append({"seed": seed, "message": str(exc), "traceback": traceback.format_exc()})
         failed = bool(errors)
         any_failed = any_failed or failed
         arms[arm] = {"seeds": seeds, "per_seed": per_seed, "errors": errors, "failed": failed}
@@ -358,7 +367,7 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
         "row_order": list(ARM_ORDER),
         "arms": arms,
     }
-    (out_dir / "ablation_grid.json").write_text(json.dumps(grid, indent=2) + "\n")
+    (out_dir / "ablation_grid.json").write_text(json.dumps(grid, indent=2, allow_nan=False) + "\n")
     table = _format_grid_table(grid)
     (out_dir / "ablation_grid.txt").write_text(table)
     print(table, end="")

@@ -9,8 +9,12 @@ Three label views are derived from the raw gradings of each sample:
 * a clipped soft label for the fusion branch: the rater-accuracy-weighted
   mean of all raw ratings.
 
-Branch labels are redrawn every epoch; the draw is a pure function of
-(seed, epoch, sample_id, branch).
+Branch labels are redrawn every epoch. A uniform draw from a pool with the
+favoured class duplicated has a closed form: with p positive and q negative
+ratings, P(sen = 1) = 2p / (2p + q) and P(spec = 1) = p / (p + 2q). Each draw
+compares that probability with ``rng.keyed_uniform`` keyed by
+(seed, epoch, branch, sample_id), so it is a pure function of those four
+integers and builds no numpy Generator.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .rng import STREAM_BRANCH_LABEL, seeded_rng
+from .rng import STREAM_BRANCH_LABEL, keyed_uniform
 from .simulate import SOFT_LABEL_MAX, SOFT_LABEL_MIN, GradingRecord
 
 WEIGHT_FLOOR = 1e-6
@@ -108,13 +112,28 @@ def label_pool(record: GradingRecord, branch: Branch) -> list[int]:
     return pool
 
 
-def sample_branch_label(record: GradingRecord, branch: Branch, seed: int, epoch: int = 0) -> int:
-    """Uniform draw from the branch's label pool; deterministic per (seed, epoch, sample)."""
-    if not record.raw_labels:
+def positive_probability(record: GradingRecord, branch: Branch) -> float:
+    """P(label = 1) of a uniform draw from the branch's label pool, in closed form.
+
+    With p positive and q negative ratings the SEN pool holds 2p ones among
+    2p + q labels and the SPEC pool p ones among p + 2q.
+    """
+    raw = record.raw_labels
+    if not raw:
         raise ParameterError(f"record {record.sample_id} has no raw labels")
-    pool = label_pool(record, branch)
-    rng = seeded_rng(seed, STREAM_BRANCH_LABEL, epoch, record.sample_id, _BRANCH_CODE[branch])
-    return pool[int(rng.integers(len(pool)))]
+    p = sum(lab for _, lab in raw)
+    q = len(raw) - p
+    return 2 * p / (2 * p + q) if branch is Branch.SEN else p / (p + 2 * q)
+
+
+def sample_branch_label(record: GradingRecord, branch: Branch, seed: int, epoch: int = 0) -> int:
+    """Uniform draw from the branch's label pool; deterministic per (seed, epoch, sample).
+
+    The draw is 1 when a uniform keyed by (seed, epoch, branch, sample_id)
+    falls below ``positive_probability``; the pool itself is never built.
+    """
+    u = keyed_uniform(seed, STREAM_BRANCH_LABEL, epoch, _BRANCH_CODE[branch], record.sample_id)
+    return int(u < positive_probability(record, branch))
 
 
 def branch_labels(

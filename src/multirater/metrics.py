@@ -57,17 +57,18 @@ def confusion_metrics(predictions, labels) -> ConfusionMetrics:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their group average."""
+    """1-based ranks with ties assigned their group average (midranks); x non-empty.
+
+    A run of equal values at sorted positions i..j gets rank (i + j) / 2 + 1,
+    computed for all runs at once from the run boundaries.
+    """
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=float)
     sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    run_start = np.concatenate(([True], sorted_x[1:] != sorted_x[:-1]))
+    starts = np.flatnonzero(run_start)
+    ends = np.append(starts[1:], x.size) - 1
+    ranks = np.empty(x.size, dtype=float)
+    ranks[order] = (0.5 * (starts + ends) + 1.0)[np.cumsum(run_start) - 1]
     return ranks
 
 
@@ -111,7 +112,7 @@ class EvalReport:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
     def format_table(self) -> str:
         """Aligned text table: branches x (stratum-grouped Sen / Spec / AUC)."""

@@ -15,7 +15,10 @@ output and the uncertainty is 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,20 +61,32 @@ class BatchOutputs:
 
 
 class ModelParams:
-    """Named parameter tensors plus topology; mutated in place by training.
+    """All parameters in one flat float64 buffer, plus topology; mutated in place by training.
+
+    ``flat`` holds every tensor back to back in ``_layer_shapes`` order, each
+    layer's weight before its bias. ``tensors`` is a read-only mapping from
+    each tensor's name to a view into ``flat`` with the tensor's shape: write
+    through a view (``tensors[name][...] = x``), or update ``flat`` as a whole,
+    as Adam does; rebinding a name raises ``TypeError``.
 
     ``version`` increments on every in-place update so that a forward cache
     can detect staleness in backward().
     """
 
-    def __init__(self, config: ModelConfig, multi_branch: bool, tensors: dict[str, np.ndarray]):
+    def __init__(self, config: ModelConfig, multi_branch: bool, flat: np.ndarray | None = None):
         self.config = config
         self.multi_branch = multi_branch
-        self.tensors = tensors
+        size, layout = _flat_layout(config, multi_branch)
+        self.flat = np.zeros(size) if flat is None else flat
+        if self.flat.shape != (size,) or self.flat.dtype != np.float64:
+            raise ParameterError(f"flat buffer must be float64 of shape ({size},), got {self.flat.shape}")
+        self.tensors = MappingProxyType(
+            {name: self.flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
+        )
         self.version = 0
 
     def copy(self) -> "ModelParams":
-        dup = ModelParams(self.config, self.multi_branch, {k: v.copy() for k, v in self.tensors.items()})
+        dup = ModelParams(self.config, self.multi_branch, self.flat.copy())
         dup.version = self.version
         return dup
 
@@ -88,15 +103,27 @@ def _layer_shapes(config: ModelConfig, multi_branch: bool) -> dict[str, tuple[in
     return shapes
 
 
+@lru_cache(maxsize=16)
+def _flat_layout(config: ModelConfig, multi_branch: bool):
+    """(size, ((name, start, stop, shape), ...)): each layer's ``.W`` then its ``.b``, packed."""
+    layout = []
+    start = 0
+    for layer, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
+        for name, shape in ((f"{layer}.W", (fan_in, fan_out)), (f"{layer}.b", (fan_out,))):
+            stop = start + math.prod(shape)
+            layout.append((name, start, stop, shape))
+            start = stop
+    return start, tuple(layout)
+
+
 def init_params(config: ModelConfig, multi_branch: bool = True) -> ModelParams:
     """Symmetric uniform fan-in initialization; all biases zero."""
     rng = seeded_rng(config.seed)
-    tensors: dict[str, np.ndarray] = {}
+    params = ModelParams(config, multi_branch)
     for name, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
         bound = 1.0 / np.sqrt(fan_in)
-        tensors[f"{name}.W"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        tensors[f"{name}.b"] = np.zeros(fan_out)
-    return ModelParams(config, multi_branch, tensors)
+        params.tensors[f"{name}.W"][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return params
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -266,7 +293,7 @@ def save_checkpoint(params: ModelParams, path, metadata: dict | None = None) -> 
         ],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(doc, fh, allow_nan=False)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
@@ -289,15 +316,14 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         }
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no key {exc}") from exc
-    expected = {}
-    for layer, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
-        expected[f"{layer}.W"], expected[f"{layer}.b"] = (fan_in, fan_out), (fan_out,)
+    params = ModelParams(config, multi_branch)
     for name, arr in tensors.items():
-        if name not in expected:
+        if name not in params.tensors:
             raise DataError(f"{path}: unknown tensor {name}")
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: tensor {name} holds non-finite values")
-    for name, shape in expected.items():
-        if name not in tensors or tensors[name].shape != shape:
+    for name, view in params.tensors.items():
+        if name not in tensors or tensors[name].shape != view.shape:
             raise DataError(f"{path}: tensor {name} missing or mis-shaped")
-    return ModelParams(config, multi_branch, tensors), doc.get("metadata", {})
+        view[...] = tensors[name]
+    return params, doc.get("metadata", {})

@@ -1,8 +1,22 @@
-"""Deterministic RNG construction from composite integer seeds."""
+"""Deterministic randomness keyed by composite integer seeds.
+
+Two routes share one key convention, a tuple of integers whose negative or
+>= 2**64 parts fold to uint64 by ``& (2**64 - 1)``:
+
+* ``seeded_rng`` builds a numpy ``Generator`` for draws of many values;
+* ``keyed_uniform`` returns one uniform in [0, 1) as a pure function of the
+  key, for draws made one at a time in a hot loop. It is a counter-based
+  generator in the sense of Salmon et al. (SC'11): the key is absorbed part by
+  part through the SplitMix64 output function (Steele, Lea & Flood,
+  OOPSLA'14), and no generator state is carried between calls.
+"""
+
+from functools import lru_cache
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 # Stream tags keep operations that share one run seed on independent streams.
 STREAM_GENERATE = 0
@@ -15,3 +29,31 @@ STREAM_BRANCH_LABEL = 4
 def seeded_rng(*parts: int) -> np.random.Generator:
     """Generator keyed by a tuple of integers; negatives fold to uint64."""
     return np.random.default_rng([int(p) & _MASK for p in parts])
+
+
+def splitmix64(state: int) -> int:
+    """The SplitMix64 output for ``state`` taken mod 2**64: advance by the golden gamma, then mix."""
+    z = (state + _GOLDEN_GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=64)
+def _absorb(parts: tuple) -> int:
+    """Hash state after absorbing ``parts``; cached because a key prefix repeats per batch."""
+    h = 0
+    for p in parts:
+        h = splitmix64(h ^ int(p))
+    return h
+
+
+def keyed_uniform(*parts: int) -> float:
+    """Uniform in [0, 1) that depends on the integer key ``parts`` alone.
+
+    The last part is absorbed on every call; the state after the others is
+    cached, so put the part that varies fastest last. ``splitmix64`` reduces
+    each absorbed value mod 2**64, which folds parts exactly as
+    ``seeded_rng`` does. The top 53 bits of the final hash give the double.
+    """
+    return (splitmix64(_absorb(parts[:-1]) ^ int(parts[-1])) >> 11) * 2.0**-53

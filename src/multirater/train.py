@@ -7,8 +7,13 @@ Each batch optimizes one combined objective,
 
 with a single Adam update over all parameters. The consensus term appears in
 both branch losses, so its effective weight on the shared term is 2 * alpha.
-Branch labels are redrawn every epoch; soft labels come from rater-accuracy
-weights computed on the training split.
+
+Soft fusion targets are computed once per fit, from rater-accuracy weights of
+the training split, and ``train_step`` receives the batch's rows. Branch labels
+are redrawn every step through ``labels.sample_branch_label``, a keyed
+closed-form draw: a sample's labels depend on (seed, epoch, sample) alone, not
+on the batch it lands in. Adam runs as three vector operations over the
+parameters' flat buffer.
 
 Ablation flags:
 
@@ -73,8 +78,8 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
 @dataclass
 class TrainState:
     params: ModelParams
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # Adam moments, aligned with params.flat
+    v: np.ndarray
     t: int = 0
     epoch: int = 0
     best_params: ModelParams | None = None
@@ -84,17 +89,7 @@ class TrainState:
 
 def init_state(model_config: ModelConfig, train_config: TrainConfig) -> TrainState:
     params = init_params(model_config, multi_branch=train_config.multi_branch)
-    return TrainState(
-        params=params,
-        m={k: np.zeros_like(v) for k, v in params.tensors.items()},
-        v={k: np.zeros_like(v) for k, v in params.tensors.items()},
-    )
-
-
-def _one_hot(labels: np.ndarray) -> np.ndarray:
-    out = np.zeros((labels.size, 2))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    return TrainState(params=params, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def _losses_and_grads(
@@ -144,24 +139,31 @@ def _adam_update(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> 
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for name in state.params.tensors:
-        g = grads[name]
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        state.params.tensors[name] -= lr * (state.m[name] / bc1) / (
-            np.sqrt(state.v[name] / bc2) + ADAM_EPS
-        )
+    g = np.concatenate([grads[name].ravel() for name in state.params.tensors])
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    state.params.flat -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
     state.params.version += 1
+
+
+def soft_targets(records: list, weights: RaterWeights) -> np.ndarray:
+    """(n, 2) fusion targets: each record's ``soft_label`` row."""
+    return np.array([soft_label(r, weights) for r in records]).reshape(len(records), 2)
 
 
 def train_step(
     state: TrainState,
     features: np.ndarray,
     records: list,
-    weights: RaterWeights,
+    softs: np.ndarray,
     config: TrainConfig,
 ) -> dict[str, float]:
-    """One combined Adam step on a batch; returns the loss scalars."""
+    """One combined Adam step on a batch; returns the loss scalars.
+
+    ``softs`` holds the batch's (n, 2) fusion targets, the matching rows of
+    ``soft_targets``; the single-head baseline trains on the final labels and
+    ignores them.
+    """
     if len(records) < 1:
         raise ParameterError("batch must be non-empty")
     final_idx = np.array([r.final_label for r in records], dtype=int)
@@ -173,10 +175,8 @@ def train_step(
         spec_idx = np.array(
             [sample_branch_label(r, Branch.SPEC, config.seed, state.epoch) for r in records], dtype=int
         )
-        softs = np.stack([soft_label(r, weights) for r in records])
     else:
         sen_idx = spec_idx = final_idx
-        softs = _one_hot(final_idx)
 
     out, cache = forward_batch(state.params, features)
     scalars, prob_grads = _losses_and_grads(out, sen_idx, spec_idx, softs, final_idx, a, config)
@@ -189,12 +189,13 @@ def train_step(
     return scalars
 
 
-def _validation_auc(params: ModelParams, val: GradedDataset) -> float:
-    out, _ = forward_batch(params, val.features)
+def _validation_auc(params: ModelParams, features: np.ndarray, labels: np.ndarray):
+    """(AUC, None), or (None, reason) when the AUC is undefined."""
+    out, _ = forward_batch(params, features)
     try:
-        return roc_auc(out.y_fusion[:, 1], val.final_labels)
-    except UndefinedMetricError:
-        return float("nan")
+        return roc_auc(out.y_fusion[:, 1], labels), None
+    except UndefinedMetricError as exc:
+        return None, str(exc)
 
 
 def fit(
@@ -207,15 +208,22 @@ def fit(
     """Train for up to max_epochs and return the best-validation-AUC parameters.
 
     Ties go to the later epoch: an epoch whose validation AUC equals the best
-    so far replaces it. An epoch with a NaN AUC is never selected.
+    so far replaces it. An epoch with an undefined AUC is never selected.
 
     The training log holds one record per completed epoch:
     {epoch, lr, loss_sen, loss_spec, loss_fusion, loss_consensus, val_auc}.
+    An undefined validation AUC (a one-class validation split) is logged as
+    None, and the record gains ``val_auc_undefined`` with the reason.
     On divergence the loop aborts and the log collected so far is returned.
     ``on_epoch``, when given, is called with each record as it is appended.
     """
     state = init_state(model_config, train_config)
     weights = compute_rater_weights(train.records)
+    if train_config.multi_branch:
+        softs = soft_targets(train.records, weights)
+    else:  # the baseline's target is the one-hot final label
+        softs = np.eye(2)[train.final_labels]
+    val_labels = val.final_labels
     shuffle_rng = seeded_rng(train_config.seed, STREAM_SHUFFLE)
     state.best_params = state.params.copy()
     n = len(train)
@@ -227,15 +235,14 @@ def fit(
         try:
             for start in range(0, n, train_config.batch_size):
                 idx = order[start : start + train_config.batch_size]
-                scalars = train_step(
-                    state, train.features[idx], [train.records[i] for i in idx], weights, train_config
-                )
+                records = [train.records[i] for i in idx.tolist()]
+                scalars = train_step(state, train.features[idx], records, softs[idx], train_config)
                 for key in sums:
                     sums[key] += scalars[key] * idx.size
         except TrainingDivergedError:
             break
-        val_auc = _validation_auc(state.params, val)
-        if val_auc >= state.best_val_auc:  # NaN never compares true
+        val_auc, undefined = _validation_auc(state.params, val.features, val_labels)
+        if val_auc is not None and val_auc >= state.best_val_auc:
             state.best_val_auc = val_auc
             state.best_params = state.params.copy()
         record = {
@@ -244,6 +251,8 @@ def fit(
             **{key: sums[key] / n for key in sums},
             "val_auc": val_auc,
         }
+        if undefined is not None:
+            record["val_auc_undefined"] = undefined
         state.log.append(record)
         if on_epoch is not None:
             on_epoch(record)

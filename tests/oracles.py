@@ -110,3 +110,13 @@ def rater_accuracy_tally(records):
             counts[rid] = counts.get(rid, 0) + 1
             matches[rid] = matches.get(rid, 0) + (1 if lab == rec.final_label else 0)
     return {rid: matches[rid] / counts[rid] for rid in counts}
+
+
+def midranks(values):
+    """1-based Mann-Whitney midranks: below-count plus (tie-count + 1) / 2, pair by pair."""
+    ranks = []
+    for v in values:
+        below = sum(1 for w in values if w < v)
+        ties = sum(1 for w in values if w == v)
+        ranks.append(below + (ties + 1) / 2)
+    return ranks

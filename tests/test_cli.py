@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from multirater import cli
 from multirater.cli import ExperimentConfig, resolve_config
 
 BASE_CONFIG = """
@@ -16,6 +18,15 @@ trunk_dims = 12,12,12
 branch_dim = 6
 max_epochs = 2
 """
+
+
+def strict_json(text):
+    """Parse ``text`` as JSON that holds no NaN or Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(*args):
@@ -262,6 +273,67 @@ class TestAblation:
             assert set(row["mean"]) == {"acc", "sen", "spec", "f1", "auc"}
         table = (out / "ablation_grid.txt").read_text()
         assert table.splitlines()[2].startswith("baseline")
+
+
+    def _grid(self, tmp_path, monkeypatch, run_experiment):
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        cfg = resolve_config(None, {"n_samples": 50, "max_epochs": 1, "seed": 4})
+        code = cli.cmd_ablation(cfg, tmp_path, n_seeds=2)
+        grid = strict_json((tmp_path / "ablation_grid.json").read_text())
+        return code, grid, (tmp_path / "ablation_grid.txt").read_text()
+
+    def test_undefined_metrics_are_null(self, tmp_path, monkeypatch):
+        def run_experiment(cfg):
+            auc = None if cfg.seed == 5 else 0.75
+            fusion_all = {"acc": 0.5, "sen": 0.5, "spec": 0.5, "f1": 0.5, "auc": auc}
+            return None, [], SimpleNamespace(metrics={"fusion": {"all": fusion_all}})
+
+        code, grid, table = self._grid(tmp_path, monkeypatch, run_experiment)
+        assert code == 0
+        for row in grid["arms"].values():
+            assert row["per_seed"]["auc"] == [0.75, None]
+            assert row["mean"]["auc"] is None and row["sd"]["auc"] is None
+            assert row["median"]["auc"] is None
+            assert row["mean"]["acc"] == 0.5
+        assert table.splitlines()[2].rstrip().endswith("-")
+
+    def test_failures_keep_their_tracebacks(self, tmp_path, monkeypatch):
+        def run_experiment(cfg):
+            if cfg.ablation == "conloss" and cfg.seed == 5:
+                raise_deep_inside(cfg.seed)
+            fusion_all = dict.fromkeys(("acc", "sen", "spec", "f1", "auc"), 0.5)
+            return None, [], SimpleNamespace(metrics={"fusion": {"all": fusion_all}})
+
+        def raise_deep_inside(seed):
+            raise RuntimeError(f"boom at seed {seed}")
+
+        code, grid, table = self._grid(tmp_path, monkeypatch, run_experiment)
+        assert code == 1
+        row = grid["arms"]["conloss"]
+        assert row["failed"] and len(row["errors"]) == 1
+        error = row["errors"][0]
+        assert error["seed"] == 5 and error["message"] == "boom at seed 5"
+        assert error["traceback"].startswith("Traceback (most recent call last)")
+        assert "raise_deep_inside" in error["traceback"]
+        assert error["traceback"].rstrip().endswith("RuntimeError: boom at seed 5")
+        assert "conloss     FAILED: seed 5: boom at seed 5" in table
+        assert "Traceback" not in table
+        assert all(not r["failed"] for arm, r in grid["arms"].items() if arm != "conloss")
+
+
+class TestStrictJson:
+    def test_one_class_validation_split_logs_null_auc_with_reason(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert run_cli("generate", "--n", 12, "--seed", 2, "--out", data).returncode == 0
+        result = run_cli("train", "--data", data, "--out", run, "--epochs", 1, "--seed", 2)
+        assert result.returncode == 0, result.stderr
+        lines = (run / "train_log.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        record = strict_json(lines[0])
+        assert record["val_auc"] is None
+        assert record["val_auc_undefined"] == "AUC requires both classes present"
+        strict_json((run / "checkpoint.json").read_text())
+        strict_json((run / "config_resolved.json").read_text())
 
 
 class TestPipelineDeterminism:

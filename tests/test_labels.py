@@ -1,5 +1,7 @@
 """Label engine: rater weights, soft labels, branch label-pool sampling."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,11 @@ from multirater.labels import (
     branch_labels,
     compute_rater_weights,
     label_pool,
+    positive_probability,
     sample_branch_label,
     soft_label,
 )
+from multirater.rng import STREAM_BRANCH_LABEL, keyed_uniform
 from multirater.simulate import GradingRecord, default_panel, generate_dataset, grade_dataset
 
 import oracles
@@ -194,6 +198,36 @@ class TestLabelPools:
         assert abs(sen - 4.0 / 5.0) < 0.02  # pool {1,1,0,1,1}
         assert abs(spec - 2.0 / 4.0) < 0.02  # pool {1,0,0,1}
         assert sen > spec
+
+
+class TestClosedFormDraw:
+    @pytest.mark.parametrize("ratings", [r for k in (2, 3) for r in product((0, 1), repeat=k)])
+    def test_probability_equals_the_pool_enumeration(self, ratings):
+        rec = GradingRecord(
+            sample_id=0, stage1_labels=((1, ratings[0]), (2, ratings[1])),
+            adjudicator_label=(3, ratings[2]) if len(ratings) == 3 else None,
+            consensus=int(ratings[0] == ratings[1]), final_label=ratings[-1], soft_label=0.5,
+        )
+        for branch in Branch:
+            pool = label_pool(rec, branch)
+            assert positive_probability(rec, branch) == pool.count(1) / len(pool)
+
+    def test_draw_is_the_keyed_uniform_below_the_probability(self):
+        records = [make_record(i, 1, 0, adj=i % 2) for i in range(50)]
+        for rec, branch, epoch in product(records, Branch, range(3)):
+            code = 0 if branch is Branch.SEN else 1
+            u = keyed_uniform(4, STREAM_BRANCH_LABEL, epoch, code, rec.sample_id)
+            want = int(u < positive_probability(rec, branch))
+            assert sample_branch_label(rec, branch, seed=4, epoch=epoch) == want
+
+    def test_draw_does_not_depend_on_call_order_or_other_calls(self):
+        records = [make_record(i, 0, 1, adj=1) for i in range(40)]
+        calls = list(product(range(40), Branch, range(4)))
+        first = {c: sample_branch_label(records[c[0]], c[1], seed=8, epoch=c[2]) for c in calls}
+        for j in np.random.default_rng(1).permutation(len(calls)):
+            i, branch, epoch = calls[j]
+            sample_branch_label(records[(i + 1) % 40], branch, seed=9, epoch=epoch + 1)
+            assert sample_branch_label(records[i], branch, seed=8, epoch=epoch) == first[calls[j]]
 
 
 class TestBranchLabels:

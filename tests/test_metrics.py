@@ -4,11 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multirater.errors import ParameterError, UndefinedMetricError
-from multirater.metrics import confusion_metrics, evaluate, roc_auc
+from multirater.metrics import _average_ranks, confusion_metrics, evaluate, roc_auc
 from multirater.model import ModelConfig
 from multirater.simulate import (
     GradingPanel,
@@ -93,6 +93,17 @@ class TestRocAuc:
             got = roc_auc(scores, labels)
             want = oracles.auc_pair_count(scores.tolist(), labels.tolist())
             assert got == pytest.approx(want, abs=1e-12)
+
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 3.0]), st.integers(0, 1)),
+                    min_size=2, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_heavy_ties_match_brute_force_mann_whitney(self, pairs):
+        scores = [s for s, _ in pairs]
+        labels = [y for _, y in pairs]
+        np.testing.assert_array_equal(_average_ranks(np.array(scores)), oracles.midranks(scores))
+        assume(0 < sum(labels) < len(labels))
+        # midranks are multiples of 1/2, so both routes are exact and agree bit for bit
+        assert roc_auc(scores, labels) == oracles.auc_pair_count(scores, labels)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)

@@ -9,6 +9,7 @@ from multirater.errors import ContractError, DataError, ParameterError
 from multirater.losses import branch_loss, fusion_loss, uncertainty
 from multirater.model import (
     ModelConfig,
+    ModelParams,
     backward,
     forward,
     forward_batch,
@@ -27,7 +28,7 @@ def toy_params(seed=123, multi_branch=True, jitter=None):
     if jitter is not None:
         rng = np.random.default_rng(jitter)
         for name in params.tensors:
-            params.tensors[name] = params.tensors[name] + 0.3 * rng.standard_normal(
+            params.tensors[name][...] = params.tensors[name] + 0.3 * rng.standard_normal(
                 params.tensors[name].shape
             )
     return params
@@ -85,8 +86,8 @@ class TestForward:
     def test_zeroed_heads_give_uniform_outputs_and_zero_uncertainty(self):
         params = toy_params()
         for name in ("sen.head", "spec.head", "fusion.head"):
-            params.tensors[f"{name}.W"] = np.zeros_like(params.tensors[f"{name}.W"])
-            params.tensors[f"{name}.b"] = np.zeros_like(params.tensors[f"{name}.b"])
+            params.tensors[f"{name}.W"][...] = np.zeros_like(params.tensors[f"{name}.W"])
+            params.tensors[f"{name}.b"][...] = np.zeros_like(params.tensors[f"{name}.b"])
         out, _ = forward(params, RNG.standard_normal(5))
         np.testing.assert_allclose(out.y_sen, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(out.y_fusion, [0.5, 0.5], atol=1e-12)
@@ -126,9 +127,9 @@ class TestForward:
         base, _ = forward_batch(params, x)
         perm = np.random.default_rng(0).permutation(params.config.trunk_dims[1])
         permuted = params.copy()
-        permuted.tensors["trunk.1.W"] = params.tensors["trunk.1.W"][:, perm]
-        permuted.tensors["trunk.1.b"] = params.tensors["trunk.1.b"][perm]
-        permuted.tensors["trunk.2.W"] = params.tensors["trunk.2.W"][perm, :]
+        permuted.tensors["trunk.1.W"][...] = params.tensors["trunk.1.W"][:, perm]
+        permuted.tensors["trunk.1.b"][...] = params.tensors["trunk.1.b"][perm]
+        permuted.tensors["trunk.2.W"][...] = params.tensors["trunk.2.W"][perm, :]
         out, _ = forward_batch(permuted, x)
         np.testing.assert_allclose(out.y_fusion, base.y_fusion, atol=1e-9)
         np.testing.assert_allclose(out.y_sen, base.y_sen, atol=1e-9)
@@ -262,6 +263,47 @@ class TestCheckpoint:
         path = self._tampered(tmp_path, poison)
         with pytest.raises(DataError, match="ckpt.json: tensor trunk.0.W holds non-finite values"):
             load_checkpoint(path)
+
+
+class TestFlatBuffer:
+    def _assert_views_of_flat(self, params):
+        offset = 0
+        for name, view in params.tensors.items():
+            assert np.shares_memory(view, params.flat), name
+            np.testing.assert_array_equal(view.ravel(), params.flat[offset : offset + view.size])
+            offset += view.size
+        assert offset == params.flat.size
+
+    @pytest.mark.parametrize("multi_branch", [True, False])
+    def test_every_view_shares_memory_with_flat(self, tmp_path, multi_branch):
+        params = toy_params(multi_branch=multi_branch, jitter=4)
+        dup = params.copy()
+        save_checkpoint(params, tmp_path / "ckpt.json")
+        loaded, _ = load_checkpoint(tmp_path / "ckpt.json")
+        for p in (params, dup, loaded):
+            self._assert_views_of_flat(p)
+            np.testing.assert_array_equal(p.flat, params.flat)
+        assert not np.shares_memory(dup.flat, params.flat)
+
+    def test_views_follow_layer_order(self):
+        params = toy_params()
+        assert list(params.tensors) == [
+            f"{layer}.{kind}"
+            for layer in ("trunk.0", "trunk.1", "trunk.2", "sen.feat", "sen.head",
+                          "spec.feat", "spec.head", "fusion.feat", "fusion.head")
+            for kind in ("W", "b")
+        ]
+
+    def test_rebinding_a_tensor_raises(self):
+        params = toy_params()
+        with pytest.raises(TypeError):
+            params.tensors["trunk.0.W"] = np.zeros_like(params.tensors["trunk.0.W"])
+        params.tensors["trunk.0.W"][...] = 1.0  # writing through the view is the way
+        assert params.flat[0] == 1.0
+
+    def test_mis_sized_buffer_rejected(self):
+        with pytest.raises(ParameterError, match="flat buffer"):
+            ModelParams(TOY, True, np.zeros(3))
 
 
 class TestConfig:

@@ -19,11 +19,16 @@ from multirater.simulate import (
     split_dataset,
 )
 from multirater.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
+    _adam_update,
     _losses_and_grads,
     fit,
     init_state,
     learning_rate,
+    soft_targets,
     train_step,
 )
 
@@ -62,12 +67,12 @@ class TestSchedule:
 class TestTrainStep:
     def test_fixed_batch_is_deterministic(self):
         train, _, _ = toy_data()
-        weights = compute_rater_weights(train.records)
+        softs = soft_targets(train.records, compute_rater_weights(train.records))
         cfg = TrainConfig(seed=3)
         results = []
         for _ in range(2):
             state = init_state(TOY_MODEL, cfg)
-            scalars = train_step(state, train.features[:32], train.records[:32], weights, cfg)
+            scalars = train_step(state, train.features[:32], train.records[:32], softs[:32], cfg)
             results.append((scalars, state.params))
         assert results[0][0] == results[1][0]
         for name in results[0][1].tensors:
@@ -122,7 +127,7 @@ class TestTrainStep:
     def test_loss_decreases_on_a_fixed_batch(self):
         """Ten repeated steps on one batch lower the total loss (>= 4 of 5 seeds)."""
         train, _, _ = toy_data()
-        weights = compute_rater_weights(train.records)
+        softs = soft_targets(train.records, compute_rater_weights(train.records))
         wins = 0
         for seed in range(5):
             cfg = TrainConfig(seed=seed, lr=1e-3)
@@ -131,7 +136,7 @@ class TestTrainStep:
             )
             first = last = None
             for _ in range(10):
-                scalars = train_step(state, train.features[:32], train.records[:32], weights, cfg)
+                scalars = train_step(state, train.features[:32], train.records[:32], softs[:32], cfg)
                 first = scalars["total"] if first is None else first
                 last = scalars["total"]
             wins += last < first
@@ -139,13 +144,41 @@ class TestTrainStep:
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         train, _, _ = toy_data()
-        weights = compute_rater_weights(train.records)
+        softs = soft_targets(train.records, compute_rater_weights(train.records))
         cfg = TrainConfig(seed=1)
         state = init_state(TOY_MODEL, cfg)
         state.params.tensors["trunk.0.W"][:] = np.nan
         state.params.version += 1
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
-            train_step(state, train.features[:8], train.records[:8], weights, cfg)
+            train_step(state, train.features[:8], train.records[:8], softs[:8], cfg)
+
+
+class TestAdam:
+    def test_flat_update_equals_the_per_tensor_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        state = init_state(TOY_MODEL, TrainConfig())
+        state.m[...] = 0.01 * rng.standard_normal(state.m.shape)
+        state.v[...] = 0.01 * np.abs(rng.standard_normal(state.v.shape))
+        state.t = 3
+        params = {k: p.copy() for k, p in state.params.tensors.items()}
+        bounds = np.cumsum([0] + [p.size for p in params.values()])
+
+        def per_tensor(flat):
+            return {k: flat[a:b].reshape(p.shape).copy() for (k, p), a, b in zip(params.items(), bounds, bounds[1:])}
+
+        m, v = per_tensor(state.m), per_tensor(state.v)
+        grads = {k: rng.standard_normal(p.shape) for k, p in reversed(params.items())}
+        lr = 3e-4
+
+        _adam_update(state, grads, lr)
+
+        bc1, bc2 = 1.0 - ADAM_BETA1**4, 1.0 - ADAM_BETA2**4
+        for name, g in grads.items():
+            m_ref = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+            v_ref = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+            params[name] -= lr * (m_ref / bc1) / (np.sqrt(v_ref / bc2) + ADAM_EPS)
+            np.testing.assert_array_equal(state.params.tensors[name], params[name])
+        assert state.t == 4
 
 
 class TestFit:
@@ -321,12 +354,12 @@ class TestBaselineEquivalence:
 def _fit_final(train, model_config, cfg):
     """Run the package training loop and return the FINAL (not best) params."""
     state = init_state(model_config, cfg)
-    weights = compute_rater_weights(train.records)
+    softs = soft_targets(train.records, compute_rater_weights(train.records))
     shuffle_rng = seeded_rng(cfg.seed, STREAM_SHUFFLE)
     for epoch in range(cfg.max_epochs):
         state.epoch = epoch
         order = shuffle_rng.permutation(len(train))
         for start in range(0, len(train), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            train_step(state, train.features[idx], [train.records[i] for i in idx], weights, cfg)
+            train_step(state, train.features[idx], [train.records[i] for i in idx], softs[idx], cfg)
     return state.params
