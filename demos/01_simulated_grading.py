@@ -29,8 +29,8 @@ TARGET = {
 
 print("=== 1. generate features with a latent difficulty score ===")
 samples = generate_dataset(n_samples=6318, seed=42)
-difficulty = np.array([s.difficulty for s in samples])
-print(f"samples: {len(samples)}, feature dim {samples[0].features.shape[0]}")
+difficulty = samples.difficulties
+print(f"samples: {len(samples.true_labels)}, feature dim {samples.features.shape[1]}")
 print(f"difficulty: mean {difficulty.mean():.3f}, share above 0.5: {(difficulty > 0.5).mean():.3f}")
 
 print()

@@ -9,11 +9,10 @@ import numpy as np
 from multirater import (
     Branch,
     GradingRecord,
-    RaterWeights,
     branch_loss,
     consensus_loss,
     fusion_loss,
-    label_pool,
+    positive_probability,
     sample_branch_label,
     soft_label,
     uncertainty,
@@ -39,7 +38,7 @@ loss, _, _ = branch_loss([0.2, 0.8], [0.0, 1.0], [0.2, 0.8], a=0, alpha=0.5, mar
 print(f"-log(0.8) + 0.5 * 0.5 = {loss:.5f}")
 
 print()
-print("=== soft labels and branch label pools for a disagreement record ===")
+print("=== soft labels and branch label probabilities for a disagreement record ===")
 record = GradingRecord(
     sample_id=0,
     stage1_labels=((1, 1), (2, 0)),
@@ -48,11 +47,11 @@ record = GradingRecord(
     final_label=0,
     soft_label=0.5,
 )
-weights = RaterWeights(weights={1: 0.8, 2: 0.9, 3: 1.0})
+weights = {1: 0.8, 2: 0.9, 3: 1.0}
 dist = soft_label(record, weights)
 print(f"ratings (1, 0, 0) with weights (0.8, 0.9, 1.0) -> soft label {dist[1]:.4f}")
-print(f"sensitivity pool:  {label_pool(record, Branch.SEN)}  (positives doubled)")
-print(f"specificity pool:  {label_pool(record, Branch.SPEC)}  (negatives doubled)")
+print(f"sensitivity P(label=1): {positive_probability(record, Branch.SEN):.4f}  (positives counted twice: 2/4)")
+print(f"specificity P(label=1): {positive_probability(record, Branch.SPEC):.4f}  (negatives counted twice: 1/5)")
 draws = [sample_branch_label(record, Branch.SEN, seed=1, epoch=e) for e in range(10000)]
 print(f"empirical P(label=1) for the sensitivity branch: {np.mean(draws):.3f} (exact: 0.5)")
 

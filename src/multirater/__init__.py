@@ -16,12 +16,9 @@ from .errors import (
 )
 from .labels import (
     Branch,
-    BranchLabels,
-    RaterWeights,
     attach_soft_labels,
-    branch_labels,
     compute_rater_weights,
-    label_pool,
+    positive_probability,
     sample_branch_label,
     soft_label,
 )
@@ -29,11 +26,9 @@ from .losses import branch_loss, consensus_loss, fusion_loss, uncertainty
 from .metrics import ConfusionMetrics, EvalReport, confusion_metrics, evaluate, roc_auc
 from .model import (
     BatchOutputs,
-    BranchOutputs,
     ModelConfig,
     ModelParams,
     backward,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -44,7 +39,7 @@ from .simulate import (
     GradingPanel,
     GradingRecord,
     RaterProfile,
-    SyntheticSample,
+    Samples,
     category_counts,
     default_panel,
     generate_dataset,

@@ -268,7 +268,13 @@ def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
 
         params, log = fit(train_ds, val_ds, model_config, cfg.train_config(), on_epoch=write_record)
     save_checkpoint(params, out_dir / "checkpoint.json", metadata=snapshot)
-    print(f"trained {len(log)} epochs; wrote checkpoint.json, train_log.jsonl to {out_dir}")
+    epochs = [record for record in log if "diverged" not in record]
+    if len(epochs) < len(log):
+        print(f"warning: training diverged: {log[-1]['diverged']}", file=sys.stderr)
+    if all(record["val_auc"] is None for record in epochs):
+        print("warning: no epoch had a defined validation AUC, so the checkpoint holds "
+              "the initial parameters", file=sys.stderr)
+    print(f"trained {len(epochs)} epochs; wrote checkpoint.json, train_log.jsonl to {out_dir}")
     return 0
 
 
@@ -393,14 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write train/val/test CSVs plus a manifest")
     add_common(gen)
-    gen.add_argument("--n", type=int, default=None, help="number of samples")
+    gen.add_argument("--n", dest="n_samples", metavar="N", type=int, default=None, help="number of samples")
     gen.add_argument("--difficulty-mix", type=float, default=None)
     gen.add_argument("--class-balance", type=float, default=None)
 
     tr = sub.add_parser("train", help="train on generated CSVs")
     add_common(tr)
     tr.add_argument("--data", type=Path, required=True, help="directory with train/val CSVs")
-    tr.add_argument("--epochs", type=int, default=None, help="max training epochs")
+    tr.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int, default=None,
+                    help="max training epochs")
     tr.add_argument("--ablation", choices=sorted(ARM_FLAGS), default=None)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset CSV")
@@ -412,26 +419,19 @@ def build_parser() -> argparse.ArgumentParser:
     ab = sub.add_parser("ablation", help="run all ablation arms over several seeds")
     add_common(ab)
     ab.add_argument("--seeds", type=int, default=5, help="number of seeds per arm")
-    ab.add_argument("--n", type=int, default=None, help="number of samples")
-    ab.add_argument("--epochs", type=int, default=None, help="max training epochs")
+    ab.add_argument("--n", dest="n_samples", metavar="N", type=int, default=None, help="number of samples")
+    ab.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int, default=None,
+                    help="max training epochs")
 
     return parser
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    mapping = {
-        "seed": "seed",
-        "n": "n_samples",
-        "epochs": "max_epochs",
-        "difficulty_mix": "difficulty_mix",
-        "class_balance": "class_balance",
-        "ablation": "ablation",
-        "threshold": "threshold",
-    }
+    """The flags whose dest names an ExperimentConfig field, where given."""
     return {
-        key: getattr(args, attr)
-        for attr, key in mapping.items()
-        if hasattr(args, attr) and getattr(args, attr) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(ExperimentConfig)
+        if getattr(args, f.name, None) is not None
     }
 
 

@@ -43,16 +43,6 @@ class ModelConfig:
 
 
 @dataclass
-class BranchOutputs:
-    """Per-branch class probabilities for one sample plus derived uncertainty."""
-
-    y_sen: np.ndarray
-    y_spec: np.ndarray
-    y_fusion: np.ndarray
-    uncertainty: float
-
-
-@dataclass
 class BatchOutputs:
     y_sen: np.ndarray  # (n, 2)
     y_spec: np.ndarray
@@ -69,8 +59,8 @@ class ModelParams:
     through a view (``tensors[name][...] = x``), or update ``flat`` as a whole,
     as Adam does; rebinding a name raises ``TypeError``.
 
-    ``version`` increments on every in-place update so that a forward cache
-    can detect staleness in backward().
+    ``version`` increments on every in-place update so that backward() can
+    detect a stale ``forward_batch`` cache.
     """
 
     def __init__(self, config: ModelConfig, multi_branch: bool, flat: np.ndarray | None = None):
@@ -143,7 +133,7 @@ class ForwardCache:
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[BatchOutputs, ForwardCache]:
-    """Run the network on a (n, input_dim) batch."""
+    """Run the network on a (n, input_dim) batch; a single sample is a (1, input_dim) batch."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise ParameterError(
@@ -181,21 +171,6 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[BatchOutputs, For
     return out, cache
 
 
-def forward(params: ModelParams, features: np.ndarray) -> tuple[BranchOutputs, ForwardCache]:
-    """Single-sample wrapper around forward_batch."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 1:
-        raise ParameterError(f"expected a flat feature vector, got shape {features.shape}")
-    out, cache = forward_batch(params, features[None, :])
-    single = BranchOutputs(
-        y_sen=out.y_sen[0],
-        y_spec=out.y_spec[0],
-        y_fusion=out.y_fusion[0],
-        uncertainty=float(out.uncertainty[0]),
-    )
-    return single, cache
-
-
 def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     # dL/dz for z the logits of softmax y, given dL/dy.
     inner = (y * dy).sum(axis=1, keepdims=True)
@@ -210,7 +185,7 @@ def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarr
     cache does not match the current parameter values.
     """
     if cache.params is not params or cache.version != params.version:
-        raise ContractError("stale forward cache: parameters changed since forward()")
+        raise ContractError("stale forward cache: parameters changed since forward_batch()")
     n = cache.x.shape[0]
     zero = np.zeros((n, 2))
     dy_sen = np.asarray(grads.get("y_sen", zero), dtype=float)

@@ -5,7 +5,8 @@ class 0 at -g * u along the diagonal u = ones / sqrt(d), so the class boundary
 is the hyperplane x.u = 0 and the separation g shrinks as ``difficulty_mix``
 grows. Each sample carries a scalar difficulty in [0, 1] that falls with its
 margin |x.u| to the boundary; rater error rates scale up with that difficulty,
-so disagreement concentrates on ambiguous samples.
+so disagreement concentrates on ambiguous samples. ``generate_dataset``
+returns the samples as arrays (``Samples``), one row per sample.
 
 Grading follows a two-stage protocol: two independent first-stage raters, and
 an adjudicator who settles disagreements. The adjudicated label becomes the
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,11 +101,12 @@ def default_panel() -> GradingPanel:
     )
 
 
-@dataclass
-class SyntheticSample:
-    features: np.ndarray
-    true_label: int
-    difficulty: float
+class Samples(NamedTuple):
+    """Generated samples as parallel arrays, row i being sample i."""
+
+    features: np.ndarray  # (n, d)
+    true_labels: np.ndarray  # (n,) int
+    difficulties: np.ndarray  # (n,) in [0, 1]
 
 
 @dataclass
@@ -176,7 +179,7 @@ def generate_dataset(
     class_balance: float = DEFAULT_CLASS_BALANCE,
     difficulty_mix: float = DEFAULT_DIFFICULTY_MIX,
     seed: int = 0,
-) -> list[SyntheticSample]:
+) -> Samples:
     """Draw two isotropic Gaussian classes on either side of a linear boundary.
 
     Class 1 samples center on +g * u and class 0 samples on -g * u, with
@@ -203,10 +206,7 @@ def generate_dataset(
     features = rng.standard_normal((n_samples, feature_dim)) + amplitude * signs[:, None] * u
     margins = boundary_margins(features)
     difficulties = np.exp(-(margins**2) / DIFFICULTY_SCALE)
-    return [
-        SyntheticSample(features=features[i], true_label=int(labels[i]), difficulty=float(difficulties[i]))
-        for i in range(n_samples)
-    ]
+    return Samples(features, labels, difficulties)
 
 
 def _error_prob(rater: RaterProfile, true_label: int, difficulty: float, error_gain: float) -> float:
@@ -215,13 +215,15 @@ def _error_prob(rater: RaterProfile, true_label: int, difficulty: float, error_g
 
 
 def grade_sample(
-    sample: SyntheticSample,
+    true_label: int,
+    difficulty: float,
     panel: GradingPanel,
     seed: int,
     sample_id: int = 0,
     error_gain: float = DEFAULT_ERROR_GAIN,
 ) -> GradingRecord:
-    """Grade one sample: two independent ratings, adjudication on disagreement.
+    """Grade one sample of the given true label and difficulty: two independent
+    ratings, adjudication on disagreement.
 
     Each rater reports the true label with probability 1 - error, where the
     error rate is the rater's base rate for that class inflated by sample
@@ -232,16 +234,16 @@ def grade_sample(
     rng = seeded_rng(seed, STREAM_GRADE, sample_id)
     stage1 = []
     for rater in panel.stage1:
-        err = _error_prob(rater, sample.true_label, sample.difficulty, error_gain)
-        label = sample.true_label if rng.random() >= err else 1 - sample.true_label
+        err = _error_prob(rater, true_label, difficulty, error_gain)
+        label = true_label if rng.random() >= err else 1 - true_label
         stage1.append((rater.rater_id, int(label)))
     consensus = int(stage1[0][1] == stage1[1][1])
     if consensus:
         adjudicator_label = None
         final = stage1[0][1]
     else:
-        err = _error_prob(panel.adjudicator, sample.true_label, sample.difficulty, error_gain)
-        label = sample.true_label if rng.random() >= err else 1 - sample.true_label
+        err = _error_prob(panel.adjudicator, true_label, difficulty, error_gain)
+        label = true_label if rng.random() >= err else 1 - true_label
         adjudicator_label = (panel.adjudicator.rater_id, int(label))
         final = int(label)
     raw = [lab for _, lab in stage1] + ([adjudicator_label[1]] if adjudicator_label else [])
@@ -257,22 +259,19 @@ def grade_sample(
 
 
 def grade_dataset(
-    samples: list[SyntheticSample],
+    samples: Samples,
     panel: GradingPanel,
     seed: int,
     error_gain: float = DEFAULT_ERROR_GAIN,
 ) -> GradedDataset:
     """Grade every sample; sample ids are assigned by position."""
     records = [
-        grade_sample(s, panel, seed, sample_id=i, error_gain=error_gain)
-        for i, s in enumerate(samples)
+        grade_sample(true_label, difficulty, panel, seed, sample_id=i, error_gain=error_gain)
+        for i, (true_label, difficulty) in enumerate(
+            zip(samples.true_labels.tolist(), samples.difficulties.tolist())
+        )
     ]
-    return GradedDataset(
-        features=np.stack([s.features for s in samples]),
-        true_labels=np.array([s.true_label for s in samples], dtype=int),
-        records=records,
-        difficulties=np.array([s.difficulty for s in samples]),
-    )
+    return GradedDataset(samples.features, samples.true_labels, records, samples.difficulties)
 
 
 def category_counts(records: list[GradingRecord]) -> dict[str, int]:

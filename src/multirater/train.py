@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, TrainingDivergedError, UndefinedMetricError
-from .labels import Branch, RaterWeights, compute_rater_weights, sample_branch_label, soft_label
+from .labels import Branch, compute_rater_weights, sample_branch_label, soft_label
 from .losses import consensus_terms, cross_entropy, fusion_loss
 from .metrics import roc_auc
 from .model import BatchOutputs, ModelConfig, ModelParams, backward, forward_batch, init_params
@@ -146,7 +146,7 @@ def _adam_update(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> 
     state.params.version += 1
 
 
-def soft_targets(records: list, weights: RaterWeights) -> np.ndarray:
+def soft_targets(records: list, weights: dict[int, float]) -> np.ndarray:
     """(n, 2) fusion targets: each record's ``soft_label`` row."""
     return np.array([soft_label(r, weights) for r in records]).reshape(len(records), 2)
 
@@ -213,8 +213,13 @@ def fit(
     The training log holds one record per completed epoch:
     {epoch, lr, loss_sen, loss_spec, loss_fusion, loss_consensus, val_auc}.
     An undefined validation AUC (a one-class validation split) is logged as
-    None, and the record gains ``val_auc_undefined`` with the reason.
-    On divergence the loop aborts and the log collected so far is returned.
+    None, and the record gains ``val_auc_undefined`` with the reason. When no
+    epoch has a defined validation AUC, the returned parameters are the
+    initial ones.
+    On divergence (a non-finite loss) the loop stops after appending one
+    record {epoch, step, diverged}, with the error message under ``diverged``
+    and ``step`` the number of Adam steps taken, and returns the best
+    parameters so far.
     ``on_epoch``, when given, is called with each record as it is appended.
     """
     state = init_state(model_config, train_config)
@@ -239,7 +244,10 @@ def fit(
                 scalars = train_step(state, train.features[idx], records, softs[idx], train_config)
                 for key in sums:
                     sums[key] += scalars[key] * idx.size
-        except TrainingDivergedError:
+        except TrainingDivergedError as exc:
+            state.log.append({"epoch": epoch, "step": state.t, "diverged": str(exc)})
+            if on_epoch is not None:
+                on_epoch(state.log[-1])
             break
         val_auc, undefined = _validation_auc(state.params, val.features, val_labels)
         if val_auc is not None and val_auc >= state.best_val_auc:

@@ -112,6 +112,21 @@ def rater_accuracy_tally(records):
     return {rid: matches[rid] / counts[rid] for rid in counts}
 
 
+def label_pool(record, favored):
+    """Raw labels with every rating of the ``favored`` class duplicated in place.
+
+    A uniform draw from the pool is the branch draw that
+    ``labels.positive_probability`` gives in closed form: favored = 1 for the
+    sensitivity branch, 0 for the specificity branch.
+    """
+    pool = []
+    for _, lab in record.raw_labels:
+        pool.append(lab)
+        if lab == favored:
+            pool.append(lab)
+    return pool
+
+
 def midranks(values):
     """1-based Mann-Whitney midranks: below-count plus (tie-count + 1) / 2, pair by pair."""
     ranks = []

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from multirater import cli
 from multirater.cli import ExperimentConfig, resolve_config
+from multirater.model import init_params, load_checkpoint
 
 BASE_CONFIG = """
 # small experiment for fast tests
@@ -107,6 +109,37 @@ class TestConfigFile:
         assert result.returncode == 2
         assert line.split()[0] in result.stderr
         assert not (tmp_path / "x").exists()
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["generate", "--seed", "7"], "seed", 7),
+            (["generate", "--n", "123"], "n_samples", 123),
+            (["ablation", "--n", "123"], "n_samples", 123),
+            (["train", "--data", "d", "--epochs", "3"], "max_epochs", 3),
+            (["ablation", "--epochs", "3"], "max_epochs", 3),
+            (["generate", "--difficulty-mix", "0.25"], "difficulty_mix", 0.25),
+            (["generate", "--class-balance", "0.3"], "class_balance", 0.3),
+            (["train", "--data", "d", "--ablation", "baseline"], "ablation", "baseline"),
+            (["eval", "--checkpoint", "c", "--data", "d", "--threshold", "0.3"], "threshold", 0.3),
+        ],
+    )
+    def test_flag_reaches_the_resolved_config(self, tmp_path, monkeypatch, argv, key, value):
+        seen = []
+        for name in ("cmd_generate", "cmd_train", "cmd_eval", "cmd_ablation"):
+            monkeypatch.setattr(cli, name, lambda cfg, *args: seen.append(cfg) or 0)
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert getattr(ExperimentConfig(), key) != value
+        assert getattr(seen[0], key) == value
+
+    @pytest.mark.parametrize("command, usage", [("generate", "--n N"), ("train", "--epochs EPOCHS"),
+                                                ("ablation", "--n N"), ("ablation", "--epochs EPOCHS")])
+    def test_help_keeps_the_flag_metavars(self, capsys, command, usage):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert usage in capsys.readouterr().out
 
 
 class TestTrain:
@@ -334,6 +367,40 @@ class TestStrictJson:
         assert record["val_auc_undefined"] == "AUC requires both classes present"
         strict_json((run / "checkpoint.json").read_text())
         strict_json((run / "config_resolved.json").read_text())
+
+
+class TestTrainReports:
+    def test_untrained_checkpoint_is_reported(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert run_cli("generate", "--n", 12, "--seed", 2, "--out", data).returncode == 0
+        result = run_cli("train", "--data", data, "--out", run, "--epochs", 3, "--seed", 2)
+        assert result.returncode == 0, result.stderr
+        assert "no epoch had a defined validation AUC" in result.stderr
+        assert "trained 3 epochs" in result.stdout
+        lines = (run / "train_log.jsonl").read_text().splitlines()
+        assert [strict_json(line)["val_auc"] for line in lines] == [None, None, None]
+        params, _ = load_checkpoint(run / "checkpoint.json")
+        np.testing.assert_array_equal(params.flat, init_params(params.config, params.multi_branch).flat)
+
+    def test_divergence_is_logged_and_reported(self, tmp_path, monkeypatch, capsys, config_file, generated):
+        read = cli.read_dataset_csv
+
+        def poisoned(path):
+            dataset = read(path)
+            if path.name == "train.csv":
+                dataset.features[0] = np.nan
+            return dataset
+
+        monkeypatch.setattr(cli, "read_dataset_csv", poisoned)
+        run = tmp_path / "run"
+        argv = ["train", "--config", config_file, "--data", generated, "--out", run, "--seed", 5]
+        assert cli.main([str(a) for a in argv]) == 0
+        out, err = capsys.readouterr()
+        assert "training diverged: non-finite loss at epoch 0" in err
+        assert "trained 0 epochs" in out
+        lines = (run / "train_log.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        assert set(strict_json(lines[0])) == {"epoch", "step", "diverged"}
 
 
 class TestPipelineDeterminism:

@@ -1,4 +1,4 @@
-"""Label engine: rater weights, soft labels, branch label-pool sampling."""
+"""Label engine: rater weights, soft labels, closed-form branch label draws."""
 
 from itertools import product
 
@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from multirater.errors import DataError
 from multirater.labels import (
     Branch,
-    RaterWeights,
     attach_soft_labels,
-    branch_labels,
     compute_rater_weights,
-    label_pool,
     positive_probability,
     sample_branch_label,
     soft_label,
@@ -55,7 +52,7 @@ class TestRaterWeights:
             )
             for i in range(20)
         ]
-        w = compute_rater_weights(records).weights
+        w = compute_rater_weights(records)
         assert w[1] == pytest.approx(0.8)
         assert w[2] == pytest.approx(1.0)
         assert w[3] == pytest.approx(1.0)  # adjudicator defines the final label
@@ -67,24 +64,18 @@ class TestRaterWeights:
         rows = [(1, 1, None), (1, 1, None), (0, 0, None), (0, 0, None),
                 (1, 0, 1), (1, 0, 1), (0, 1, 0), (0, 1, 0), (1, 0, 0), (0, 1, 1)]
         records = [make_record(i, l1, l2, adj=adj) for i, (l1, l2, adj) in enumerate(rows)]
-        w = compute_rater_weights(records).weights
+        w = compute_rater_weights(records)
         oracle = oracles.rater_accuracy_tally(records)
         assert w[1] == pytest.approx(oracle[1]) == pytest.approx(0.8)
         assert w[2] == pytest.approx(oracle[2]) == pytest.approx(0.6)
 
     def test_matches_tally_oracle_on_simulated_data(self):
         ds = grade_dataset(generate_dataset(100, seed=5), default_panel(), seed=5)
-        w = compute_rater_weights(ds.records).weights
+        w = compute_rater_weights(ds.records)
         oracle = oracles.rater_accuracy_tally(ds.records)
         assert set(w) == set(oracle)
         for rid in oracle:
             assert w[rid] == pytest.approx(oracle[rid], abs=1e-12)
-
-    def test_absent_expected_rater_warns(self):
-        records = [make_record(0, 1, 1)]
-        with pytest.warns(UserWarning, match="rater 9"):
-            w = compute_rater_weights(records, expected_rater_ids=[1, 2, 9])
-        assert 9 not in w.weights
 
 
 class TestSoftLabel:
@@ -98,13 +89,13 @@ class TestSoftLabel:
             final_label=1,
             soft_label=0.5,
         )
-        w = RaterWeights(weights={1: 0.8, 2: 0.6})
+        w = {1: 0.8, 2: 0.6}
         dist = soft_label(rec, w)
         assert dist[1] == pytest.approx(0.8 / 1.4, abs=1e-12)
         assert dist[0] == pytest.approx(1.0 - 0.8 / 1.4, abs=1e-12)
 
     def test_unanimous_votes_are_clipped(self):
-        w = RaterWeights(weights={1: 0.9, 2: 0.7})
+        w = {1: 0.9, 2: 0.7}
         all_pos = make_record(0, 1, 1)
         all_neg = make_record(1, 0, 0)
         assert soft_label(all_pos, w)[1] == pytest.approx(0.99)
@@ -112,13 +103,13 @@ class TestSoftLabel:
 
     def test_adjudicator_enters_the_weighted_sum(self):
         rec = make_record(0, 1, 0, adj=1)
-        w = RaterWeights(weights={1: 0.5, 2: 0.5, 3: 1.0})
+        w = {1: 0.5, 2: 0.5, 3: 1.0}
         assert soft_label(rec, w)[1] == pytest.approx(1.5 / 2.0, abs=1e-12)
 
     def test_missing_weight_is_a_data_error(self):
         rec = make_record(0, 1, 1)
         with pytest.raises(DataError, match="no weight for rater 2"):
-            soft_label(rec, RaterWeights(weights={1: 0.8}))
+            soft_label(rec, {1: 0.8})
 
     @given(
         st.integers(0, 1),
@@ -131,7 +122,7 @@ class TestSoftLabel:
     def test_output_is_a_clipped_distribution(self, l1, l2, w1, w2, w3):
         adj = None if l1 == l2 else l2
         rec = make_record(0, l1, l2, adj=adj)
-        weights = RaterWeights(weights={1: w1, 2: w2, 3: w3})
+        weights = {1: w1, 2: w2, 3: w3}
         dist = soft_label(rec, weights)
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         assert 0.01 <= dist[1] <= 0.99
@@ -147,8 +138,9 @@ class TestSoftLabel:
 class TestLabelPools:
     def test_sen_pool_duplicates_positives(self):
         rec = make_record(0, 1, 0, adj=0)
-        assert sorted(label_pool(rec, Branch.SEN)) == [0, 0, 1, 1]
-        assert sorted(label_pool(rec, Branch.SPEC)) == [0, 0, 0, 0, 1]
+        # raw labels {1, 0, 0}: SEN pool {1, 1, 0, 0}, SPEC pool {1, 0, 0, 0, 0}
+        assert positive_probability(rec, Branch.SEN) == 2 / 4
+        assert positive_probability(rec, Branch.SPEC) == 1 / 5
 
     def test_two_rater_sen_pool(self):
         rec = GradingRecord(
@@ -156,7 +148,7 @@ class TestLabelPools:
             consensus=0, final_label=1, soft_label=0.5,
         )
         # raw labels {1, 0, 1}: SEN pool has four 1s and one 0
-        assert sorted(label_pool(rec, Branch.SEN)) == [0, 1, 1, 1, 1]
+        assert positive_probability(rec, Branch.SEN) == 4 / 5
 
     def test_consensus_record_samples_are_constant(self):
         rec = make_record(7, 1, 1)
@@ -209,7 +201,7 @@ class TestClosedFormDraw:
             consensus=int(ratings[0] == ratings[1]), final_label=ratings[-1], soft_label=0.5,
         )
         for branch in Branch:
-            pool = label_pool(rec, branch)
+            pool = oracles.label_pool(rec, favored=1 if branch is Branch.SEN else 0)
             assert positive_probability(rec, branch) == pool.count(1) / len(pool)
 
     def test_draw_is_the_keyed_uniform_below_the_probability(self):
@@ -228,14 +220,3 @@ class TestClosedFormDraw:
             i, branch, epoch = calls[j]
             sample_branch_label(records[(i + 1) % 40], branch, seed=9, epoch=epoch + 1)
             assert sample_branch_label(records[i], branch, seed=8, epoch=epoch) == first[calls[j]]
-
-
-class TestBranchLabels:
-    def test_bundle_is_consistent_with_components(self):
-        rec = make_record(4, 1, 0, adj=1)
-        w = RaterWeights(weights={1: 0.9, 2: 0.8, 3: 1.0})
-        bundle = branch_labels(rec, w, seed=21, epoch=3)
-        assert bundle.sen_label == sample_branch_label(rec, Branch.SEN, seed=21, epoch=3)
-        assert bundle.spec_label == sample_branch_label(rec, Branch.SPEC, seed=21, epoch=3)
-        np.testing.assert_allclose(bundle.fusion_soft, soft_label(rec, w))
-        assert bundle.consensus == 0

@@ -11,7 +11,6 @@ from multirater.model import (
     ModelConfig,
     ModelParams,
     backward,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -88,15 +87,15 @@ class TestForward:
         for name in ("sen.head", "spec.head", "fusion.head"):
             params.tensors[f"{name}.W"][...] = np.zeros_like(params.tensors[f"{name}.W"])
             params.tensors[f"{name}.b"][...] = np.zeros_like(params.tensors[f"{name}.b"])
-        out, _ = forward(params, RNG.standard_normal(5))
-        np.testing.assert_allclose(out.y_sen, [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(out.y_fusion, [0.5, 0.5], atol=1e-12)
-        assert out.uncertainty == pytest.approx(0.0, abs=1e-12)
+        out, _ = forward_batch(params, RNG.standard_normal((1, 5)))
+        np.testing.assert_allclose(out.y_sen, [[0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(out.y_fusion, [[0.5, 0.5]], atol=1e-12)
+        assert out.uncertainty[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic(self):
-        x = RNG.standard_normal(5)
-        out1, _ = forward(toy_params(), x)
-        out2, _ = forward(toy_params(), x)
+        x = RNG.standard_normal((1, 5))
+        out1, _ = forward_batch(toy_params(), x)
+        out2, _ = forward_batch(toy_params(), x)
         np.testing.assert_array_equal(out1.y_fusion, out2.y_fusion)
         np.testing.assert_array_equal(out1.y_sen, out2.y_sen)
 
@@ -110,7 +109,7 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ParameterError):
-            forward(toy_params(), np.zeros(4))
+            forward_batch(toy_params(), np.zeros(5))
         with pytest.raises(ParameterError):
             forward_batch(toy_params(), np.zeros((3, 7)))
 

@@ -45,29 +45,28 @@ class TestGenerateDataset:
     def test_deterministic_given_seed(self):
         a = generate_dataset(1000, seed=5)
         b = generate_dataset(1000, seed=5)
-        np.testing.assert_array_equal(
-            np.stack([s.features for s in a]), np.stack([s.features for s in b])
-        )
-        assert [s.true_label for s in a] == [s.true_label for s in b]
-        assert [s.difficulty for s in a] == [s.difficulty for s in b]
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.true_labels, b.true_labels)
+        np.testing.assert_array_equal(a.difficulties, b.difficulties)
 
     def test_zero_mix_is_separable_with_negligible_difficulty(self):
         samples = generate_dataset(10, feature_dim=2, difficulty_mix=0.0, seed=7)
-        assert all(s.difficulty < 0.01 for s in samples)
-        proj = np.array([s.features.sum() for s in samples])  # signal along the diagonal
-        labels = np.array([s.true_label for s in samples])
+        assert np.all(samples.difficulties < 0.01)
+        proj = samples.features.sum(axis=1)  # signal along the diagonal
+        labels = samples.true_labels
         assert proj[labels == 1].min() > proj[labels == 0].max()
 
     def test_difficulty_decreases_with_boundary_distance(self):
         samples = generate_dataset(500, feature_dim=4, difficulty_mix=0.5, seed=3)
-        margins = np.abs([s.features.sum() / 2.0 for s in samples])
-        difficulty = np.array([s.difficulty for s in samples])
+        margins = np.abs(samples.features.sum(axis=1) / 2.0)
+        difficulty = samples.difficulties
         order = np.argsort(margins)
         assert np.all(np.diff(difficulty[order]) <= 1e-12)
 
     def test_feature_dim_constant(self):
         samples = generate_dataset(50, feature_dim=9, seed=1)
-        assert {s.features.shape for s in samples} == {(9,)}
+        assert samples.features.shape == (50, 9)
+        assert samples.true_labels.shape == samples.difficulties.shape == (50,)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -103,11 +102,12 @@ class TestGradeSample:
             stage1=(RaterProfile(1, 1.0, 1.0), RaterProfile(2, 1.0, 1.0)),
             adjudicator=RaterProfile(3, 1.0, 1.0),
         )
-        for sample in generate_dataset(100, difficulty_mix=1.0, seed=2):
+        samples = generate_dataset(100, difficulty_mix=1.0, seed=2)
+        for true_label, difficulty in zip(samples.true_labels, samples.difficulties):
             # difficulty can only inflate a zero base error to zero
-            rec = grade_sample(sample, panel, seed=4)
+            rec = grade_sample(true_label, difficulty, panel, seed=4)
             assert rec.consensus == 1
-            assert rec.final_label == sample.true_label
+            assert rec.final_label == true_label
             assert rec.adjudicator_label is None
 
     def test_disagreement_brings_in_the_adjudicator(self):
@@ -127,8 +127,7 @@ class TestGradeSample:
         positives = 0
         n = 10_000
         for i in range(n):
-            sample_pos = _easy_sample(true_label=1)
-            rec = grade_sample(sample_pos, panel, seed=77, sample_id=i)
+            rec = grade_sample(1, 0.0, panel, seed=77, sample_id=i)
             positives += rec.stage1_labels[0][1]
         assert abs(positives / n - 0.7) < 0.02
 
@@ -167,17 +166,11 @@ class TestGradeSample:
                 adjudicator=RaterProfile(3, 0.95, 0.95),
             )
         with pytest.raises(ParameterError):
-            grade_sample(_easy_sample(1), panel=None, seed=0)
+            grade_sample(1, 0.0, panel=None, seed=0)
 
     def test_invalid_rater_rates_rejected(self):
         with pytest.raises(ParameterError):
             RaterProfile(1, 1.2, 0.5)
-
-
-def _easy_sample(true_label):
-    from multirater.simulate import SyntheticSample
-
-    return SyntheticSample(features=np.zeros(4), true_label=true_label, difficulty=0.0)
 
 
 def _toy_dataset(n=1000, seed=13, difficulty_mix=0.65):

@@ -1,5 +1,6 @@
 """Trainer: schedule arithmetic, determinism, loss descent, ablation equivalences."""
 
+import json
 import warnings
 
 import numpy as np
@@ -219,6 +220,19 @@ class TestFit:
         params, log = fit(train, val, TOY_MODEL, cfg)
         assert len(log) < 5 or all(np.isfinite(rec["loss_fusion"]) for rec in log)
         assert params is not None
+
+    def test_divergence_appends_one_strict_json_record(self):
+        train, val, _ = toy_data()
+        train.features[3] = np.nan  # the batch holding this row has a non-finite loss
+        seen = []
+        params, log = fit(train, val, TOY_MODEL, TrainConfig(max_epochs=3, seed=6), on_epoch=seen.append)
+        assert seen == log
+        assert len(log) == 1 and set(log[0]) == {"epoch", "step", "diverged"}
+        record = json.loads(json.dumps(log[0], allow_nan=False))
+        assert record["epoch"] == 0
+        assert 0 <= record["step"] < -(-len(train) // 32)
+        assert record["diverged"].startswith(f"non-finite loss at epoch 0, step {record['step']}")
+        np.testing.assert_array_equal(params.flat, init_params(TOY_MODEL, multi_branch=True).flat)
 
     def test_linearly_separable_task_is_learned(self):
         # noiseless raters keep the final labels faithful to the separable truth
