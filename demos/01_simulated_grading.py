@@ -42,7 +42,7 @@ print(f"adjudicator {panel.adjudicator.rater_id}: "
       f"sensitivity {panel.adjudicator.sensitivity}, specificity {panel.adjudicator.specificity}")
 ds = grade_dataset(samples, panel, seed=42)
 
-counts = category_counts(ds.records)
+counts = category_counts(ds)
 total = len(ds)
 print(f"\n{'category':<26}{'count':>8}{'share':>9}{'target share':>14}")
 for key, count in counts.items():
@@ -64,4 +64,6 @@ with tempfile.TemporaryDirectory() as tmp:
     again = read_dataset_csv(path)
     header = path.read_text().splitlines()[0]
     print(f"csv header: {header[:72]}...")
-    print(f"round trip exact: {np.array_equal(again.features, train.features) and again.records == train.records}")
+    columns = ("features", "true_labels", "sample_ids", "rater_ids", "ratings", "soft_labels")
+    exact = all(np.array_equal(getattr(again, c), getattr(train, c)) for c in columns)
+    print(f"round trip exact: {exact}")

@@ -8,7 +8,6 @@ import numpy as np
 
 from multirater import (
     Branch,
-    GradingRecord,
     branch_loss,
     consensus_loss,
     fusion_loss,
@@ -39,20 +38,15 @@ print(f"-log(0.8) + 0.5 * 0.5 = {loss:.5f}")
 
 print()
 print("=== soft labels and branch label probabilities for a disagreement record ===")
-record = GradingRecord(
-    sample_id=0,
-    stage1_labels=((1, 1), (2, 0)),
-    adjudicator_label=(3, 0),
-    consensus=0,
-    final_label=0,
-    soft_label=0.5,
-)
+ratings = np.array([[1, 0, 0]])  # stage-1 raters 1 and 2, then adjudicator 3
+rater_ids = np.array([[1, 2, 3]])
+sample_ids = np.array([0])
 weights = {1: 0.8, 2: 0.9, 3: 1.0}
-dist = soft_label(record, weights)
-print(f"ratings (1, 0, 0) with weights (0.8, 0.9, 1.0) -> soft label {dist[1]:.4f}")
-print(f"sensitivity P(label=1): {positive_probability(record, Branch.SEN):.4f}  (positives counted twice: 2/4)")
-print(f"specificity P(label=1): {positive_probability(record, Branch.SPEC):.4f}  (negatives counted twice: 1/5)")
-draws = [sample_branch_label(record, Branch.SEN, seed=1, epoch=e) for e in range(10000)]
+y = soft_label(ratings, rater_ids, weights)[0]
+print(f"ratings (1, 0, 0) with weights (0.8, 0.9, 1.0) -> soft label {y:.4f}")
+print(f"sensitivity P(label=1): {positive_probability(ratings, Branch.SEN)[0]:.4f}  (positives counted twice: 2/4)")
+print(f"specificity P(label=1): {positive_probability(ratings, Branch.SPEC)[0]:.4f}  (negatives counted twice: 1/5)")
+draws = [sample_branch_label(ratings, sample_ids, Branch.SEN, seed=1, epoch=e)[0] for e in range(10000)]
 print(f"empirical P(label=1) for the sensitivity branch: {np.mean(draws):.3f} (exact: 0.5)")
 
 print()

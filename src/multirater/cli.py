@@ -31,6 +31,7 @@ from .labels import attach_soft_labels, compute_rater_weights
 from .metrics import METRIC_NAMES, EvalReport, evaluate
 from .model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from .simulate import (
+    CATEGORY_NAMES,
     DEFAULT_CLASS_BALANCE,
     DEFAULT_DIFFICULTY_MIX,
     DEFAULT_ERROR_GAIN,
@@ -210,9 +211,9 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[GradedDataset, GradedDataset,
     train_ds, val_ds, test_ds = split_dataset(
         graded, (cfg.train_ratio, cfg.val_ratio, cfg.test_ratio), cfg.seed
     )
-    weights = compute_rater_weights(train_ds.records)
+    weights = compute_rater_weights(train_ds)
     for part in (train_ds, val_ds, test_ds):
-        attach_soft_labels(part.records, weights)
+        attach_soft_labels(part, weights)
     return train_ds, val_ds, test_ds
 
 
@@ -230,17 +231,14 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> int:
     parts = {"train": train_ds, "val": val_ds, "test": test_ds}
     for name, part in parts.items():
         write_dataset_csv(part, out_dir / f"{name}.csv")
-    all_records = [r for part in parts.values() for r in part.records]
-    counts = category_counts(all_records)
-    total = len(all_records)
+    part_counts = {name: category_counts(part) for name, part in parts.items()}
+    counts = {key: sum(c[key] for c in part_counts.values()) for key in CATEGORY_NAMES}
+    total = sum(counts.values())
     manifest = {
         "seed": cfg.seed,
         "config": cfg.to_dict(),
         "sizes": {name: len(part) for name, part in parts.items()},
-        "counts": {
-            "overall": counts,
-            **{name: category_counts(part.records) for name, part in parts.items()},
-        },
+        "counts": {"overall": counts, **part_counts},
         "proportions": {key: count / total for key, count in counts.items()},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")

@@ -1,6 +1,7 @@
 """Per-branch training labels.
 
-Three label views are derived from the raw gradings of each sample:
+Three label views are derived, a whole column at a time, from the ratings
+matrix of a ``GradedDataset``:
 
 * a sensitivity-branch label, drawn as if uniformly from the raw ratings with
   every positive rating counted twice,
@@ -14,7 +15,7 @@ the favoured class counted twice has a closed form: with p positive and q
 negative ratings, P(sen = 1) = 2p / (2p + q) and P(spec = 1) = p / (p + 2q).
 Each draw compares that probability with ``rng.keyed_uniform`` keyed by
 (seed, epoch, branch, sample_id), so it is a pure function of those four
-integers and builds no numpy Generator.
+integers, whatever batch the sample is drawn in.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import enum
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError
 from .rng import STREAM_BRANCH_LABEL, keyed_uniform
-from .simulate import SOFT_LABEL_MAX, SOFT_LABEL_MIN, GradingRecord
+from .simulate import SOFT_LABEL_MAX, SOFT_LABEL_MIN, GradedDataset
 
 WEIGHT_FLOOR = 1e-6
 
@@ -37,66 +38,65 @@ class Branch(enum.Enum):
     SPEC = 1
 
 
-def compute_rater_weights(records: list[GradingRecord]) -> dict[int, float]:
+def compute_rater_weights(dataset: GradedDataset) -> dict[int, float]:
     """Accuracy of each rater against the adjudicated final label, by rater id.
 
-    Tallied over every (rater_id, label) pair in the records, adjudicator
-    entries included. Weights are floored at WEIGHT_FLOOR so downstream
-    weighted means stay well defined.
+    Tallied over every rating in the dataset, adjudicator ratings included.
+    Weights are floored at WEIGHT_FLOOR so downstream weighted means stay
+    well defined.
     """
-    counts: dict[int, int] = {}
-    matches: dict[int, int] = {}
-    for rec in records:
-        for rid, lab in rec.raw_labels:
-            counts[rid] = counts.get(rid, 0) + 1
-            matches[rid] = matches.get(rid, 0) + int(lab == rec.final_label)
-    return {rid: max(matches[rid] / counts[rid], WEIGHT_FLOOR) for rid in sorted(counts)}
+    rated = dataset.ratings >= 0
+    ids, slot = np.unique(dataset.rater_ids[rated], return_inverse=True)
+    matches = (dataset.ratings == dataset.final_labels[:, None])[rated]
+    counts = np.bincount(slot, minlength=ids.size)
+    hits = np.bincount(slot, weights=matches, minlength=ids.size)
+    return {rid: max(float(h / c), WEIGHT_FLOOR) for rid, h, c in zip(ids.tolist(), hits, counts)}
 
 
-def soft_label(record: GradingRecord, weights: dict[int, float]) -> np.ndarray:
-    """Weighted mean of raw ratings, clipped away from hard 0/1.
+def soft_label(ratings: np.ndarray, rater_ids: np.ndarray, weights: dict[int, float]) -> np.ndarray:
+    """Per row, the weighted mean of the raw ratings, clipped away from hard 0/1.
 
-    Returns the two-class distribution (1 - y, y) with
-    y = clip(sum(w_i * r_i) / sum(w_i), 0.01, 0.99).
+    y = clip(sum(w_i * r_i) / sum(w_i), 0.01, 0.99) over the rated slots of
+    each row, summed in slot order.
     """
-    num = 0.0
-    den = 0.0
-    for rid, lab in record.raw_labels:
-        try:
-            w = weights[rid]
-        except KeyError:
-            raise DataError(f"record {record.sample_id}: no weight for rater {rid}") from None
-        num += w * lab
-        den += w
-    y = float(np.clip(num / den, SOFT_LABEL_MIN, SOFT_LABEL_MAX))
-    return np.array([1.0 - y, y])
+    rated = ratings >= 0
+    w = np.zeros(ratings.shape)
+    missing = rated.copy()
+    for rid, weight in weights.items():
+        match = rated & (rater_ids == rid)
+        w[match] = weight
+        missing &= ~match
+    if missing.any():
+        row, col = np.argwhere(missing)[0]
+        raise DataError(f"row {row}: no weight for rater {rater_ids[row, col]}")
+    num = w * np.where(rated, ratings, 0)
+    return np.clip((num[:, 0] + num[:, 1] + num[:, 2]) / (w[:, 0] + w[:, 1] + w[:, 2]),
+                   SOFT_LABEL_MIN, SOFT_LABEL_MAX)
 
 
-def positive_probability(record: GradingRecord, branch: Branch) -> float:
-    """P(label = 1) of the branch's draw, in closed form.
+def positive_probability(ratings: np.ndarray, branch: Branch) -> np.ndarray:
+    """Per row, P(label = 1) of the branch's draw, in closed form.
 
     With p positive and q negative ratings, counting the favoured class twice
     gives SEN 2p ones among 2p + q ratings and SPEC p ones among p + 2q.
     """
-    raw = record.raw_labels
-    if not raw:
-        raise ParameterError(f"record {record.sample_id} has no raw labels")
-    p = sum(lab for _, lab in raw)
-    q = len(raw) - p
+    p = (ratings == 1).sum(axis=1)
+    q = (ratings == 0).sum(axis=1)
     return 2 * p / (2 * p + q) if branch is Branch.SEN else p / (p + 2 * q)
 
 
-def sample_branch_label(record: GradingRecord, branch: Branch, seed: int, epoch: int = 0) -> int:
-    """The branch's label for one sample; deterministic per (seed, epoch, sample).
+def sample_branch_label(
+    ratings: np.ndarray, sample_ids: np.ndarray, branch: Branch, seed: int, epoch: int = 0
+) -> np.ndarray:
+    """The branch's label for each row; deterministic per (seed, epoch, sample).
 
-    The draw is 1 when a uniform keyed by (seed, epoch, branch, sample_id)
-    falls below ``positive_probability``.
+    A row's draw is 1 when a uniform keyed by (seed, epoch, branch,
+    sample_id) falls below its ``positive_probability``.
     """
-    u = keyed_uniform(seed, STREAM_BRANCH_LABEL, epoch, branch.value, record.sample_id)
-    return int(u < positive_probability(record, branch))
+    u = keyed_uniform(seed, STREAM_BRANCH_LABEL, epoch, branch.value, sample_ids)
+    return (u < positive_probability(ratings, branch)).astype(int)
 
 
-def attach_soft_labels(records: list[GradingRecord], weights: dict[int, float]) -> None:
-    """Replace each record's placeholder soft label with the weighted one."""
-    for rec in records:
-        rec.soft_label = float(soft_label(rec, weights)[1])
+def attach_soft_labels(dataset: GradedDataset, weights: dict[int, float]) -> None:
+    """Replace the dataset's placeholder soft labels with the weighted ones."""
+    dataset.soft_labels = soft_label(dataset.ratings, dataset.rater_ids, weights)

@@ -10,7 +10,8 @@ returns the samples as arrays (``Samples``), one row per sample.
 
 Grading follows a two-stage protocol: two independent first-stage raters, and
 an adjudicator who settles disagreements. The adjudicated label becomes the
-ground truth used downstream.
+ground truth used downstream. ``grade_dataset`` returns the gradings as
+arrays (``GradedDataset``), with ``GradingRecord`` as their per-sample row view.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -109,14 +110,8 @@ class Samples(NamedTuple):
     difficulties: np.ndarray  # (n,) in [0, 1]
 
 
-@dataclass
-class GradingRecord:
-    """Outcome of grading one sample through the two-stage protocol.
-
-    ``soft_label`` starts as the equal-weight mean of the raw labels and is
-    replaced with an accuracy-weighted value once rater weights are known
-    (see :mod:`multirater.labels`).
-    """
+class GradingRecord(NamedTuple):
+    """One sample's grading: a row view of a ``GradedDataset``, as the CSV writes it."""
 
     sample_id: int
     stage1_labels: tuple[tuple[int, int], tuple[int, int]]
@@ -125,43 +120,52 @@ class GradingRecord:
     final_label: int
     soft_label: float
 
-    @property
-    def raw_labels(self) -> list[tuple[int, int]]:
-        """All (rater_id, label) pairs, adjudicator entry last when present."""
-        raw = list(self.stage1_labels)
-        if self.adjudicator_label is not None:
-            raw.append(self.adjudicator_label)
-        return raw
-
 
 @dataclass
 class GradedDataset:
-    """Feature matrix plus per-sample grading records (parallel order)."""
+    """Samples and their gradings as parallel arrays, row i being sample i.
 
-    features: np.ndarray
-    true_labels: np.ndarray
-    records: list[GradingRecord]
+    ``ratings`` holds each sample's two first-stage ratings and then the
+    adjudicator's, -1 where no adjudicator rated; ``rater_ids`` names the
+    rater of each slot, -1 likewise. Consensus flags and final labels are
+    derived from the ratings. ``soft_labels`` starts as the equal-weight mean
+    of the ratings; ``labels.attach_soft_labels`` replaces it.
+    """
+
+    features: np.ndarray  # (n, d)
+    true_labels: np.ndarray  # (n,) int
+    sample_ids: np.ndarray  # (n,) int64
+    rater_ids: np.ndarray  # (n, 3) int64
+    ratings: np.ndarray  # (n, 3) int8
+    soft_labels: np.ndarray  # (n,) in [SOFT_LABEL_MIN, SOFT_LABEL_MAX]
     difficulties: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def final_labels(self) -> np.ndarray:
-        return np.array([r.final_label for r in self.records], dtype=int)
+        return len(self.sample_ids)
 
     @property
     def consensus_flags(self) -> np.ndarray:
-        return np.array([r.consensus for r in self.records], dtype=int)
+        return (self.ratings[:, 0] == self.ratings[:, 1]).astype(int)
+
+    @property
+    def final_labels(self) -> np.ndarray:
+        """The agreed first-stage label, or the adjudicator's where one rated."""
+        return np.where(self.ratings[:, 2] >= 0, self.ratings[:, 2], self.ratings[:, 0]).astype(int)
+
+    @property
+    def records(self) -> list[GradingRecord]:
+        """The gradings as one ``GradingRecord`` per sample, built on each access."""
+        return [
+            GradingRecord(sid, ((r1, l1), (r2, l2)), None if l3 < 0 else (r3, l3),
+                          int(l1 == l2), l1 if l1 == l2 else l3, soft)
+            for sid, (r1, r2, r3), (l1, l2, l3), soft in zip(
+                self.sample_ids.tolist(), self.rater_ids.tolist(), self.ratings.tolist(),
+                self.soft_labels.tolist())
+        ]
 
     def subset(self, indices) -> "GradedDataset":
         idx = np.asarray(indices, dtype=int)
-        return GradedDataset(
-            features=self.features[idx],
-            true_labels=self.true_labels[idx],
-            records=[self.records[i] for i in idx],
-            difficulties=None if self.difficulties is None else self.difficulties[idx],
-        )
+        return replace(self, **{name: a[idx] for name, a in vars(self).items() if a is not None})
 
 
 def boundary_margins(features: np.ndarray) -> np.ndarray:
@@ -221,41 +225,26 @@ def grade_sample(
     seed: int,
     sample_id: int = 0,
     error_gain: float = DEFAULT_ERROR_GAIN,
-) -> GradingRecord:
+) -> tuple[int, int, int]:
     """Grade one sample of the given true label and difficulty: two independent
     ratings, adjudication on disagreement.
 
-    Each rater reports the true label with probability 1 - error, where the
-    error rate is the rater's base rate for that class inflated by sample
-    difficulty. Deterministic given (seed, sample_id).
+    Returns the ratings row (stage-1 rater 1, stage-1 rater 2, adjudicator),
+    the adjudicator's entry -1 when the first two agree. Each rater reports
+    the true label with probability 1 - error, where the error rate is the
+    rater's base rate for that class inflated by sample difficulty.
+    Deterministic given (seed, sample_id).
     """
     if not isinstance(panel, GradingPanel):
         raise ParameterError("panel must be a GradingPanel")
     rng = seeded_rng(seed, STREAM_GRADE, sample_id)
-    stage1 = []
-    for rater in panel.stage1:
+
+    def rate(rater: RaterProfile) -> int:
         err = _error_prob(rater, true_label, difficulty, error_gain)
-        label = true_label if rng.random() >= err else 1 - true_label
-        stage1.append((rater.rater_id, int(label)))
-    consensus = int(stage1[0][1] == stage1[1][1])
-    if consensus:
-        adjudicator_label = None
-        final = stage1[0][1]
-    else:
-        err = _error_prob(panel.adjudicator, true_label, difficulty, error_gain)
-        label = true_label if rng.random() >= err else 1 - true_label
-        adjudicator_label = (panel.adjudicator.rater_id, int(label))
-        final = int(label)
-    raw = [lab for _, lab in stage1] + ([adjudicator_label[1]] if adjudicator_label else [])
-    soft = float(np.clip(np.mean(raw), SOFT_LABEL_MIN, SOFT_LABEL_MAX))
-    return GradingRecord(
-        sample_id=sample_id,
-        stage1_labels=(stage1[0], stage1[1]),
-        adjudicator_label=adjudicator_label,
-        consensus=consensus,
-        final_label=final,
-        soft_label=soft,
-    )
+        return int(true_label if rng.random() >= err else 1 - true_label)
+
+    l1, l2 = rate(panel.stage1[0]), rate(panel.stage1[1])
+    return l1, l2, -1 if l1 == l2 else rate(panel.adjudicator)
 
 
 def grade_dataset(
@@ -265,28 +254,32 @@ def grade_dataset(
     error_gain: float = DEFAULT_ERROR_GAIN,
 ) -> GradedDataset:
     """Grade every sample; sample ids are assigned by position."""
-    records = [
-        grade_sample(true_label, difficulty, panel, seed, sample_id=i, error_gain=error_gain)
-        for i, (true_label, difficulty) in enumerate(
-            zip(samples.true_labels.tolist(), samples.difficulties.tolist())
-        )
-    ]
-    return GradedDataset(samples.features, samples.true_labels, records, samples.difficulties)
+    ratings = np.array(
+        [
+            grade_sample(true_label, difficulty, panel, seed, sample_id=i, error_gain=error_gain)
+            for i, (true_label, difficulty) in enumerate(
+                zip(samples.true_labels.tolist(), samples.difficulties.tolist())
+            )
+        ],
+        dtype=np.int8,
+    )
+    rated = ratings >= 0
+    panel_ids = [rater.rater_id for rater in (*panel.stage1, panel.adjudicator)]
+    return GradedDataset(
+        features=samples.features,
+        true_labels=samples.true_labels,
+        sample_ids=np.arange(len(ratings), dtype=np.int64),
+        rater_ids=np.where(rated, np.array(panel_ids, dtype=np.int64), -1),
+        ratings=ratings,
+        soft_labels=np.clip((ratings == 1).sum(axis=1) / rated.sum(axis=1), SOFT_LABEL_MIN, SOFT_LABEL_MAX),
+        difficulties=samples.difficulties,
+    )
 
 
-def category_counts(records: list[GradingRecord]) -> dict[str, int]:
+def category_counts(dataset: GradedDataset) -> dict[str, int]:
     """Counts per (consensus, final label) category; keys in CATEGORY_NAMES order."""
-    counts = dict.fromkeys(CATEGORY_NAMES, 0)
-    for r in records:
-        if r.consensus and r.final_label == 1:
-            counts["consensus_positive"] += 1
-        elif r.consensus:
-            counts["consensus_negative"] += 1
-        elif r.final_label == 1:
-            counts["non_consensus_positive"] += 1
-        else:
-            counts["non_consensus_negative"] += 1
-    return counts
+    codes = 2 * (1 - dataset.consensus_flags) + (1 - dataset.final_labels)
+    return dict(zip(CATEGORY_NAMES, np.bincount(codes, minlength=len(CATEGORY_NAMES)).tolist()))
 
 
 def _largest_remainder(shares: list[Fraction]) -> list[int]:
@@ -384,9 +377,10 @@ def split_dataset(
 #
 # Column layout (fixed contract):
 #   sample_id,f_0..f_{d-1},true_label,rater_labels,adjudicator_label,consensus,final_label,soft_label
-# rater_labels holds the first-stage gradings as semicolon-joined rater_id:label
-# pairs; adjudicator_label is a single rater_id:label pair, empty on consensus.
-# Floats are written with repr() so values round-trip exactly.
+# One row per GradingRecord. rater_labels holds the first-stage gradings as
+# semicolon-joined rater_id:label pairs; adjudicator_label is a single
+# rater_id:label pair, empty on consensus. Sample and rater ids must fit
+# int64. Floats are written with repr() so values round-trip exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -399,38 +393,45 @@ def _csv_header(feature_dim: int) -> list[str]:
 
 
 def write_dataset_csv(dataset: GradedDataset, path) -> None:
-    n, d = dataset.features.shape
+    d = dataset.features.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(d))
-        for i in range(n):
-            rec = dataset.records[i]
+        for rec, feats, true_label in zip(dataset.records, dataset.features.tolist(), dataset.true_labels.tolist()):
             rater_labels = ";".join(f"{rid}:{lab}" for rid, lab in rec.stage1_labels)
             adj = "" if rec.adjudicator_label is None else "{}:{}".format(*rec.adjudicator_label)
             writer.writerow(
                 [rec.sample_id]
-                + [repr(float(x)) for x in dataset.features[i]]
-                + [int(dataset.true_labels[i]), rater_labels, adj, rec.consensus, rec.final_label, repr(rec.soft_label)]
+                + [repr(x) for x in feats]
+                + [true_label, rater_labels, adj, rec.consensus, rec.final_label, repr(rec.soft_label)]
             )
 
 
-def _protocol_violation(rec: GradingRecord, true_label: int) -> str | None:
-    """Why a parsed CSV row breaks the grading protocol, or None when it does not."""
-    (_, l1), (_, l2) = rec.stage1_labels
-    adjudicated = rec.adjudicator_label is not None
-    if not {true_label, l1, l2, rec.consensus, rec.final_label} <= {0, 1} or (
-        adjudicated and rec.adjudicator_label[1] not in (0, 1)
-    ):
+def _protocol_violation(labels: list[int], adjudicated: bool, soft_label: float) -> str | None:
+    """Why a parsed CSV row breaks the grading protocol, or None when it does not.
+
+    ``labels`` is (true_label, l1, l2, adjudicator label, consensus, final_label).
+    """
+    true_label, l1, l2, l3, consensus, final_label = labels
+    if not {true_label, l1, l2, consensus, final_label} <= {0, 1} or (adjudicated and l3 not in (0, 1)):
         return "label outside {0, 1}"
-    if rec.consensus != (l1 == l2):
+    if consensus != (l1 == l2):
         return "consensus flag disagrees with the stage-1 ratings"
-    if rec.consensus and (adjudicated or rec.final_label != l1):
+    if consensus and (adjudicated or final_label != l1):
         return "consensus sample must have no adjudicator and the agreed final label"
-    if not rec.consensus and (not adjudicated or rec.final_label != rec.adjudicator_label[1]):
+    if not consensus and (not adjudicated or final_label != l3):
         return "disagreement sample must have the adjudicator's final label"
-    if not SOFT_LABEL_MIN <= rec.soft_label <= SOFT_LABEL_MAX:
-        return f"soft_label {rec.soft_label!r} outside [{SOFT_LABEL_MIN}, {SOFT_LABEL_MAX}]"
+    if not SOFT_LABEL_MIN <= soft_label <= SOFT_LABEL_MAX:
+        return f"soft_label {soft_label!r} outside [{SOFT_LABEL_MIN}, {SOFT_LABEL_MAX}]"
     return None
+
+
+def _id(text) -> int:
+    """A sample or rater id; ValueError unless it fits int64."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"id {text} does not fit in int64")
+    return value
 
 
 def read_dataset_csv(path) -> GradedDataset:
@@ -440,7 +441,7 @@ def read_dataset_csv(path) -> GradedDataset:
     ``path:line`` for a malformed row.
     """
     path = Path(path)
-    features, trues, records = [], [], []
+    features, rows = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -454,33 +455,31 @@ def read_dataset_csv(path) -> GradedDataset:
                 raise DataError(f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}")
             try:
                 feats = np.array([float(x) for x in row[1 : 1 + d]])
-                true_label = int(row[1 + d])
                 (r1, l1), (r2, l2) = (pair.split(":") for pair in row[2 + d].split(";"))
-                adjudicator = None
-                if row[3 + d]:
-                    rid, lab = row[3 + d].split(":")
-                    adjudicator = (int(rid), int(lab))
-                record = GradingRecord(
-                    sample_id=int(row[0]),
-                    stage1_labels=((int(r1), int(l1)), (int(r2), int(l2))),
-                    adjudicator_label=adjudicator,
-                    consensus=int(row[4 + d]),
-                    final_label=int(row[5 + d]),
-                    soft_label=float(row[6 + d]),
-                )
+                r3, l3 = row[3 + d].split(":") if row[3 + d] else (-1, -1)
+                ids = [_id(x) for x in (row[0], r1, r2, r3)]
+                labels = [int(x) for x in (row[1 + d], l1, l2, l3, row[4 + d], row[5 + d])]
+                soft = float(row[6 + d])
             except ValueError as exc:
                 raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-            problem = _protocol_violation(record, true_label)
+            problem = _protocol_violation(labels, bool(row[3 + d]), soft)
             if problem is not None:
                 raise DataError(f"{path}:{reader.line_num}: {problem}")
-            records.append(record)
             features.append(feats)
-            trues.append(true_label)
-    if not records:
+            rows.append((ids, labels, soft))
+    if not rows:
         raise EmptyDatasetError(f"{path}: dataset has a header but no rows")
     matrix = np.stack(features)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         # Rows never span lines, so row i sits on line i + 2.
         raise DataError(f"{path}:{int(finite.argmin()) + 2}: non-finite feature")
-    return GradedDataset(features=matrix, true_labels=np.array(trues, dtype=int), records=records)
+    ids, labels, softs = (np.array(column) for column in zip(*rows))
+    return GradedDataset(
+        features=matrix,
+        true_labels=labels[:, 0],
+        sample_ids=ids[:, 0],
+        rater_ids=ids[:, 1:],
+        ratings=labels[:, 1:4].astype(np.int8),
+        soft_labels=softs,
+    )

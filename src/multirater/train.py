@@ -9,8 +9,9 @@ with a single Adam update over all parameters. The consensus term appears in
 both branch losses, so its effective weight on the shared term is 2 * alpha.
 
 Soft fusion targets are computed once per fit, from rater-accuracy weights of
-the training split, and ``train_step`` receives the batch's rows. Branch labels
-are redrawn every step through ``labels.sample_branch_label``, a keyed
+the training split, and ``train_step`` receives the batch as a subset of the
+training arrays. Branch labels are redrawn every step, one
+``labels.sample_branch_label`` call per branch for the whole batch, a keyed
 closed-form draw: a sample's labels depend on (seed, epoch, sample) alone, not
 on the batch it lands in. Adam runs as three vector operations over the
 parameters' flat buffer.
@@ -146,39 +147,35 @@ def _adam_update(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> 
     state.params.version += 1
 
 
-def soft_targets(records: list, weights: dict[int, float]) -> np.ndarray:
-    """(n, 2) fusion targets: each record's ``soft_label`` row."""
-    return np.array([soft_label(r, weights) for r in records]).reshape(len(records), 2)
+def soft_targets(dataset: GradedDataset, weights: dict[int, float]) -> np.ndarray:
+    """(n, 2) fusion targets: the two-class distribution (1 - y, y) of each ``soft_label`` y."""
+    y = soft_label(dataset.ratings, dataset.rater_ids, weights)
+    return np.stack([1.0 - y, y], axis=1)
 
 
 def train_step(
     state: TrainState,
-    features: np.ndarray,
-    records: list,
+    batch: GradedDataset,
     softs: np.ndarray,
     config: TrainConfig,
 ) -> dict[str, float]:
-    """One combined Adam step on a batch; returns the loss scalars.
+    """One combined Adam step on a batch, such as ``train.subset(idx)``; returns the loss scalars.
 
     ``softs`` holds the batch's (n, 2) fusion targets, the matching rows of
     ``soft_targets``; the single-head baseline trains on the final labels and
     ignores them.
     """
-    if len(records) < 1:
+    if len(batch) < 1:
         raise ParameterError("batch must be non-empty")
-    final_idx = np.array([r.final_label for r in records], dtype=int)
-    a = np.array([r.consensus for r in records], dtype=int)
+    final_idx = batch.final_labels
+    a = batch.consensus_flags
     if config.multi_branch:
-        sen_idx = np.array(
-            [sample_branch_label(r, Branch.SEN, config.seed, state.epoch) for r in records], dtype=int
-        )
-        spec_idx = np.array(
-            [sample_branch_label(r, Branch.SPEC, config.seed, state.epoch) for r in records], dtype=int
-        )
+        sen_idx = sample_branch_label(batch.ratings, batch.sample_ids, Branch.SEN, config.seed, state.epoch)
+        spec_idx = sample_branch_label(batch.ratings, batch.sample_ids, Branch.SPEC, config.seed, state.epoch)
     else:
         sen_idx = spec_idx = final_idx
 
-    out, cache = forward_batch(state.params, features)
+    out, cache = forward_batch(state.params, batch.features)
     scalars, prob_grads = _losses_and_grads(out, sen_idx, spec_idx, softs, final_idx, a, config)
     if not math.isfinite(scalars["total"]):
         raise TrainingDivergedError(
@@ -223,9 +220,8 @@ def fit(
     ``on_epoch``, when given, is called with each record as it is appended.
     """
     state = init_state(model_config, train_config)
-    weights = compute_rater_weights(train.records)
     if train_config.multi_branch:
-        softs = soft_targets(train.records, weights)
+        softs = soft_targets(train, compute_rater_weights(train))
     else:  # the baseline's target is the one-hot final label
         softs = np.eye(2)[train.final_labels]
     val_labels = val.final_labels
@@ -240,8 +236,7 @@ def fit(
         try:
             for start in range(0, n, train_config.batch_size):
                 idx = order[start : start + train_config.batch_size]
-                records = [train.records[i] for i in idx.tolist()]
-                scalars = train_step(state, train.features[idx], records, softs[idx], train_config)
+                scalars = train_step(state, train.subset(idx), softs[idx], train_config)
                 for key in sums:
                     sums[key] += scalars[key] * idx.size
         except TrainingDivergedError as exc:

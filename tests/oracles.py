@@ -101,15 +101,33 @@ def confusion_tally(predictions, labels):
     return acc, sen, spec, f1, undefined
 
 
+def raw_labels(record):
+    """All (rater_id, label) pairs of a grading record, adjudicator entry last when present."""
+    raw = list(record.stage1_labels)
+    if record.adjudicator_label is not None:
+        raw.append(record.adjudicator_label)
+    return raw
+
+
 def rater_accuracy_tally(records):
     """Per-rater fraction of labels equal to the record's final label."""
     counts = {}
     matches = {}
     for rec in records:
-        for rid, lab in rec.raw_labels:
+        for rid, lab in raw_labels(rec):
             counts[rid] = counts.get(rid, 0) + 1
             matches[rid] = matches.get(rid, 0) + (1 if lab == rec.final_label else 0)
     return {rid: matches[rid] / counts[rid] for rid in counts}
+
+
+def soft_label_scalar(record, weights, low=0.01, high=0.99):
+    """Weighted mean of the record's raw labels, accumulated in rater order, clipped to [low, high]."""
+    num = 0.0
+    den = 0.0
+    for rid, lab in raw_labels(record):
+        num += weights[rid] * lab
+        den += weights[rid]
+    return min(max(num / den, low), high)
 
 
 def label_pool(record, favored):
@@ -120,11 +138,30 @@ def label_pool(record, favored):
     sensitivity branch, 0 for the specificity branch.
     """
     pool = []
-    for _, lab in record.raw_labels:
+    for _, lab in raw_labels(record):
         pool.append(lab)
         if lab == favored:
             pool.append(lab)
     return pool
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state):
+    """Reference SplitMix64 output function on Python ints, reduced mod 2**64."""
+    z = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def keyed_uniform(*parts):
+    """One uniform in [0, 1) from integer key parts, each folded mod 2**64, absorbed in order."""
+    h = 0
+    for p in parts:
+        h = splitmix64(h ^ (p & MASK64))
+    return (h >> 11) * 2.0**-53
 
 
 def midranks(values):

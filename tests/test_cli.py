@@ -260,6 +260,8 @@ BROKEN_ROWS = {
     "final_label_flipped": _flip("final_label"),
     "soft_label_out_of_range": _set("soft_label", "1.5"),
     "non_finite_feature": _set("f_0", "nan"),
+    "sample_id_beyond_int64": _set("sample_id", str(2**63)),
+    "rater_id_beyond_int64": _set("rater_labels", f"{-(2**63) - 1}:0;2:0"),
 }
 
 

@@ -88,7 +88,7 @@ class TestGenerateDataset:
         shares = []
         for seed in (0, 1, 42):
             ds = grade_dataset(generate_dataset(DEFAULT_N_SAMPLES, seed=seed), default_panel(), seed=seed)
-            counts = category_counts(ds.records)
+            counts = category_counts(ds)
             shares.append([100.0 * counts[name] / len(ds) for name in CATEGORY_NAMES])
         shares = np.array(shares)
         assert np.all(np.abs(shares.mean(axis=0) - target) <= 1.0), shares.mean(axis=0)
@@ -103,18 +103,15 @@ class TestGradeSample:
             adjudicator=RaterProfile(3, 1.0, 1.0),
         )
         samples = generate_dataset(100, difficulty_mix=1.0, seed=2)
-        for true_label, difficulty in zip(samples.true_labels, samples.difficulties):
+        for true_label, difficulty in zip(samples.true_labels.tolist(), samples.difficulties.tolist()):
             # difficulty can only inflate a zero base error to zero
-            rec = grade_sample(true_label, difficulty, panel, seed=4)
-            assert rec.consensus == 1
-            assert rec.final_label == true_label
-            assert rec.adjudicator_label is None
+            assert grade_sample(true_label, difficulty, panel, seed=4) == (true_label, true_label, -1)
 
     def test_disagreement_brings_in_the_adjudicator(self):
         samples = generate_dataset(300, difficulty_mix=0.9, seed=8)
         ds = grade_dataset(samples, default_panel(), seed=8)
-        disagreements = [r for r in ds.records if r.consensus == 0]
-        assert disagreements, "expected some stage-1 disagreement on a hard dataset"
+        assert (ds.consensus_flags == 0).any(), "expected some stage-1 disagreement on a hard dataset"
+        np.testing.assert_array_equal(ds.ratings[:, 2] >= 0, ds.consensus_flags == 0)
         for rec in ds.records:
             check_record_invariants(rec)
 
@@ -127,8 +124,7 @@ class TestGradeSample:
         positives = 0
         n = 10_000
         for i in range(n):
-            rec = grade_sample(1, 0.0, panel, seed=77, sample_id=i)
-            positives += rec.stage1_labels[0][1]
+            positives += grade_sample(1, 0.0, panel, seed=77, sample_id=i)[0]
         assert abs(positives / n - 0.7) < 0.02
 
     def test_rater_empirical_rates_match_profiles_on_easy_data(self):
@@ -136,7 +132,8 @@ class TestGradeSample:
         ds = grade_dataset(samples, default_panel(), seed=11)
         truths = ds.true_labels
         for slot, profile in enumerate(default_panel().stage1):
-            labels = np.array([r.stage1_labels[slot][1] for r in ds.records])
+            labels = ds.ratings[:, slot]
+            assert set(ds.rater_ids[:, slot].tolist()) == {profile.rater_id}
             sens = labels[truths == 1].mean()
             spec = 1.0 - labels[truths == 0].mean()
             assert abs(sens - profile.sensitivity) < 0.02
@@ -194,29 +191,20 @@ class TestSplitDataset:
         first = split_dataset(ds, (0.6, 0.15, 0.25), seed=4)
         second = split_dataset(ds, (0.6, 0.15, 0.25), seed=4)
         for a, b in zip(first, second):
-            assert [r.sample_id for r in a.records] == [r.sample_id for r in b.records]
+            np.testing.assert_array_equal(a.sample_ids, b.sample_ids)
 
     def test_disjoint_exhaustive_and_stratified(self):
         ds = _toy_dataset(977)  # awkward size to exercise remainder handling
         ratios = (0.6, 0.15, 0.25)
         parts = split_dataset(ds, ratios, seed=2)
-        ids = [r.sample_id for part in parts for r in part.records]
-        assert sorted(ids) == sorted(r.sample_id for r in ds.records)
+        ids = np.concatenate([part.sample_ids for part in parts])
+        np.testing.assert_array_equal(np.sort(ids), ds.sample_ids)
         # stratum proportions within one sample of the requested ratios
         for lab in (0, 1):
             for cons in (0, 1):
-                in_stratum = [
-                    r.sample_id
-                    for r in ds.records
-                    if r.final_label == lab and r.consensus == cons
-                ]
-                total = len(in_stratum)
+                total = np.sum((ds.final_labels == lab) & (ds.consensus_flags == cons))
                 for part, ratio in zip(parts, ratios):
-                    got = sum(
-                        1
-                        for r in part.records
-                        if r.final_label == lab and r.consensus == cons
-                    )
+                    got = np.sum((part.final_labels == lab) & (part.consensus_flags == cons))
                     assert abs(got - ratio * total) < 1.0 + 1e-9
 
     def test_ratio_sum_violation_rejected(self):
@@ -241,23 +229,20 @@ STRATA = ((0, 0), (0, 1), (1, 0), (1, 1))  # (final_label, consensus)
 
 def _strata_dataset(sizes):
     """A protocol-valid dataset with the given number of samples per stratum."""
-    records = []
-    for (lab, cons), size in zip(STRATA, sizes):
-        for _ in range(size):
-            records.append(
-                GradingRecord(
-                    sample_id=len(records),
-                    stage1_labels=((1, lab), (2, lab if cons else 1 - lab)),
-                    adjudicator_label=None if cons else (3, lab),
-                    consensus=cons,
-                    final_label=lab,
-                    soft_label=0.5,
-                )
-            )
+    rows = [
+        (lab, lab if cons else 1 - lab, -1 if cons else lab)
+        for (lab, cons), size in zip(STRATA, sizes)
+        for _ in range(size)
+    ]
+    ratings = np.array(rows, dtype=np.int8).reshape(-1, 3)
+    n = len(rows)
     return GradedDataset(
-        features=np.zeros((len(records), 2)),
-        true_labels=np.array([r.final_label for r in records], dtype=int),
-        records=records,
+        features=np.zeros((n, 2)),
+        true_labels=ratings[:, 0].astype(int),
+        sample_ids=np.arange(n, dtype=np.int64),
+        rater_ids=np.where(ratings >= 0, np.array([1, 2, 3]), -1),
+        ratings=ratings,
+        soft_labels=np.full(n, 0.5),
     )
 
 
@@ -294,13 +279,11 @@ class TestSplitProperties:
         assert [len(p) for p in parts] == _largest_remainder_totals(ratios, len(ds))
         for part, ratio in zip(parts, ratios):
             for (lab, cons), size in zip(STRATA, sizes):
-                got = sum(r.final_label == lab and r.consensus == cons for r in part.records)
+                got = np.sum((part.final_labels == lab) & (part.consensus_flags == cons))
                 assert abs(got - ratio * size) < 1.0
-        ids = [r.sample_id for p in parts for r in p.records]
-        assert sorted(ids) == list(range(len(ds)))
-        assert [[r.sample_id for r in p.records] for p in again] == [
-            [r.sample_id for r in p.records] for p in parts
-        ]
+        ids = np.concatenate([p.sample_ids for p in parts])
+        assert sorted(ids.tolist()) == list(range(len(ds)))
+        assert [p.sample_ids.tolist() for p in again] == [p.sample_ids.tolist() for p in parts]
 
 
 class TestCsvRoundTrip:
@@ -311,6 +294,8 @@ class TestCsvRoundTrip:
         back = read_dataset_csv(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.true_labels, ds.true_labels)
+        for column in ("sample_ids", "rater_ids", "ratings", "soft_labels"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
         assert back.records == ds.records
 
     def test_header_contract(self, tmp_path):
@@ -361,7 +346,12 @@ class TestCsvRoundTrip:
 class TestCategoryCounts:
     def test_counts_partition_the_dataset(self):
         ds = _toy_dataset(800)
-        counts = category_counts(ds.records)
+        counts = category_counts(ds)
+        assert list(counts) == list(CATEGORY_NAMES)
         assert sum(counts.values()) == 800
-        positives = sum(1 for r in ds.records if r.final_label == 1)
-        assert counts["consensus_positive"] + counts["non_consensus_positive"] == positives
+        assert counts["consensus_positive"] + counts["non_consensus_positive"] == ds.final_labels.sum()
+        tally = dict.fromkeys(CATEGORY_NAMES, 0)
+        for rec in ds.records:
+            agreed = "consensus" if rec.consensus else "non_consensus"
+            tally[f"{agreed}_{'positive' if rec.final_label else 'negative'}"] += 1
+        assert counts == tally

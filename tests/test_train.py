@@ -2,12 +2,13 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multirater.errors import TrainingDivergedError
-from multirater.labels import Branch, compute_rater_weights, sample_branch_label, soft_label
+from multirater.labels import Branch, compute_rater_weights, sample_branch_label
 from multirater.losses import branch_loss, fusion_loss
 from multirater.model import ModelConfig, forward_batch, init_params
 from multirater.rng import STREAM_SHUFFLE, seeded_rng
@@ -68,12 +69,12 @@ class TestSchedule:
 class TestTrainStep:
     def test_fixed_batch_is_deterministic(self):
         train, _, _ = toy_data()
-        softs = soft_targets(train.records, compute_rater_weights(train.records))
+        softs = soft_targets(train, compute_rater_weights(train))
         cfg = TrainConfig(seed=3)
         results = []
         for _ in range(2):
             state = init_state(TOY_MODEL, cfg)
-            scalars = train_step(state, train.features[:32], train.records[:32], softs[:32], cfg)
+            scalars = train_step(state, train.subset(np.arange(32)), softs[:32], cfg)
             results.append((scalars, state.params))
         assert results[0][0] == results[1][0]
         for name in results[0][1].tensors:
@@ -84,21 +85,20 @@ class TestTrainStep:
     def test_batch_losses_match_per_sample_loss_functions(self):
         """The vectorized trainer math must equal the per-sample loss functions."""
         train, _, _ = toy_data()
-        weights = compute_rater_weights(train.records)
+        weights = compute_rater_weights(train)
         cfg = TrainConfig(seed=7)
-        records = train.records[:16]
-        feats = train.features[:16]
+        batch = train.subset(np.arange(16))
         state = init_state(TOY_MODEL, cfg)
-        out, _ = forward_batch(state.params, feats)
+        out, _ = forward_batch(state.params, batch.features)
 
-        sen_idx = np.array([sample_branch_label(r, Branch.SEN, cfg.seed, 0) for r in records])
-        spec_idx = np.array([sample_branch_label(r, Branch.SPEC, cfg.seed, 0) for r in records])
-        softs = np.stack([soft_label(r, weights) for r in records])
-        final_idx = np.array([r.final_label for r in records])
-        a = np.array([r.consensus for r in records])
+        sen_idx = sample_branch_label(batch.ratings, batch.sample_ids, Branch.SEN, cfg.seed, 0)
+        spec_idx = sample_branch_label(batch.ratings, batch.sample_ids, Branch.SPEC, cfg.seed, 0)
+        softs = soft_targets(batch, weights)
+        final_idx = np.array([r.final_label for r in batch.records])
+        a = np.array([r.consensus for r in batch.records])
         scalars, grads = _losses_and_grads(out, sen_idx, spec_idx, softs, final_idx, a, cfg)
 
-        n = len(records)
+        n = len(batch)
         eye = np.eye(2)
         want_sen = np.zeros((n, 2))
         want_spec = np.zeros((n, 2))
@@ -128,7 +128,7 @@ class TestTrainStep:
     def test_loss_decreases_on_a_fixed_batch(self):
         """Ten repeated steps on one batch lower the total loss (>= 4 of 5 seeds)."""
         train, _, _ = toy_data()
-        softs = soft_targets(train.records, compute_rater_weights(train.records))
+        softs = soft_targets(train, compute_rater_weights(train))
         wins = 0
         for seed in range(5):
             cfg = TrainConfig(seed=seed, lr=1e-3)
@@ -137,7 +137,7 @@ class TestTrainStep:
             )
             first = last = None
             for _ in range(10):
-                scalars = train_step(state, train.features[:32], train.records[:32], softs[:32], cfg)
+                scalars = train_step(state, train.subset(np.arange(32)), softs[:32], cfg)
                 first = scalars["total"] if first is None else first
                 last = scalars["total"]
             wins += last < first
@@ -145,13 +145,13 @@ class TestTrainStep:
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         train, _, _ = toy_data()
-        softs = soft_targets(train.records, compute_rater_weights(train.records))
+        softs = soft_targets(train, compute_rater_weights(train))
         cfg = TrainConfig(seed=1)
         state = init_state(TOY_MODEL, cfg)
         state.params.tensors["trunk.0.W"][:] = np.nan
         state.params.version += 1
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
-            train_step(state, train.features[:8], train.records[:8], softs[:8], cfg)
+            train_step(state, train.subset(np.arange(8)), softs[:8], cfg)
 
 
 class TestAdam:
@@ -215,11 +215,21 @@ class TestFit:
             }
 
     def test_divergence_aborts_and_returns_log(self):
+        """A divergence after a completed epoch returns the best parameters so far."""
         train, val, _ = toy_data()
-        cfg = TrainConfig(max_epochs=5, seed=6, lr=1e9)  # guaranteed blow-up territory
-        params, log = fit(train, val, TOY_MODEL, cfg)
-        assert len(log) < 5 or all(np.isfinite(rec["loss_fusion"]) for rec in log)
-        assert params is not None
+        cfg = TrainConfig(max_epochs=5, seed=6)
+        once, once_log = fit(train, val, TOY_MODEL, replace(cfg, max_epochs=1))
+
+        def poison(record):
+            if record["epoch"] == 0:
+                train.features[3] = np.nan  # a batch of epoch 1 then has a non-finite loss
+
+        params, log = fit(train, val, TOY_MODEL, cfg, on_epoch=poison)
+        assert log[:1] == once_log and once_log[0]["val_auc"] is not None
+        assert len(log) == 2 and set(log[1]) == {"epoch", "step", "diverged"}
+        assert log[1]["epoch"] == 1
+        assert log[1]["diverged"].startswith(f"non-finite loss at epoch 1, step {log[1]['step']}")
+        assert params.flat.tobytes() == once.flat.tobytes()
 
     def test_divergence_appends_one_strict_json_record(self):
         train, val, _ = toy_data()
@@ -368,12 +378,12 @@ class TestBaselineEquivalence:
 def _fit_final(train, model_config, cfg):
     """Run the package training loop and return the FINAL (not best) params."""
     state = init_state(model_config, cfg)
-    softs = soft_targets(train.records, compute_rater_weights(train.records))
+    softs = soft_targets(train, compute_rater_weights(train))
     shuffle_rng = seeded_rng(cfg.seed, STREAM_SHUFFLE)
     for epoch in range(cfg.max_epochs):
         state.epoch = epoch
         order = shuffle_rng.permutation(len(train))
         for start in range(0, len(train), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            train_step(state, train.features[idx], [train.records[i] for i in idx], softs[idx], cfg)
+            train_step(state, train.subset(idx), softs[idx], cfg)
     return state.params
