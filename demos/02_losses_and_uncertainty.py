@@ -8,6 +8,7 @@ import numpy as np
 
 from multirater import (
     Branch,
+    GradedDataset,
     branch_loss,
     consensus_loss,
     fusion_loss,
@@ -38,15 +39,16 @@ print(f"-log(0.8) + 0.5 * 0.5 = {loss:.5f}")
 
 print()
 print("=== soft labels and branch label probabilities for a disagreement record ===")
-ratings = np.array([[1, 0, 0]])  # stage-1 raters 1 and 2, then adjudicator 3
-rater_ids = np.array([[1, 2, 3]])
-sample_ids = np.array([0])
+ratings = [1, 0, 0]  # stage-1 raters 1 and 2, then adjudicator 3
+dataset = GradedDataset(features=np.zeros((1, 1)), true_labels=np.zeros(1, dtype=int),
+                        sample_ids=np.array([0]), rater_ids=np.array([[1, 2, 3]]),
+                        ratings=np.array([ratings]), soft_labels=np.full(1, 0.5))
 weights = {1: 0.8, 2: 0.9, 3: 1.0}
-y = soft_label(ratings, rater_ids, weights)[0]
+y = soft_label(dataset, weights)[0]
 print(f"ratings (1, 0, 0) with weights (0.8, 0.9, 1.0) -> soft label {y:.4f}")
-print(f"sensitivity P(label=1): {positive_probability(ratings, Branch.SEN)[0]:.4f}  (positives counted twice: 2/4)")
-print(f"specificity P(label=1): {positive_probability(ratings, Branch.SPEC)[0]:.4f}  (negatives counted twice: 1/5)")
-draws = [sample_branch_label(ratings, sample_ids, Branch.SEN, seed=1, epoch=e)[0] for e in range(10000)]
+print(f"sensitivity P(label=1): {positive_probability(ratings, Branch.SEN):.4f}  (positives counted twice: 2/4)")
+print(f"specificity P(label=1): {positive_probability(ratings, Branch.SPEC):.4f}  (negatives counted twice: 1/5)")
+draws = [sample_branch_label(ratings, 0, Branch.SEN, seed=1, epoch=e) for e in range(10000)]
 print(f"empirical P(label=1) for the sensitivity branch: {np.mean(draws):.3f} (exact: 0.5)")
 
 print()

@@ -4,13 +4,14 @@ Two routes share one key convention, a tuple of integers whose negative or
 >= 2**64 parts fold to uint64 by ``& (2**64 - 1)``:
 
 * ``seeded_rng`` builds a numpy ``Generator`` for draws of many values;
-* ``keyed_uniform`` returns uniforms in [0, 1) as a pure function of the key,
-  one per element of its last part, so a whole batch is drawn in one call.
-  It is a counter-based generator in the sense of Salmon et al. (SC'11): the
-  key is absorbed part by part through the SplitMix64 output function
-  (Steele, Lea & Flood, OOPSLA'14), and no generator state is carried
-  between calls.
+* ``keyed_uniform`` returns one uniform in [0, 1) as a pure function of the
+  key, for draws made one at a time in a hot loop. It is a counter-based
+  generator in the sense of Salmon et al. (SC'11): the key is absorbed part by
+  part through the SplitMix64 output function (Steele, Lea & Flood,
+  OOPSLA'14), and no generator state is carried between calls.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,31 +31,29 @@ def seeded_rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng([int(p) & _MASK for p in parts])
 
 
-def splitmix64(state):
-    """The SplitMix64 output for ``state`` taken mod 2**64: advance by the golden gamma, then mix.
-
-    ``state`` is a Python int or a uint64 array. Array arithmetic wraps
-    mod 2**64 by itself, so the masks only matter for Python ints. A numpy
-    uint64 scalar is not accepted: its arithmetic warns on overflow.
-    """
+def splitmix64(state: int) -> int:
+    """The SplitMix64 output for ``state`` taken mod 2**64: advance by the golden gamma, then mix."""
     z = (state + _GOLDEN_GAMMA) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
 
 
-def keyed_uniform(*parts) -> np.ndarray:
-    """Uniforms in [0, 1) that depend on the integer key ``parts`` alone.
-
-    Every part but the last is an int; the last is an int64 or uint64 value
-    or array, and the result holds one uniform per element of it (at least
-    one), so put the part that varies across a batch last. The prefix is
-    absorbed in Python ints and the last part in uint64 arrays; both fold
-    parts exactly as ``seeded_rng`` does. The top 53 bits of the final hash
-    give the double.
-    """
+@lru_cache(maxsize=64)
+def _absorb(parts: tuple) -> int:
+    """Hash state after absorbing ``parts``; cached because a key prefix repeats per batch."""
     h = 0
-    for part in parts[:-1]:
-        h = splitmix64(h ^ (int(part) & _MASK))
-    last = np.atleast_1d(parts[-1]).astype(np.uint64)
-    return (splitmix64(last ^ np.uint64(h)) >> 11) * 2.0**-53
+    for p in parts:
+        h = splitmix64(h ^ int(p))
+    return h
+
+
+def keyed_uniform(*parts: int) -> float:
+    """Uniform in [0, 1) that depends on the integer key ``parts`` alone.
+
+    The last part is absorbed on every call; the state after the others is
+    cached, so put the part that varies fastest last. ``splitmix64`` reduces
+    each absorbed value mod 2**64, which folds parts exactly as
+    ``seeded_rng`` does. The top 53 bits of the final hash give the double.
+    """
+    return (splitmix64(_absorb(parts[:-1]) ^ int(parts[-1])) >> 11) * 2.0**-53

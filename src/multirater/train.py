@@ -9,9 +9,9 @@ with a single Adam update over all parameters. The consensus term appears in
 both branch losses, so its effective weight on the shared term is 2 * alpha.
 
 Soft fusion targets are computed once per fit, from rater-accuracy weights of
-the training split, and ``train_step`` receives the batch as a subset of the
-training arrays. Branch labels are redrawn every step, one
-``labels.sample_branch_label`` call per branch for the whole batch, a keyed
+the training split, and ``train_step`` receives the training arrays and the
+batch's row indices. Branch labels are redrawn every step through
+``labels.sample_branch_label``, one call per sample and branch, a keyed
 closed-form draw: a sample's labels depend on (seed, epoch, sample) alone, not
 on the batch it lands in. Adam runs as three vector operations over the
 parameters' flat buffer.
@@ -149,29 +149,34 @@ def _adam_update(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> 
 
 def soft_targets(dataset: GradedDataset, weights: dict[int, float]) -> np.ndarray:
     """(n, 2) fusion targets: the two-class distribution (1 - y, y) of each ``soft_label`` y."""
-    y = soft_label(dataset.ratings, dataset.rater_ids, weights)
+    y = soft_label(dataset, weights)
     return np.stack([1.0 - y, y], axis=1)
 
 
 def train_step(
     state: TrainState,
-    batch: GradedDataset,
+    data: GradedDataset,
+    idx: np.ndarray,
     softs: np.ndarray,
     config: TrainConfig,
 ) -> dict[str, float]:
-    """One combined Adam step on a batch, such as ``train.subset(idx)``; returns the loss scalars.
+    """One combined Adam step on the rows ``idx`` of ``data``; returns the loss scalars.
 
-    ``softs`` holds the batch's (n, 2) fusion targets, the matching rows of
-    ``soft_targets``; the single-head baseline trains on the final labels and
-    ignores them.
+    ``softs`` holds the (n, 2) fusion targets of every row of ``data``, as
+    ``soft_targets`` returns them; the single-head baseline trains on the
+    final labels and ignores them.
     """
-    if len(batch) < 1:
+    if len(idx) < 1:
         raise ParameterError("batch must be non-empty")
+    batch, softs = data.subset(idx), softs[idx]
     final_idx = batch.final_labels
     a = batch.consensus_flags
     if config.multi_branch:
-        sen_idx = sample_branch_label(batch.ratings, batch.sample_ids, Branch.SEN, config.seed, state.epoch)
-        spec_idx = sample_branch_label(batch.ratings, batch.sample_ids, Branch.SPEC, config.seed, state.epoch)
+        rows = list(zip(batch.ratings.tolist(), batch.sample_ids.tolist()))
+        sen_idx, spec_idx = (
+            np.array([sample_branch_label(r, i, branch, config.seed, state.epoch) for r, i in rows])
+            for branch in Branch
+        )
     else:
         sen_idx = spec_idx = final_idx
 
@@ -236,7 +241,7 @@ def fit(
         try:
             for start in range(0, n, train_config.batch_size):
                 idx = order[start : start + train_config.batch_size]
-                scalars = train_step(state, train.subset(idx), softs[idx], train_config)
+                scalars = train_step(state, train, idx, softs, train_config)
                 for key in sums:
                     sums[key] += scalars[key] * idx.size
         except TrainingDivergedError as exc:

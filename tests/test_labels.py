@@ -38,7 +38,9 @@ def make_dataset(rows, sample_ids=None):
 
 
 def draw(ds, branch, seed, epoch=0):
-    return sample_branch_label(ds.ratings, ds.sample_ids, branch, seed, epoch)
+    """Every row's branch label, one call per sample as ``train_step`` makes them."""
+    rows = zip(ds.ratings.tolist(), ds.sample_ids.tolist())
+    return np.array([sample_branch_label(r, i, branch, seed, epoch) for r, i in rows])
 
 
 class TestRaterWeights:
@@ -69,21 +71,25 @@ class TestRaterWeights:
 class TestSoftLabel:
     def test_weighted_mean_example(self):
         # formula check with two raters only: y = 0.8 / (0.8 + 0.6)
-        y = soft_label(np.array([[1, 0, -1]]), np.array([[1, 2, -1]]), {1: 0.8, 2: 0.6})
+        y = soft_label(make_dataset([(1, 0, None)]), {1: 0.8, 2: 0.6})
         assert y.tolist() == [0.8 / 1.4]
 
     def test_unanimous_votes_are_clipped(self):
         ds = make_dataset([(1, 1, None), (0, 0, None)])
-        assert soft_label(ds.ratings, ds.rater_ids, {1: 0.9, 2: 0.7}).tolist() == [0.99, 0.01]
+        assert soft_label(ds, {1: 0.9, 2: 0.7}).tolist() == [0.99, 0.01]
 
     def test_adjudicator_enters_the_weighted_sum(self):
         ds = make_dataset([(1, 0, 1)])
-        assert soft_label(ds.ratings, ds.rater_ids, {1: 0.5, 2: 0.5, 3: 1.0}).tolist() == [1.5 / 2.0]
+        assert soft_label(ds, {1: 0.5, 2: 0.5, 3: 1.0}).tolist() == [1.5 / 2.0]
 
     def test_missing_weight_is_a_data_error(self):
         ds = make_dataset([(0, 0, None), (1, 1, None)])
         with pytest.raises(DataError, match="no weight for rater 2"):
-            soft_label(ds.ratings, ds.rater_ids, {1: 0.8})
+            soft_label(ds, {1: 0.8})
+        # the first failing row is named by its sample id, not its position in a split part
+        ds = make_dataset([(0, 0, None), (1, 0, 0), (1, 0, 1)], sample_ids=[40, 41, 42])
+        with pytest.raises(DataError, match="^sample 42: no weight for rater 3$"):
+            soft_label(ds.subset([0, 2, 1]), {1: 0.8, 2: 0.6})
 
     @given(
         st.integers(0, 1),
@@ -107,26 +113,25 @@ class TestSoftLabel:
         rng = np.random.default_rng(8)
         for weights in (compute_rater_weights(ds), {rid: float(rng.uniform(1e-6, 1.0)) for rid in (1, 2, 3)}):
             want = [oracles.soft_label_scalar(rec, weights) for rec in ds.records]
-            assert soft_label(ds.ratings, ds.rater_ids, weights).tolist() == want
+            assert soft_label(ds, weights).tolist() == want
 
     def test_attach_soft_labels_updates_records(self):
         ds = grade_dataset(generate_dataset(50, seed=3), default_panel(), seed=3)
         w = compute_rater_weights(ds)
         attach_soft_labels(ds, w)
-        np.testing.assert_array_equal(ds.soft_labels, soft_label(ds.ratings, ds.rater_ids, w))
+        np.testing.assert_array_equal(ds.soft_labels, soft_label(ds, w))
         assert [rec.soft_label for rec in ds.records] == [oracles.soft_label_scalar(rec, w) for rec in ds.records]
 
 
 class TestLabelPools:
     def test_sen_pool_duplicates_positives(self):
-        ratings = make_dataset([(1, 0, 0)]).ratings
         # raw labels {1, 0, 0}: SEN pool {1, 1, 0, 0}, SPEC pool {1, 0, 0, 0, 0}
-        assert positive_probability(ratings, Branch.SEN).tolist() == [2 / 4]
-        assert positive_probability(ratings, Branch.SPEC).tolist() == [1 / 5]
+        assert positive_probability([1, 0, 0], Branch.SEN) == 2 / 4
+        assert positive_probability([1, 0, 0], Branch.SPEC) == 1 / 5
 
     def test_two_rater_sen_pool(self):
         # raw labels {1, 0, 1}: SEN pool has four 1s and one 0
-        assert positive_probability(make_dataset([(1, 0, 1)]).ratings, Branch.SEN).tolist() == [4 / 5]
+        assert positive_probability([1, 0, 1], Branch.SEN) == 4 / 5
 
     def test_consensus_record_samples_are_constant(self):
         ds = make_dataset([(1, 1, None)] * 20)
@@ -177,7 +182,7 @@ class TestClosedFormDraw:
     def test_probability_equals_the_pool_enumeration(self, ratings):
         ds = pattern_dataset([ratings])
         for branch in Branch:
-            assert positive_probability(ds.ratings, branch).tolist() == [pool_probability(ds.records[0], branch)]
+            assert positive_probability(ds.ratings[0].tolist(), branch) == pool_probability(ds.records[0], branch)
 
     def test_draw_is_the_keyed_uniform_below_the_probability(self):
         rng = np.random.default_rng(4)

@@ -74,7 +74,7 @@ class TestTrainStep:
         results = []
         for _ in range(2):
             state = init_state(TOY_MODEL, cfg)
-            scalars = train_step(state, train.subset(np.arange(32)), softs[:32], cfg)
+            scalars = train_step(state, train, np.arange(32), softs, cfg)
             results.append((scalars, state.params))
         assert results[0][0] == results[1][0]
         for name in results[0][1].tensors:
@@ -91,8 +91,9 @@ class TestTrainStep:
         state = init_state(TOY_MODEL, cfg)
         out, _ = forward_batch(state.params, batch.features)
 
-        sen_idx = sample_branch_label(batch.ratings, batch.sample_ids, Branch.SEN, cfg.seed, 0)
-        spec_idx = sample_branch_label(batch.ratings, batch.sample_ids, Branch.SPEC, cfg.seed, 0)
+        rows = list(zip(batch.ratings.tolist(), batch.sample_ids.tolist()))
+        sen_idx = np.array([sample_branch_label(r, i, Branch.SEN, cfg.seed, 0) for r, i in rows])
+        spec_idx = np.array([sample_branch_label(r, i, Branch.SPEC, cfg.seed, 0) for r, i in rows])
         softs = soft_targets(batch, weights)
         final_idx = np.array([r.final_label for r in batch.records])
         a = np.array([r.consensus for r in batch.records])
@@ -137,7 +138,7 @@ class TestTrainStep:
             )
             first = last = None
             for _ in range(10):
-                scalars = train_step(state, train.subset(np.arange(32)), softs[:32], cfg)
+                scalars = train_step(state, train, np.arange(32), softs, cfg)
                 first = scalars["total"] if first is None else first
                 last = scalars["total"]
             wins += last < first
@@ -151,7 +152,7 @@ class TestTrainStep:
         state.params.tensors["trunk.0.W"][:] = np.nan
         state.params.version += 1
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
-            train_step(state, train.subset(np.arange(8)), softs[:8], cfg)
+            train_step(state, train, np.arange(8), softs, cfg)
 
 
 class TestAdam:
@@ -385,5 +386,5 @@ def _fit_final(train, model_config, cfg):
         order = shuffle_rng.permutation(len(train))
         for start in range(0, len(train), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            train_step(state, train.subset(idx), softs[idx], cfg)
+            train_step(state, train, idx, softs, cfg)
     return state.params
