@@ -1,14 +1,15 @@
 """Experiment runner: dataset generation, training, evaluation, ablation grids.
 
-Subcommands::
+Subcommands (each also takes ``[--config PATH] [--seed INT]``)::
 
-    multirater generate --out DIR [--n INT] [--seed INT] [--config PATH]
-    multirater train    --data DIR --out DIR [--ablation ARM] [--epochs INT]
-    multirater eval     --checkpoint PATH --data CSV --out DIR
-    multirater ablation --out DIR [--seeds INT] [--n INT] [--epochs INT]
+    multirater generate --out DIR [--n N] [--difficulty-mix FLOAT] [--class-balance FLOAT]
+    multirater train    --data DIR --out DIR [--epochs EPOCHS] [--ablation ARM]
+    multirater eval     --checkpoint PATH --data CSV --out DIR [--threshold FLOAT]
+    multirater ablation --out DIR [--seeds INT] [--n N] [--epochs EPOCHS]
 
 Settings resolve in three layers: built-in defaults, then a flat key=value
-config file (``--config``), then command-line flags. Every output artifact
+config file (``--config``), then command-line flags. A bad setting is a usage
+error, reported before any file is written. Every output artifact
 embeds the resolved settings and seed; no artifact contains paths or
 timestamps, so a rerun with the same seed is byte-identical.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -37,6 +39,7 @@ from .simulate import (
     DEFAULT_ERROR_GAIN,
     DEFAULT_FEATURE_DIM,
     DEFAULT_N_SAMPLES,
+    DEFAULT_SPLIT,
     GradedDataset,
     GradingPanel,
     RaterProfile,
@@ -58,9 +61,11 @@ ARM_FLAGS = {
     "full": dict(multi_branch=True, consensus_loss=True, uncertainty_weighting=True),
 }
 # Fixed row order of the ablation grid.
-ARM_ORDER = ("baseline", "multibr", "conloss", "uncerty", "full")
+ARM_ORDER = tuple(ARM_FLAGS)
 
 _DEFAULT_PANEL = default_panel()
+_DEFAULT_MODEL = ModelConfig(DEFAULT_FEATURE_DIM)
+_DEFAULT_TRAIN = TrainConfig()
 
 
 class _UsageError(Exception):
@@ -82,24 +87,26 @@ class ExperimentConfig:
     rater2_specificity: float = _DEFAULT_PANEL.stage1[1].specificity
     adjudicator_sensitivity: float = _DEFAULT_PANEL.adjudicator.sensitivity
     adjudicator_specificity: float = _DEFAULT_PANEL.adjudicator.specificity
-    train_ratio: float = 0.6
-    val_ratio: float = 0.15
-    test_ratio: float = 0.25
-    trunk_dims: tuple[int, ...] = (64, 64, 64)
-    branch_dim: int = 32
-    batch_size: int = 32
-    max_epochs: int = 50
-    lr: float = 2e-4
-    lr_halving_period: int = 15
-    alpha: float = 0.5
-    margin: float = 1.0
+    train_ratio: float = DEFAULT_SPLIT[0]
+    val_ratio: float = DEFAULT_SPLIT[1]
+    test_ratio: float = DEFAULT_SPLIT[2]
+    trunk_dims: tuple[int, ...] = _DEFAULT_MODEL.trunk_dims
+    branch_dim: int = _DEFAULT_MODEL.branch_dim
+    batch_size: int = _DEFAULT_TRAIN.batch_size
+    max_epochs: int = _DEFAULT_TRAIN.max_epochs
+    lr: float = _DEFAULT_TRAIN.lr
+    lr_halving_period: int = _DEFAULT_TRAIN.lr_halving_period
+    alpha: float = _DEFAULT_TRAIN.alpha
+    margin: float = _DEFAULT_TRAIN.margin
     threshold: float = 0.5
     ablation: str = "full"
-    seed: int = 0
+    seed: int = _DEFAULT_TRAIN.seed
 
     def validate(self) -> "ExperimentConfig":
         if self.n_samples < 1:
             raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.feature_dim < 2:
+            raise ParameterError(f"feature_dim must be >= 2, got {self.feature_dim}")
         if not (0.0 < self.class_balance < 1.0):
             raise ParameterError(f"class_balance must lie in (0, 1), got {self.class_balance}")
         if not (0.0 <= self.difficulty_mix <= 1.0):
@@ -162,15 +169,19 @@ def _coerce(key: str, raw: str):
     if kind is None:
         raise ParameterError(f"unknown config key {key!r}")
     try:
-        if kind == tuple[int, ...]:
-            return tuple(int(x) for x in raw.split(","))
-        return kind(raw)
+        value = tuple(int(x) for x in raw.split(",")) if kind == tuple[int, ...] else kind(raw)
     except ValueError as exc:
         raise ParameterError(f"config key {key}: cannot parse {raw!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ParameterError(f"config key {key}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; blank lines and # comments ignored."""
+    """Flat ``key = value`` lines; blank lines and # comments ignored.
+
+    Errors name the file and line. Every float must be finite.
+    """
     values = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -180,7 +191,10 @@ def parse_config_file(path) -> dict:
         if "=" not in stripped:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        values[key] = _coerce(key, raw)
+        try:
+            values[key] = _coerce(key, raw)
+        except ParameterError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 

@@ -3,8 +3,9 @@
 All functions operate on post-softmax two-class probability vectors and
 return gradients with respect to those vectors; the model's backward pass
 maps them through the softmax onto parameters. The batched functions are the
-one implementation of each quantity; the trainer and the model call them
-unchecked, and the single-sample functions are checked n=1 views of them.
+one implementation of each quantity. Only ``fusion_loss`` checks its inputs,
+and the trainer calls it on every step; the single-sample functions are
+checked n=1 views of the others.
 
 * ``cross_entropy`` -- -log p[label], with p clamped at LOG_CLAMP.
 * ``consensus_terms`` / ``consensus_loss`` -- contrastive penalty between the

@@ -73,11 +73,18 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def roc_auc(scores, labels) -> float:
-    """ROC AUC via the rank-sum (Mann-Whitney) statistic; ties count half."""
+    """ROC AUC via the rank-sum (Mann-Whitney) statistic; ties count half.
+
+    Undefined (UndefinedMetricError) for a non-finite score or a single class.
+    """
     s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1 or s.size < 1:
         raise ParameterError(f"scores/labels must be equal-length 1-d, got {s.shape} vs {y.shape}")
+    if np.any((y != 0) & (y != 1)):
+        raise ParameterError("labels must be binary")
+    if not np.isfinite(s).all():
+        raise UndefinedMetricError("AUC requires finite scores")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:

@@ -1,15 +1,16 @@
-"""Three-branch dense network with a hand-rolled backward pass.
+"""Multi-branch dense network with a hand-rolled backward pass.
 
-Topology: a shared tanh trunk feeds three per-branch feature layers (sen,
-spec, fusion). The sen and spec heads classify their own features; the fusion
-head classifies the concatenation [sen_features, spec_features,
-fusion_features]. Gradients from the fusion head therefore flow back into the
-sen/spec feature layers, and the trunk receives the sum of all three branch
-contributions.
+Topology: a shared tanh trunk feeds one tanh feature layer per branch.
+``_branches`` lists the branches, fusion last: sen, spec and fusion, or
+fusion alone for the single-head baseline (``multi_branch=False``). Every
+branch's features land in their own column block of one ``(n, len * bd)``
+feature block, in that order. Each branch's head reads its own columns,
+except the fusion head, which reads the whole block. Gradients from the
+fusion head therefore flow back into every feature layer, and the trunk
+receives the sum of all branch contributions.
 
-With ``multi_branch=False`` the network degenerates to trunk + one feature
-layer + one head (the fusion slot); the sen/spec outputs mirror the fusion
-output and the uncertainty is 0.
+In the baseline the sen/spec outputs mirror the fusion output and the
+uncertainty is 0.
 """
 
 from __future__ import annotations
@@ -81,15 +82,20 @@ class ModelParams:
         return dup
 
 
+def _branches(multi_branch: bool) -> tuple[str, ...]:
+    """The branch names, in the order the fusion head reads their features; fusion is last."""
+    return ("sen", "spec", "fusion") if multi_branch else ("fusion",)
+
+
 def _layer_shapes(config: ModelConfig, multi_branch: bool) -> dict[str, tuple[int, int]]:
     """(fan_in, fan_out) of every dense layer, in parameter order."""
     t1, t2, t3 = config.trunk_dims
     bd = config.branch_dim
     shapes = {"trunk.0": (config.input_dim, t1), "trunk.1": (t1, t2), "trunk.2": (t2, t3)}
-    if multi_branch:
-        shapes.update({"sen.feat": (t3, bd), "sen.head": (bd, 2), "spec.feat": (t3, bd), "spec.head": (bd, 2)})
-    shapes["fusion.feat"] = (t3, bd)
-    shapes["fusion.head"] = (3 * bd if multi_branch else bd, 2)
+    branches = _branches(multi_branch)
+    for name in branches:
+        shapes[f"{name}.feat"] = (t3, bd)
+        shapes[f"{name}.head"] = (len(branches) * bd if name == branches[-1] else bd, 2)
     return shapes
 
 
@@ -122,13 +128,18 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _branch_columns(block: np.ndarray, bd: int) -> list[np.ndarray]:
+    """Views of each branch's column block of a feature block (or of its gradient), in branch order."""
+    return [block[:, k : k + bd] for k in range(0, block.shape[1], bd)]
+
+
 @dataclass
 class ForwardCache:
     params: ModelParams
     version: int
     x: np.ndarray
     trunk: list[np.ndarray]  # post-tanh activations per trunk layer
-    feats: dict[str, np.ndarray]  # branch name -> post-tanh features
+    block: np.ndarray  # (n, len(branches) * bd) post-tanh features, one column block per branch
     probs: dict[str, np.ndarray]  # branch name -> softmax outputs
 
 
@@ -146,28 +157,23 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[BatchOutputs, For
         h = np.tanh(h @ t[f"trunk.{i}.W"] + t[f"trunk.{i}.b"])
         trunk.append(h)
 
-    feats = {}
-    branch_names = ("sen", "spec", "fusion") if params.multi_branch else ("fusion",)
-    for name in branch_names:
-        feats[name] = np.tanh(h @ t[f"{name}.feat.W"] + t[f"{name}.feat.b"])
+    branches = _branches(params.multi_branch)
+    bd = params.config.branch_dim
+    block = np.empty((x.shape[0], len(branches) * bd))
+    cols = _branch_columns(block, bd)
+    for name, col in zip(branches, cols):
+        np.tanh(h @ t[f"{name}.feat.W"] + t[f"{name}.feat.b"], out=col)
+    # Each head reads its own branch's columns, except the fusion head (last), which reads them all.
+    probs = {
+        name: _softmax(head_in @ t[f"{name}.head.W"] + t[f"{name}.head.b"])
+        for name, head_in in zip(branches, cols[:-1] + [block])
+    }
 
-    probs = {}
-    if params.multi_branch:
-        probs["sen"] = _softmax(feats["sen"] @ t["sen.head.W"] + t["sen.head.b"])
-        probs["spec"] = _softmax(feats["spec"] @ t["spec.head.W"] + t["spec.head.b"])
-        concat = np.concatenate([feats["sen"], feats["spec"], feats["fusion"]], axis=1)
-        probs["fusion"] = _softmax(concat @ t["fusion.head.W"] + t["fusion.head.b"])
-        u = uncertainties(probs["sen"], probs["spec"])
-    else:
-        probs["fusion"] = _softmax(feats["fusion"] @ t["fusion.head.W"] + t["fusion.head.b"])
-        probs["sen"] = probs["fusion"]
-        probs["spec"] = probs["fusion"]
-        u = np.zeros(x.shape[0])
-
-    out = BatchOutputs(
-        y_sen=probs["sen"], y_spec=probs["spec"], y_fusion=probs["fusion"], uncertainty=u
-    )
-    cache = ForwardCache(params=params, version=params.version, x=x, trunk=trunk, feats=feats, probs=probs)
+    y_fusion = probs[branches[-1]]
+    y_sen, y_spec = probs.get("sen", y_fusion), probs.get("spec", y_fusion)
+    u = uncertainties(y_sen, y_spec) if params.multi_branch else np.zeros(x.shape[0])
+    out = BatchOutputs(y_sen=y_sen, y_spec=y_spec, y_fusion=y_fusion, uncertainty=u)
+    cache = ForwardCache(params=params, version=params.version, x=x, trunk=trunk, block=block, probs=probs)
     return out, cache
 
 
@@ -186,52 +192,34 @@ def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarr
     """
     if cache.params is not params or cache.version != params.version:
         raise ContractError("stale forward cache: parameters changed since forward_batch()")
-    n = cache.x.shape[0]
-    zero = np.zeros((n, 2))
-    dy_sen = np.asarray(grads.get("y_sen", zero), dtype=float)
-    dy_spec = np.asarray(grads.get("y_spec", zero), dtype=float)
-    dy_fus = np.asarray(grads.get("y_fusion", zero), dtype=float)
-    if not params.multi_branch and (np.any(dy_sen) or np.any(dy_spec)):
+    if not params.multi_branch and any(np.any(grads[k]) for k in ("y_sen", "y_spec") if k in grads):
         raise ContractError("single-branch model only accepts y_fusion gradients")
 
-    t = params.tensors
+    def head_dz(name):  # dL/dlogits of the branch's head
+        return _softmax_backward(cache.probs[name], np.asarray(grads.get(f"y_{name}", 0.0), dtype=float))
+
+    t, bd, h3 = params.tensors, params.config.branch_dim, cache.trunk[2]
     out: dict[str, np.ndarray] = {}
-    h3 = cache.trunk[2]
-    bd = params.config.branch_dim
+    branches = _branches(params.multi_branch)
+    fusion = branches[-1]
 
-    if params.multi_branch:
-        dz_sen = _softmax_backward(cache.probs["sen"], dy_sen)
-        dz_spec = _softmax_backward(cache.probs["spec"], dy_spec)
-        dz_fus = _softmax_backward(cache.probs["fusion"], dy_fus)
+    dz = head_dz(fusion)
+    out[f"{fusion}.head.W"] = cache.block.T @ dz
+    out[f"{fusion}.head.b"] = dz.sum(axis=0)
+    dconcat = dz @ t[f"{fusion}.head.W"].T  # one column block per branch
 
-        out["sen.head.W"] = cache.feats["sen"].T @ dz_sen
-        out["sen.head.b"] = dz_sen.sum(axis=0)
-        out["spec.head.W"] = cache.feats["spec"].T @ dz_spec
-        out["spec.head.b"] = dz_spec.sum(axis=0)
-        concat = np.concatenate([cache.feats["sen"], cache.feats["spec"], cache.feats["fusion"]], axis=1)
-        out["fusion.head.W"] = concat.T @ dz_fus
-        out["fusion.head.b"] = dz_fus.sum(axis=0)
-
-        dconcat = dz_fus @ t["fusion.head.W"].T
-        dfeat = {
-            "sen": dz_sen @ t["sen.head.W"].T + dconcat[:, :bd],
-            "spec": dz_spec @ t["spec.head.W"].T + dconcat[:, bd : 2 * bd],
-            "fusion": dconcat[:, 2 * bd :],
-        }
-    else:
-        dz_fus = _softmax_backward(cache.probs["fusion"], dy_fus)
-        out["fusion.head.W"] = cache.feats["fusion"].T @ dz_fus
-        out["fusion.head.b"] = dz_fus.sum(axis=0)
-        dfeat = {"fusion": dz_fus @ t["fusion.head.W"].T}
-
-    dh3 = np.zeros_like(h3)
-    for name, df in dfeat.items():
-        dz = df * (1.0 - cache.feats[name] ** 2)
+    dh = np.zeros_like(h3)
+    for name, feat, dfeat in zip(branches, _branch_columns(cache.block, bd), _branch_columns(dconcat, bd)):
+        if name != fusion:  # the branch's own head also reads its features
+            dz = head_dz(name)
+            out[f"{name}.head.W"] = feat.T @ dz
+            out[f"{name}.head.b"] = dz.sum(axis=0)
+            dfeat = dz @ t[f"{name}.head.W"].T + dfeat
+        dz = dfeat * (1.0 - feat**2)
         out[f"{name}.feat.W"] = h3.T @ dz
         out[f"{name}.feat.b"] = dz.sum(axis=0)
-        dh3 += dz @ t[f"{name}.feat.W"].T
+        dh += dz @ t[f"{name}.feat.W"].T
 
-    dh = dh3
     for i in (2, 1, 0):
         dz = dh * (1.0 - cache.trunk[i] ** 2)
         prev = cache.x if i == 0 else cache.trunk[i - 1]

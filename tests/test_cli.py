@@ -101,7 +101,8 @@ class TestConfigFile:
         ))
         assert resolve_config(path, {}) == ExperimentConfig()
 
-    @pytest.mark.parametrize("line", ["seed = 1.5", "lr = abc", "margin = 0", "alpha = -1"])
+    @pytest.mark.parametrize("line", ["seed = 1.5", "lr = abc", "margin = 0", "alpha = -1", "error_gain = nan",
+                                      "lr = inf", "train_ratio = nan", "feature_dim = 1"])
     def test_bad_value_is_a_usage_error(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
@@ -109,6 +110,21 @@ class TestConfigFile:
         assert result.returncode == 2
         assert line.split()[0] in result.stderr
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("nonsense_key = 3", "unknown config key 'nonsense_key'"),
+            ("lr = abc", "config key lr: cannot parse 'abc'"),
+            ("alpha = -inf", "config key alpha: '-inf' is not a finite number"),
+        ],
+    )
+    def test_parse_error_names_file_and_line(self, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# settings\nseed = 3\n{line}\n")
+        result = run_cli("generate", "--config", cfg, "--out", tmp_path / "x")
+        assert result.returncode == 2
+        assert f"{cfg}:3: {message}" in result.stderr
 
 
 class TestFlags:

@@ -122,6 +122,16 @@ class TestRocAuc:
         with pytest.raises(UndefinedMetricError):
             roc_auc([0.2, 0.4], [1, 1])
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1], [0.0, 1.0, 0.5]])
+    def test_labels_outside_zero_one_rejected(self, labels):
+        with pytest.raises(ParameterError):
+            roc_auc([0.1, 0.5, 0.9], labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_undefined(self, bad):
+        with pytest.raises(UndefinedMetricError, match="finite"):
+            roc_auc([0.1, bad, 0.9], [0, 1, 1])
+
 
 @pytest.fixture(scope="module")
 def separable_run():
@@ -197,6 +207,13 @@ class TestEvaluate:
         assert report.counts["non_consensus"] == 0
         assert all(v is None for v in report.metrics["fusion"]["non_consensus"].values())
         assert report.mean_uncertainty["non_consensus"] is None
+
+    def test_non_finite_scores_report_no_auc(self, separable_run):
+        params, test = separable_run
+        test = test.subset(np.arange(len(test)))  # a copy: the fixture is shared
+        test.features[0] = np.nan
+        report = evaluate(params, test)
+        assert all(report.metrics[branch]["all"]["auc"] is None for branch in ("sen", "spec", "fusion"))
 
     def test_report_json_and_table_render(self, separable_run):
         params, test = separable_run

@@ -34,11 +34,14 @@ def toy_params(seed=123, multi_branch=True, jitter=None):
 
 
 def total_loss(params, x, sen_labels, spec_labels, softs, a, u_weights):
-    """Full objective via the per-sample loss functions (all terms active)."""
+    """Full objective via the per-sample loss functions (all terms active).
+
+    A single-head model has only the fusion term.
+    """
     out, _ = forward_batch(params, x)
     total = 0.0
     n = x.shape[0]
-    for i in range(n):
+    for i in range(n if params.multi_branch else 0):
         ls, _, _ = branch_loss(out.y_sen[i], sen_labels[i], out.y_spec[i], a[i])
         lp, _, _ = branch_loss(out.y_spec[i], spec_labels[i], out.y_sen[i], a[i])
         total += (ls + lp) / n
@@ -136,14 +139,19 @@ class TestForward:
 
 
 class TestBackward:
-    def test_full_model_gradients_match_finite_differences(self):
-        """All losses active, random params, 20 samples: max rel err < 1e-4."""
-        params = toy_params(jitter=3)
+    @pytest.mark.parametrize("multi_branch", [True, False])
+    def test_full_model_gradients_match_finite_differences(self, multi_branch):
+        """All losses active (fusion only for one head), random params, 20 samples: max rel err < 1e-4."""
+        params = toy_params(multi_branch=multi_branch, jitter=3)
         rng = np.random.default_rng(42)
         x, sen, spec, softs, a = random_batch(20, rng)
         out, cache = forward_batch(params, x)
         u_weights = out.uncertainty.copy()  # detached constants
-        grads = backward(params, cache, assemble_prob_grads(out, sen, spec, softs, a, u_weights))
+        prob_grads = assemble_prob_grads(out, sen, spec, softs, a, u_weights)
+        if not multi_branch:
+            prob_grads = {"y_fusion": prob_grads["y_fusion"]}
+        grads = backward(params, cache, prob_grads)
+        assert set(grads) == set(params.tensors)
 
         h = 1e-5
         worst = 0.0

@@ -245,6 +245,14 @@ class TestFit:
         assert record["diverged"].startswith(f"non-finite loss at epoch 0, step {record['step']}")
         np.testing.assert_array_equal(params.flat, init_params(TOY_MODEL, multi_branch=True).flat)
 
+    def test_non_finite_validation_scores_log_a_null_auc(self):
+        train, val, _ = toy_data()
+        val.features[0] = np.nan  # this validation row's scores are NaN
+        params, log = fit(train, val, TOY_MODEL, TrainConfig(max_epochs=2, seed=6))
+        assert [rec["val_auc"] for rec in log] == [None, None]
+        assert all("finite" in rec["val_auc_undefined"] for rec in log)
+        np.testing.assert_array_equal(params.flat, init_params(TOY_MODEL, multi_branch=True).flat)
+
     def test_linearly_separable_task_is_learned(self):
         # noiseless raters keep the final labels faithful to the separable truth
         from multirater.simulate import GradingPanel, RaterProfile
