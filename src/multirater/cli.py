@@ -103,6 +103,10 @@ class ExperimentConfig:
     seed: int = _DEFAULT_TRAIN.seed
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _FIELD_TYPES[f.name] is float and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
         if self.n_samples < 1:
             raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.feature_dim < 2:

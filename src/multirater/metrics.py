@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UndefinedMetricError
+from .errors import DataError, ParameterError, UndefinedMetricError
 from .model import ModelParams, forward_batch
 from .simulate import GradedDataset
 
@@ -151,11 +151,17 @@ def evaluate(params: ModelParams, dataset: GradedDataset, threshold: float = 0.5
 
     Positive predictions are scores >= threshold on the positive-class
     probability. Labels are the adjudicated final labels; strata follow the
-    per-record consensus flags.
+    per-record consensus flags. Raises DataError naming the first sample whose
+    features or branch outputs are not finite.
     """
     if not (0.0 <= threshold <= 1.0):
         raise ParameterError(f"threshold must lie in [0, 1], got {threshold}")
     out, _ = forward_batch(params, dataset.features)
+    finite = np.isfinite(np.column_stack(
+        (dataset.features, out.y_sen, out.y_spec, out.y_fusion, out.uncertainty)
+    )).all(axis=1)
+    if not finite.all():
+        raise DataError(f"sample {int(dataset.sample_ids[finite.argmin()])}: non-finite features or outputs")
     finals = dataset.final_labels
     cons = dataset.consensus_flags
     masks = {

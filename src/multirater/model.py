@@ -39,6 +39,8 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "trunk_dims", tuple(int(w) for w in self.trunk_dims))
+        if len(self.trunk_dims) != 3:
+            raise ParameterError(f"trunk_dims must hold three widths, got {self.trunk_dims}")
         if self.input_dim < 1 or self.branch_dim < 1 or any(w < 1 for w in self.trunk_dims):
             raise ParameterError("all layer widths must be >= 1")
 
@@ -279,6 +281,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         }
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no key {exc}") from exc
+    except ParameterError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     params = ModelParams(config, multi_branch)
     for name, arr in tensors.items():
         if name not in params.tensors:

@@ -3,12 +3,16 @@
 Two routes share one key convention, a tuple of integers whose negative or
 >= 2**64 parts fold to uint64 by ``& (2**64 - 1)``:
 
-* ``seeded_rng`` builds a numpy ``Generator`` for draws of many values;
+* ``seeded_rng`` builds a numpy ``Generator`` for draws of many values:
+  features, split permutations, batch shuffles, weight initialization;
 * ``keyed_uniform`` returns one uniform in [0, 1) as a pure function of the
   key, for draws made one at a time in a hot loop. It is a counter-based
   generator in the sense of Salmon et al. (SC'11): the key is absorbed part by
   part through the SplitMix64 output function (Steele, Lea & Flood,
-  OOPSLA'14), and no generator state is carried between calls.
+  OOPSLA'14), and no generator state is carried between calls. It serves the
+  per-epoch branch-label draws, keyed (seed, STREAM_BRANCH_LABEL, epoch,
+  branch, sample_id), and grading, keyed (seed, STREAM_GRADE, rater slot,
+  sample_id).
 """
 
 from functools import lru_cache

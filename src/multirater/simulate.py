@@ -10,8 +10,10 @@ returns the samples as arrays (``Samples``), one row per sample.
 
 Grading follows a two-stage protocol: two independent first-stage raters, and
 an adjudicator who settles disagreements. The adjudicated label becomes the
-ground truth used downstream. ``grade_dataset`` returns the gradings as
-arrays (``GradedDataset``), with ``GradingRecord`` as their per-sample row view.
+ground truth used downstream. Each rating is one ``rng.keyed_uniform`` draw
+keyed by (seed, STREAM_GRADE, rater slot, sample_id), so a sample's grading
+depends on its key alone. ``grade_dataset`` returns the gradings as arrays
+(``GradedDataset``), with ``GradingRecord`` as their per-sample row view.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, EmptyDatasetError, ParameterError
-from .rng import STREAM_GENERATE, STREAM_GRADE, STREAM_SPLIT, seeded_rng
+from .rng import STREAM_GENERATE, STREAM_GRADE, STREAM_SPLIT, keyed_uniform, seeded_rng
 
 # Cluster separation interpolates between these extremes as difficulty_mix goes 0 -> 1.
 SEPARATION_EASY = 12.0
@@ -45,8 +47,8 @@ SOFT_LABEL_MAX = 0.99
 # reference consensus profile 34.4 / 36.6 / 12.4 / 16.6 percent for the
 # categories (consensus positive, consensus negative, non-consensus positive,
 # non-consensus negative). Measured over seeds 0, 1 and 42 the mean profile is
-# 34.5 / 36.3 / 12.7 / 16.5 percent, with 28.4-29.8% of samples graded without
-# consensus.
+# 34.46 / 36.21 / 12.68 / 16.66 percent, with 29.0-29.6% of samples graded
+# without consensus.
 DEFAULT_N_SAMPLES = 6318
 DEFAULT_FEATURE_DIM = 16
 DEFAULT_CLASS_BALANCE = 0.455
@@ -215,7 +217,7 @@ def generate_dataset(
 
 def _error_prob(rater: RaterProfile, true_label: int, difficulty: float, error_gain: float) -> float:
     base = (1.0 - rater.sensitivity) if true_label == 1 else (1.0 - rater.specificity)
-    return float(np.clip(base * (1.0 + error_gain * difficulty), 0.0, 0.5))
+    return min(max(base * (1.0 + error_gain * difficulty), 0.0), 0.5)
 
 
 def grade_sample(
@@ -233,18 +235,22 @@ def grade_sample(
     the adjudicator's entry -1 when the first two agree. Each rater reports
     the true label with probability 1 - error, where the error rate is the
     rater's base rate for that class inflated by sample difficulty.
-    Deterministic given (seed, sample_id).
+
+    Rater slot k (0 and 1 for the first stage, 2 for the adjudicator) reports
+    the true label iff ``keyed_uniform(seed, STREAM_GRADE, k, sample_id)`` is
+    at least its error rate, so the row is a pure function of its arguments:
+    no generator state, and no dependence on which samples were graded before.
     """
     if not isinstance(panel, GradingPanel):
         raise ParameterError("panel must be a GradingPanel")
-    rng = seeded_rng(seed, STREAM_GRADE, sample_id)
 
-    def rate(rater: RaterProfile) -> int:
+    def rate(slot: int, rater: RaterProfile) -> int:
         err = _error_prob(rater, true_label, difficulty, error_gain)
-        return int(true_label if rng.random() >= err else 1 - true_label)
+        correct = keyed_uniform(seed, STREAM_GRADE, slot, sample_id) >= err
+        return int(true_label if correct else 1 - true_label)
 
-    l1, l2 = rate(panel.stage1[0]), rate(panel.stage1[1])
-    return l1, l2, -1 if l1 == l2 else rate(panel.adjudicator)
+    l1, l2 = rate(0, panel.stage1[0]), rate(1, panel.stage1[1])
+    return l1, l2, -1 if l1 == l2 else rate(2, panel.adjudicator)
 
 
 def grade_dataset(
@@ -254,6 +260,8 @@ def grade_dataset(
     error_gain: float = DEFAULT_ERROR_GAIN,
 ) -> GradedDataset:
     """Grade every sample; sample ids are assigned by position."""
+    if not math.isfinite(error_gain):
+        raise ParameterError(f"error_gain must be a finite number, got {error_gain!r}")
     ratings = np.array(
         [
             grade_sample(true_label, difficulty, panel, seed, sample_id=i, error_gain=error_gain)
@@ -393,18 +401,27 @@ def _csv_header(feature_dim: int) -> list[str]:
 
 
 def write_dataset_csv(dataset: GradedDataset, path) -> None:
-    d = dataset.features.shape[1]
+    """Write one row per sample, built column by column from the dataset's arrays.
+
+    ``csv`` writes a Python float as its ``repr``, so values round-trip exactly.
+    """
+    r1, r2, r3 = dataset.rater_ids.T.tolist()
+    l1, l2, l3 = dataset.ratings.T.tolist()
+    agreed = dataset.consensus_flags
+    columns = [
+        dataset.sample_ids.tolist(),
+        *dataset.features.T.tolist(),
+        dataset.true_labels.tolist(),
+        [f"{a}:{x};{b}:{y}" for a, x, b, y in zip(r1, l1, r2, l2)],
+        ["" if lab < 0 else f"{rid}:{lab}" for rid, lab in zip(r3, l3)],
+        agreed.tolist(),
+        np.where(agreed, dataset.ratings[:, 0], dataset.ratings[:, 2]).tolist(),
+        dataset.soft_labels.tolist(),
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_csv_header(d))
-        for rec, feats, true_label in zip(dataset.records, dataset.features.tolist(), dataset.true_labels.tolist()):
-            rater_labels = ";".join(f"{rid}:{lab}" for rid, lab in rec.stage1_labels)
-            adj = "" if rec.adjudicator_label is None else "{}:{}".format(*rec.adjudicator_label)
-            writer.writerow(
-                [rec.sample_id]
-                + [repr(x) for x in feats]
-                + [true_label, rater_labels, adj, rec.consensus, rec.final_label, repr(rec.soft_label)]
-            )
+        writer.writerow(_csv_header(dataset.features.shape[1]))
+        writer.writerows(zip(*columns))
 
 
 def _protocol_violation(labels: list[int], adjudicated: bool, soft_label: float) -> str | None:

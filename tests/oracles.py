@@ -5,6 +5,7 @@ no numpy and no imports from the package, so that each check really is a
 second route to the same quantity.
 """
 
+import csv
 import math
 
 LOG_CLAMP = 1e-12
@@ -172,3 +173,41 @@ def midranks(values):
         ties = sum(1 for w in values if w == v)
         ranks.append(below + (ties + 1) / 2)
     return ranks
+
+
+GRADE_STREAM = 3
+
+
+def grade_sample(true_label, difficulty, rates, seed, sample_id, error_gain):
+    """Two-stage grading from keyed uniforms: ``rates`` lists (sensitivity, specificity)
+    for stage-1 rater 1, stage-1 rater 2 and the adjudicator; slot k draws
+    keyed_uniform(seed, GRADE_STREAM, k, sample_id). The adjudicator's entry is -1 on agreement.
+    """
+    labels = []
+    for slot, (sensitivity, specificity) in enumerate(rates):
+        if slot == 2 and labels[0] == labels[1]:
+            labels.append(-1)
+            break
+        base = 1.0 - (sensitivity if true_label == 1 else specificity)
+        err = min(max(base * (1.0 + error_gain * difficulty), 0.0), 0.5)
+        correct = keyed_uniform(seed, GRADE_STREAM, slot, sample_id) >= err
+        labels.append(true_label if correct else 1 - true_label)
+    return tuple(labels)
+
+
+def write_dataset_csv(records, features, true_labels, path):
+    """The dataset CSV formatted record by record, every float written with repr()."""
+    d = len(features[0])
+    header = (["sample_id"] + [f"f_{j}" for j in range(d)]
+              + ["true_label", "rater_labels", "adjudicator_label", "consensus", "final_label", "soft_label"])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rec, feats, true_label in zip(records, features, true_labels):
+            rater_labels = ";".join(f"{rid}:{lab}" for rid, lab in rec.stage1_labels)
+            adj = "" if rec.adjudicator_label is None else "{}:{}".format(*rec.adjudicator_label)
+            writer.writerow(
+                [rec.sample_id]
+                + [repr(x) for x in feats]
+                + [true_label, rater_labels, adj, rec.consensus, rec.final_label, repr(rec.soft_label)]
+            )

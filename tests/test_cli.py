@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, config precedence, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 
 from multirater import cli
 from multirater.cli import ExperimentConfig, resolve_config
+from multirater.errors import ParameterError
 from multirater.model import init_params, load_checkpoint
 
 BASE_CONFIG = """
@@ -19,6 +21,14 @@ feature_dim = 6
 trunk_dims = 12,12,12
 branch_dim = 6
 max_epochs = 2
+"""
+
+
+# At --n 12 the validation split holds one sample, so it always has a single class.
+ONE_SAMPLE_VAL_CONFIG = """
+train_ratio = 0.65
+val_ratio = 0.1
+test_ratio = 0.25
 """
 
 
@@ -43,6 +53,13 @@ def run_cli(*args):
 def config_file(tmp_path):
     path = tmp_path / "small.cfg"
     path.write_text(BASE_CONFIG)
+    return path
+
+
+@pytest.fixture()
+def one_sample_val(tmp_path):
+    path = tmp_path / "one_sample_val.cfg"
+    path.write_text(ONE_SAMPLE_VAL_CONFIG)
     return path
 
 
@@ -125,6 +142,25 @@ class TestConfigFile:
         result = run_cli("generate", "--config", cfg, "--out", tmp_path / "x")
         assert result.returncode == 2
         assert f"{cfg}:3: {message}" in result.stderr
+
+
+class TestValidate:
+    @pytest.mark.parametrize("key, value", [("error_gain", math.nan), ("lr", math.inf),
+                                            ("train_ratio", math.nan), ("alpha", -math.inf)])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ParameterError, match=f"{key} must be a finite number"):
+            ExperimentConfig(**{key: value}).validate()
+
+    def test_trunk_of_other_depth_is_a_usage_error_before_any_file(self, tmp_path, generated):
+        cfg = tmp_path / "shallow.cfg"
+        cfg.write_text("trunk_dims = 8, 8\n")
+        result = run_cli("generate", "--config", cfg, "--n", 50, "--out", tmp_path / "data2")
+        assert result.returncode == 2
+        assert "trunk_dims" in result.stderr
+        assert not (tmp_path / "data2").exists()
+        result = run_cli("train", "--config", cfg, "--data", generated, "--out", tmp_path / "run")
+        assert result.returncode == 2
+        assert not (tmp_path / "run").exists()
 
 
 class TestFlags:
@@ -373,10 +409,11 @@ class TestAblation:
 
 
 class TestStrictJson:
-    def test_one_class_validation_split_logs_null_auc_with_reason(self, tmp_path):
+    def test_one_class_validation_split_logs_null_auc_with_reason(self, tmp_path, one_sample_val):
         data, run = tmp_path / "data", tmp_path / "run"
-        assert run_cli("generate", "--n", 12, "--seed", 2, "--out", data).returncode == 0
-        result = run_cli("train", "--data", data, "--out", run, "--epochs", 1, "--seed", 2)
+        cfg = ("--config", one_sample_val)
+        assert run_cli("generate", *cfg, "--n", 12, "--seed", 2, "--out", data).returncode == 0
+        result = run_cli("train", *cfg, "--data", data, "--out", run, "--epochs", 1, "--seed", 2)
         assert result.returncode == 0, result.stderr
         lines = (run / "train_log.jsonl").read_text().splitlines()
         assert len(lines) == 1
@@ -388,10 +425,11 @@ class TestStrictJson:
 
 
 class TestTrainReports:
-    def test_untrained_checkpoint_is_reported(self, tmp_path):
+    def test_untrained_checkpoint_is_reported(self, tmp_path, one_sample_val):
         data, run = tmp_path / "data", tmp_path / "run"
-        assert run_cli("generate", "--n", 12, "--seed", 2, "--out", data).returncode == 0
-        result = run_cli("train", "--data", data, "--out", run, "--epochs", 3, "--seed", 2)
+        cfg = ("--config", one_sample_val)
+        assert run_cli("generate", *cfg, "--n", 12, "--seed", 2, "--out", data).returncode == 0
+        result = run_cli("train", *cfg, "--data", data, "--out", run, "--epochs", 3, "--seed", 2)
         assert result.returncode == 0, result.stderr
         assert "no epoch had a defined validation AUC" in result.stderr
         assert "trained 3 epochs" in result.stdout

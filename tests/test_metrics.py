@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multirater.errors import ParameterError, UndefinedMetricError
+from multirater.errors import DataError, ParameterError, UndefinedMetricError
 from multirater.metrics import _average_ranks, confusion_metrics, evaluate, roc_auc
 from multirater.model import ModelConfig
 from multirater.simulate import (
@@ -208,12 +208,19 @@ class TestEvaluate:
         assert all(v is None for v in report.metrics["fusion"]["non_consensus"].values())
         assert report.mean_uncertainty["non_consensus"] is None
 
-    def test_non_finite_scores_report_no_auc(self, separable_run):
+    def test_non_finite_row_is_rejected_naming_its_sample(self, separable_run):
         params, test = separable_run
-        test = test.subset(np.arange(len(test)))  # a copy: the fixture is shared
-        test.features[0] = np.nan
-        report = evaluate(params, test)
-        assert all(report.metrics[branch]["all"]["auc"] is None for branch in ("sen", "spec", "fusion"))
+        test = test.subset(np.arange(3, len(test)))  # a copy: the fixture is shared
+        test.features[[4, 7]] = np.nan
+        with pytest.raises(DataError, match=rf"sample {test.sample_ids[4]}: non-finite"):
+            evaluate(params, test)
+
+    def test_non_finite_outputs_are_rejected(self, separable_run):
+        params, test = separable_run
+        params = params.copy()
+        params.tensors["fusion.head.b"][0] = np.nan
+        with pytest.raises(DataError, match=rf"sample {test.sample_ids[0]}: non-finite"):
+            evaluate(params, test)
 
     def test_report_json_and_table_render(self, separable_run):
         params, test = separable_run

@@ -257,6 +257,11 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=f"ckpt.json: checkpoint has no key '{key}'"):
             load_checkpoint(path)
 
+    def test_bad_topology_rejected(self, tmp_path):
+        path = self._tampered(tmp_path, lambda doc: doc["model"].update(trunk_dims=[6, 5]))
+        with pytest.raises(DataError, match="ckpt.json: trunk_dims must hold three widths"):
+            load_checkpoint(path)
+
     def test_unknown_tensor_rejected(self, tmp_path):
         extra = {"name": "extra.W", "shape": [1, 1], "data": [0.0]}
         path = self._tampered(tmp_path, lambda doc: doc["tensors"].append(extra))
@@ -319,3 +324,8 @@ class TestConfig:
             ModelConfig(input_dim=0)
         with pytest.raises(ParameterError):
             ModelConfig(input_dim=3, trunk_dims=(4, 0, 4))
+
+    @pytest.mark.parametrize("trunk_dims", [(8, 8), (8, 8, 8, 8), ()])
+    def test_trunk_of_other_depth_rejected(self, trunk_dims):
+        with pytest.raises(ParameterError, match="three widths"):
+            ModelConfig(input_dim=3, trunk_dims=trunk_dims)

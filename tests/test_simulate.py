@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from multirater import simulate
 from multirater.errors import DataError, ParameterError
+from multirater.labels import attach_soft_labels, compute_rater_weights
 from multirater.simulate import (
     CATEGORY_NAMES,
     DEFAULT_N_SAMPLES,
@@ -169,6 +172,55 @@ class TestGradeSample:
         with pytest.raises(ParameterError):
             RaterProfile(1, 1.2, 0.5)
 
+    def test_non_finite_error_gain_rejected(self):
+        samples = generate_dataset(10, seed=0)
+        for gain in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="error_gain"):
+                grade_dataset(samples, default_panel(), seed=0, error_gain=gain)
+
+
+NOISY_PANEL = GradingPanel(
+    stage1=(RaterProfile(1, 0.6, 0.7), RaterProfile(2, 0.75, 0.55)),
+    adjudicator=RaterProfile(3, 0.8, 0.9),
+)
+
+
+def _rates(panel):
+    return [(r.sensitivity, r.specificity) for r in (*panel.stage1, panel.adjudicator)]
+
+
+class TestKeyedGrading:
+    @pytest.mark.parametrize("panel", [default_panel(), NOISY_PANEL])
+    def test_matches_the_keyed_oracle(self, panel):
+        difficulties = (0.0, 0.125, 0.5, 0.9, 1.0)
+        for seed in (0, 1, 42, -7, 2**64 + 3):
+            for sample_id in range(60):
+                for true_label in (0, 1):
+                    for difficulty in difficulties:
+                        for gain in (0.0, 2.0, 5.0):
+                            expected = oracles.grade_sample(
+                                true_label, difficulty, _rates(panel), seed, sample_id, gain
+                            )
+                            got = grade_sample(true_label, difficulty, panel, seed, sample_id, gain)
+                            assert got == expected, (seed, sample_id, true_label, difficulty, gain)
+
+    def test_rows_do_not_depend_on_grading_order(self):
+        samples = generate_dataset(400, difficulty_mix=0.9, seed=12)
+        ds = grade_dataset(samples, NOISY_PANEL, seed=12)
+        rows = [
+            grade_sample(int(samples.true_labels[i]), float(samples.difficulties[i]), NOISY_PANEL, 12, i)
+            for i in reversed(range(len(ds)))
+        ]
+        np.testing.assert_array_equal(np.array(rows[::-1], dtype=np.int8), ds.ratings)
+
+    def test_grade_dataset_builds_no_generator(self, monkeypatch):
+        samples = generate_dataset(300, seed=3)
+        calls = []
+        real = simulate.seeded_rng
+        monkeypatch.setattr(simulate, "seeded_rng", lambda *parts: calls.append(parts) or real(*parts))
+        grade_dataset(samples, default_panel(), seed=3)
+        assert calls == []
+
 
 def _toy_dataset(n=1000, seed=13, difficulty_mix=0.65):
     samples = generate_dataset(n, difficulty_mix=difficulty_mix, seed=seed)
@@ -319,6 +371,18 @@ class TestCsvRoundTrip:
         for line, rec in zip(lines, ds.records):
             adj_field = line.split(",")[ds.features.shape[1] + 3]
             assert (adj_field == "") == bool(rec.consensus)
+
+    def test_matches_the_record_by_record_writer(self, tmp_path):
+        train, val, _ = split_dataset(_toy_dataset(300), (0.6, 0.15, 0.25), seed=1)
+        attach_soft_labels(val, compute_rater_weights(train))
+        val.sample_ids[0] = -(2**63)
+        val.rater_ids[0] = [2**63 - 1, -5, -1]
+        val.features[1, 0] = -0.0
+        for ds in (train, val):
+            ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+            write_dataset_csv(ds, ours)
+            oracles.write_dataset_csv(ds.records, ds.features.tolist(), ds.true_labels.tolist(), reference)
+            assert ours.read_bytes() == reference.read_bytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         ds = _toy_dataset(100)
