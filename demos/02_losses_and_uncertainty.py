@@ -1,7 +1,9 @@
-"""Worked numbers for the four losses and the branch label machinery.
+"""Worked numbers for the losses and the branch label machinery.
 
-Every value printed here can be checked by hand; the finite-difference block
-at the end shows that the analytic gradients track the numeric ones.
+Every value printed here can be checked by hand. The loss functions take
+(n, 2) batches; the single-sample examples are batches of one row. The
+finite-difference block at the end shows that the analytic gradients track
+the numeric ones.
 """
 
 import numpy as np
@@ -9,21 +11,31 @@ import numpy as np
 from multirater import (
     Branch,
     GradedDataset,
-    branch_loss,
-    consensus_loss,
     fusion_loss,
     positive_probability,
     sample_branch_label,
     soft_label,
-    uncertainty,
 )
+from multirater.losses import consensus_terms, cross_entropy, uncertainties
+
+
+def consensus(y_sen, y_spec, a, margin=1.0):
+    """Consensus loss of one sample and its gradient wrt y_sen."""
+    loss, grad = consensus_terms(np.array([y_sen], dtype=float), np.array([y_spec], dtype=float),
+                                 np.array([a]), margin)
+    return loss[0], grad[0]
+
+
+def uncertainty(y_sen, y_spec):
+    return uncertainties(np.array([y_sen], dtype=float), np.array([y_spec], dtype=float))[0]
+
 
 print("=== consensus loss: pull together on agreement, push apart on disagreement ===")
 same = np.array([0.3, 0.7])
 for a in (1, 0):
-    loss, g_sen, g_spec = consensus_loss(same, same, a=a, margin=1.0)
+    loss, _ = consensus(same, same, a=a, margin=1.0)
     print(f"identical outputs, a={a}: loss {loss:.4f}")
-loss, _, _ = consensus_loss([1.0, 0.0], [0.0, 1.0], a=0, margin=1.0)
+loss, _ = consensus([1.0, 0.0], [0.0, 1.0], a=0, margin=1.0)
 print(f"opposite one-hots, a=0: loss {loss:.4f} (distance sqrt(2) clears the margin)")
 
 print()
@@ -34,8 +46,9 @@ print(f"opposite one-hots          -> u = {uncertainty([1.0, 0.0], [0.0, 1.0]):.
 
 print()
 print("=== branch loss: cross entropy plus weighted consensus term ===")
-loss, _, _ = branch_loss([0.2, 0.8], [0.0, 1.0], [0.2, 0.8], a=0, alpha=0.5, margin=1.0)
-print(f"-log(0.8) + 0.5 * 0.5 = {loss:.5f}")
+ce, _ = cross_entropy(np.array([[0.2, 0.8]]), np.array([1]))
+con, _ = consensus([0.2, 0.8], [0.2, 0.8], a=0, margin=1.0)
+print(f"-log(0.8) + 0.5 * 0.5 = {ce[0] + 0.5 * con:.5f}")
 
 print()
 print("=== soft labels and branch label probabilities for a disagreement record ===")
@@ -74,12 +87,12 @@ for _ in range(200):
     dist_ = float(np.linalg.norm(y1 - y2))
     if a == 0 and (abs(dist_ - 1.0) < 1e-3 or dist_ < 1e-3):
         continue
-    _, g, _ = consensus_loss(y1, y2, a)
+    _, g = consensus(y1, y2, a)
     for k in range(2):
         bump = np.zeros(2)
         bump[k] = h
-        up, _, _ = consensus_loss(y1 + bump, y2, a)
-        down, _, _ = consensus_loss(y1 - bump, y2, a)
+        up, _ = consensus(y1 + bump, y2, a)
+        down, _ = consensus(y1 - bump, y2, a)
         fd = (up - down) / (2 * h)
         worst = max(worst, abs(fd - g[k]) / max(abs(fd), 1e-6))
 print(f"worst relative error over 200 random consensus-loss probes: {worst:.2e}")

@@ -22,7 +22,7 @@ from .labels import (
     sample_branch_label,
     soft_label,
 )
-from .losses import branch_loss, consensus_loss, fusion_loss, uncertainty
+from .losses import fusion_loss
 from .metrics import ConfusionMetrics, EvalReport, confusion_metrics, evaluate, roc_auc
 from .model import (
     BatchOutputs,

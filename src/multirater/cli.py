@@ -116,8 +116,9 @@ class ExperimentConfig:
         if not (0.0 <= self.difficulty_mix <= 1.0):
             raise ParameterError(f"difficulty_mix must lie in [0, 1], got {self.difficulty_mix}")
         ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
-        if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ParameterError(f"split ratios must be non-negative and sum to 1, got {ratios}")
+        if min(ratios[:2]) <= 0 or ratios[2] < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+            raise ParameterError("split ratios must sum to 1, with train_ratio and val_ratio > 0 "
+                                 f"and test_ratio >= 0, got {ratios}")
         if self.ablation not in ARM_FLAGS:
             raise ParameterError(f"ablation must be one of {sorted(ARM_FLAGS)}, got {self.ablation!r}")
         if not (0.0 <= self.threshold <= 1.0):
@@ -146,16 +147,10 @@ class ExperimentConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            lr=self.lr,
-            lr_halving_period=self.lr_halving_period,
-            alpha=self.alpha,
-            margin=self.margin,
-            seed=self.seed,
-            **ARM_FLAGS[self.ablation],
-        )
+        """The trainer's fields, each read from the field of the same name or from the arm's flags."""
+        flags = ARM_FLAGS[self.ablation]
+        shared = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name not in flags}
+        return TrainConfig(**shared, **flags)
 
     def to_dict(self) -> dict:
         out = {}

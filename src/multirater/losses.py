@@ -1,23 +1,23 @@
 """Training losses with analytic gradients.
 
-All functions operate on post-softmax two-class probability vectors and
-return gradients with respect to those vectors; the model's backward pass
-maps them through the softmax onto parameters. The batched functions are the
-one implementation of each quantity. Only ``fusion_loss`` checks its inputs,
-and the trainer calls it on every step; the single-sample functions are
-checked n=1 views of the others.
+All functions take (n, 2) batches of post-softmax two-class probability
+vectors and return gradients with respect to those vectors; the model's
+backward pass maps them through the softmax onto parameters. Each quantity is
+computed here once, and only ``fusion_loss`` checks its inputs; the trainer
+calls it on every step.
 
 * ``cross_entropy`` -- -log p[label], with p clamped at LOG_CLAMP.
-* ``consensus_terms`` / ``consensus_loss`` -- contrastive penalty between the
-  sensitivity and specificity branch outputs: pull together on consensus
-  samples, push apart (up to a margin) on disagreement samples.
-* ``uncertainties`` / ``uncertainty`` -- 0.5 * (1 - cosine similarity) of the
-  two branch outputs, a per-sample difficulty score in [0, 0.5]. Used as a
-  constant weight; no gradient flows through it.
-* ``branch_loss`` -- cross entropy against a branch label plus the weighted
-  consensus term.
+* ``consensus_terms`` -- contrastive penalty between the sensitivity and
+  specificity branch outputs: pull together on consensus samples, push apart
+  (up to a margin) on disagreement samples.
+* ``uncertainties`` -- 0.5 * (1 - cosine similarity) of the two branch
+  outputs, a per-sample difficulty score in [0, 0.5]. Used as a constant
+  weight; no gradient flows through it.
 * ``fusion_loss`` -- KL divergence from soft labels to the fusion output,
   with per-sample weights (1 + u_i), normalized by their sum.
+
+``train._losses_and_grads`` adds a branch's cross entropy to alpha times the
+consensus term.
 """
 
 from __future__ import annotations
@@ -32,19 +32,12 @@ LOG_CLAMP = 1e-12
 PROB_TOL = 1e-3
 
 
-def _check_prob(vec, name: str, batch: bool = False) -> np.ndarray:
-    """A (2,) probability vector, or with ``batch`` an (n, 2) batch of them."""
-    arr = np.asarray(vec, dtype=float)
-    if arr.ndim != (2 if batch else 1) or arr.shape[-1] != 2:
-        kind = "an (n, 2) batch" if batch else "a two-class vector"
-        raise ContractError(f"{name} must be {kind}, got shape {arr.shape}")
-    rows = arr.reshape(-1, 2)
-    bad = np.any(rows < -PROB_TOL, axis=1) | (np.abs(rows.sum(axis=1) - 1.0) > PROB_TOL)
+def _check_prob(arr: np.ndarray, name: str) -> None:
+    """Reject a row of the (n, 2) batch ``arr`` that is not a probability vector."""
+    bad = np.any(arr < -PROB_TOL, axis=1) | (np.abs(arr.sum(axis=1) - 1.0) > PROB_TOL)
     if bad.any():
         i = int(bad.argmax())
-        where = f"{name}[{i}]" if batch else name
-        raise ContractError(f"{where} is not a normalized probability vector: {rows[i]}")
-    return arr
+        raise ContractError(f"{name}[{i}] is not a normalized probability vector: {arr[i]}")
 
 
 def _log_clamped(p: np.ndarray) -> np.ndarray:
@@ -89,44 +82,6 @@ def uncertainties(y_sen: np.ndarray, y_spec: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * (1.0 - dots / norms), 0.0, 0.5)
 
 
-def consensus_loss(y_sen, y_spec, a, margin: float = 1.0):
-    """Consensus penalty of one sample; returns (loss, grad_sen, grad_spec)."""
-    y_sen = _check_prob(y_sen, "y_sen")
-    y_spec = _check_prob(y_spec, "y_spec")
-    if a not in (0, 1):
-        raise ParameterError(f"consensus flag must be 0 or 1, got {a!r}")
-    if margin <= 0:
-        raise ParameterError(f"margin must be > 0, got {margin}")
-    loss, grad = consensus_terms(y_sen[None], y_spec[None], np.array([int(a)]), margin)
-    return float(loss[0]), grad[0], -grad[0]
-
-
-def uncertainty(y_sen, y_spec) -> float:
-    """0.5 * (1 - cosine similarity) of one sample; in [0, 0.5]."""
-    y_sen = _check_prob(y_sen, "y_sen")
-    y_spec = _check_prob(y_spec, "y_spec")
-    return float(uncertainties(y_sen[None], y_spec[None])[0])
-
-
-def branch_loss(y_pred, y_label, partner_pred, a, *, alpha: float = 0.5, margin: float = 1.0):
-    """Cross entropy against a one-hot branch label plus alpha times the consensus term.
-
-    Returns (loss, grad_pred, grad_partner); the consensus term contributes
-    gradient to both branch outputs.
-    """
-    y_pred = _check_prob(y_pred, "y_pred")
-    partner_pred = _check_prob(partner_pred, "partner_pred")
-    y_label = np.asarray(y_label, dtype=float)
-    if y_label.shape != (2,) or sorted(y_label.tolist()) != [0.0, 1.0]:
-        raise ContractError(f"y_label must be one-hot over 2 classes, got {y_label}")
-    if alpha < 0:
-        raise ParameterError(f"alpha must be >= 0, got {alpha}")
-
-    ce, grad_ce = cross_entropy(y_pred[None], np.array([int(y_label[1])]))
-    con, g_own, g_partner = consensus_loss(y_pred, partner_pred, a, margin)
-    return float(ce[0]) + alpha * con, grad_ce[0] + alpha * g_own, alpha * g_partner
-
-
 def fusion_loss(batch_preds, batch_soft, batch_u):
     """Uncertainty-weighted KL divergence from soft labels to predictions.
 
@@ -145,8 +100,8 @@ def fusion_loss(batch_preds, batch_soft, batch_u):
         )
     if preds.shape[0] < 1:
         raise ParameterError("batch must contain at least one sample")
-    _check_prob(preds, "batch_preds", batch=True)
-    _check_prob(soft, "batch_soft", batch=True)
+    _check_prob(preds, "batch_preds")
+    _check_prob(soft, "batch_soft")
     if np.any(u < -PROB_TOL) or np.any(u > 0.5 + PROB_TOL):
         raise ParameterError("uncertainty weights must lie in [0, 0.5]")
 

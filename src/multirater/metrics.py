@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +116,6 @@ class EvalReport:
             "metrics": self.metrics,
             "undefined": self.undefined,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
     def format_table(self) -> str:
         """Aligned text table: branches x (stratum-grouped Sen / Spec / AUC)."""

@@ -262,11 +262,12 @@ def save_checkpoint(params: ModelParams, path, metadata: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint format {doc.get('format_version')!r}")
+    """Parameters and metadata of a checkpoint; DataError naming ``path`` if it is malformed."""
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise DataError(f"unsupported checkpoint format {doc.get('format_version')!r}")
         m = doc["model"]
         config = ModelConfig(
             input_dim=m["input_dim"],
@@ -281,7 +282,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         }
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no key {exc}") from exc
-    except ParameterError as exc:
+    # ValueError includes malformed JSON, DataError and ParameterError.
+    except (AttributeError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     params = ModelParams(config, multi_branch)
     for name, arr in tensors.items():

@@ -455,10 +455,10 @@ def read_dataset_csv(path) -> GradedDataset:
     """Read a dataset written by write_dataset_csv, validating every row.
 
     Raises EmptyDatasetError for a file without samples and DataError naming
-    ``path:line`` for a malformed row.
+    ``path:line`` for a malformed row or a repeated sample_id.
     """
     path = Path(path)
-    features, rows = [], []
+    features, rows, seen = [], [], set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -482,6 +482,9 @@ def read_dataset_csv(path) -> GradedDataset:
             problem = _protocol_violation(labels, bool(row[3 + d]), soft)
             if problem is not None:
                 raise DataError(f"{path}:{reader.line_num}: {problem}")
+            if ids[0] in seen:  # branch-label draws are keyed by sample_id
+                raise DataError(f"{path}:{reader.line_num}: duplicate sample_id {ids[0]}")
+            seen.add(ids[0])
             features.append(feats)
             rows.append((ids, labels, soft))
     if not rows:

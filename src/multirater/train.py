@@ -223,7 +223,11 @@ def fit(
     and ``step`` the number of Adam steps taken, and returns the best
     parameters so far.
     ``on_epoch``, when given, is called with each record as it is appended.
+    Raises ParameterError when the training or validation split is empty.
     """
+    for name, part in (("training", train), ("validation", val)):
+        if len(part) == 0:
+            raise ParameterError(f"the {name} split is empty")
     state = init_state(model_config, train_config)
     if train_config.multi_branch:
         softs = soft_targets(train, compute_rater_weights(train))

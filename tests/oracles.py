@@ -37,6 +37,34 @@ def branch_loss_scalar(pred, onehot, partner, a, alpha=0.5, margin=1.0):
     return cross_entropy_scalar(pred, onehot) + alpha * consensus_loss_scalar(pred, partner, a, margin)
 
 
+def cross_entropy_grad_scalar(pred, onehot):
+    """Gradient of cross_entropy_scalar wrt pred: -t / p, and 0 where p is clamped."""
+    return [-t / p if p > LOG_CLAMP else 0.0 for p, t in zip(pred, onehot)]
+
+
+def consensus_grad_scalar(y_sen, y_spec, a, margin=1.0):
+    """Gradient of consensus_loss_scalar wrt y_sen; wrt y_spec it is the negation.
+
+    On disagreement the gradient is 0 where the hinge is inactive (distance
+    >= margin) and, by subgradient choice, at distance 0.
+    """
+    d = [p - q for p, q in zip(y_sen, y_spec)]
+    if a == 1:
+        return d
+    dist = math.sqrt(sum(x * x for x in d))
+    gap = margin - dist
+    if gap <= 0 or dist == 0:
+        return [0.0 for _ in d]
+    return [-gap / dist * x for x in d]
+
+
+def branch_loss_grads_scalar(pred, onehot, partner, a, alpha=0.5, margin=1.0):
+    """(gradient wrt pred, gradient wrt partner) of branch_loss_scalar."""
+    con = consensus_grad_scalar(pred, partner, a, margin)
+    own = [g + alpha * c for g, c in zip(cross_entropy_grad_scalar(pred, onehot), con)]
+    return own, [-alpha * c for c in con]
+
+
 def fusion_loss_scalar(preds, softs, us):
     num = 0.0
     den = 0.0
@@ -47,6 +75,15 @@ def fusion_loss_scalar(preds, softs, us):
             if s > 0.0:
                 num += w * s * (math.log(max(s, LOG_CLAMP)) - math.log(max(p, LOG_CLAMP)))
     return num / den
+
+
+def fusion_grad_scalar(preds, softs, us):
+    """Gradient of fusion_loss_scalar wrt preds: -(1 + u_i) s_ij / p_ij / sum(1 + u), 0 where p is clamped."""
+    den = sum(1.0 + u for u in us)
+    return [
+        [-(1.0 + u) * s / p / den if p > LOG_CLAMP else 0.0 for p, s in zip(pred, soft)]
+        for pred, soft, u in zip(preds, softs, us)
+    ]
 
 
 def central_difference(f, x, h=1e-5):

@@ -151,6 +151,16 @@ class TestValidate:
         with pytest.raises(ParameterError, match=f"{key} must be a finite number"):
             ExperimentConfig(**{key: value}).validate()
 
+    @pytest.mark.parametrize("ratios", [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5)])
+    def test_empty_train_or_val_split_is_a_usage_error_before_any_file(self, tmp_path, ratios):
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text("".join(f"{key}_ratio = {r}\n" for key, r in zip(("train", "val", "test"), ratios)))
+        result = run_cli("ablation", "--config", cfg, "--n", 50, "--seeds", 1, "--epochs", 1,
+                         "--out", tmp_path / "grid")
+        assert result.returncode == 2
+        assert "train_ratio and val_ratio > 0" in result.stderr
+        assert not (tmp_path / "grid").exists()
+
     def test_trunk_of_other_depth_is_a_usage_error_before_any_file(self, tmp_path, generated):
         cfg = tmp_path / "shallow.cfg"
         cfg.write_text("trunk_dims = 8, 8\n")

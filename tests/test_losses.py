@@ -1,4 +1,7 @@
-"""Loss functions: frozen worked examples, brute-force equivalence, gradient checks."""
+"""Loss functions: frozen worked examples, brute-force equivalence, gradient checks.
+
+The per-sample checks call the batched functions at n = 1.
+"""
 
 import math
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirater.errors import ContractError, ParameterError
-from multirater.losses import branch_loss, consensus_loss, fusion_loss, uncertainty
+from multirater.losses import consensus_terms, cross_entropy, fusion_loss, uncertainties
 from multirater.train import TrainConfig
 
 import oracles
@@ -21,6 +24,27 @@ def random_prob(rng):
     return np.array([p, 1.0 - p])
 
 
+def consensus_one(y_sen, y_spec, a, margin=1.0):
+    """(loss, grad wrt y_sen) of one sample; the y_spec gradient is the negation."""
+    loss, grad = consensus_terms(np.array([y_sen], dtype=float), np.array([y_spec], dtype=float),
+                                 np.array([a]), margin)
+    return loss[0], grad[0]
+
+
+def uncertainty_one(y_sen, y_spec):
+    return uncertainties(np.array([y_sen], dtype=float), np.array([y_spec], dtype=float))[0]
+
+
+def branch_one(pred, label, partner, a, alpha=0.5, margin=1.0):
+    """Cross entropy against class ``label`` plus alpha times the consensus term, at n = 1.
+
+    Returns (loss, grad wrt pred, grad wrt partner).
+    """
+    ce, d_ce = cross_entropy(np.array([pred], dtype=float), np.array([label]))
+    con, grad = consensus_one(pred, partner, a, margin)
+    return ce[0] + alpha * con, d_ce[0] + alpha * grad, -alpha * grad
+
+
 simplex_points = st.floats(min_value=0.0, max_value=1.0, allow_nan=False).map(
     lambda p: np.array([p, 1.0 - p])
 )
@@ -28,32 +52,33 @@ simplex_points = st.floats(min_value=0.0, max_value=1.0, allow_nan=False).map(
 
 class TestConsensusLoss:
     def test_agreement_identical_outputs(self):
-        loss, g_sen, g_spec = consensus_loss((0.3, 0.7), (0.3, 0.7), a=1)
+        loss, g_sen = consensus_one((0.3, 0.7), (0.3, 0.7), a=1)
         assert loss == 0.0
         np.testing.assert_array_equal(g_sen, 0.0)
-        np.testing.assert_array_equal(g_spec, 0.0)
 
     def test_disagreement_identical_outputs_pays_half_margin_squared(self):
         # oracle: 0.5 * (1 - 0)^2 = 0.5 at the default margin
-        loss, g_sen, g_spec = consensus_loss((0.3, 0.7), (0.3, 0.7), a=0, margin=1.0)
+        loss, g_sen = consensus_one((0.3, 0.7), (0.3, 0.7), a=0, margin=1.0)
         assert loss == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_array_equal(g_sen, 0.0)  # subgradient choice at zero distance
 
     def test_disagreement_beyond_margin_is_free(self):
         # distance sqrt(2) > margin 1
-        loss, g_sen, g_spec = consensus_loss((1.0, 0.0), (0.0, 1.0), a=0, margin=1.0)
+        loss, g_sen = consensus_one((1.0, 0.0), (0.0, 1.0), a=0, margin=1.0)
         assert loss == 0.0
         np.testing.assert_array_equal(g_sen, 0.0)
-        np.testing.assert_array_equal(g_spec, 0.0)
 
     def test_matches_scalar_oracle_on_random_inputs(self):
         for _ in range(1000):
             y1, y2 = random_prob(RNG), random_prob(RNG)
             a = int(RNG.integers(2))
             m = float(RNG.uniform(0.2, 1.5))
-            loss, _, _ = consensus_loss(y1, y2, a, m)
+            loss, grad = consensus_one(y1, y2, a, m)
             assert loss == pytest.approx(
                 oracles.consensus_loss_scalar(y1.tolist(), y2.tolist(), a, m), abs=1e-9
+            )
+            np.testing.assert_allclose(
+                grad, oracles.consensus_grad_scalar(y1.tolist(), y2.tolist(), a, m), rtol=0, atol=1e-12
             )
 
     def test_gradients_match_central_differences(self):
@@ -65,7 +90,7 @@ class TestConsensusLoss:
             dist = float(np.linalg.norm(y1 - y2))
             if a == 0 and (abs(dist - m) < 1e-3 or dist < 1e-3):
                 continue  # skip the hinge kink and the zero-distance spike
-            _, g_sen, g_spec = consensus_loss(y1, y2, a, m)
+            _, g_sen = consensus_one(y1, y2, a, m)
             fd_sen = oracles.central_difference(
                 lambda v: oracles.consensus_loss_scalar(v, y2.tolist(), a, m), y1.tolist()
             )
@@ -73,75 +98,61 @@ class TestConsensusLoss:
                 lambda v: oracles.consensus_loss_scalar(y1.tolist(), v, a, m), y2.tolist()
             )
             np.testing.assert_allclose(g_sen, fd_sen, rtol=1e-4, atol=1e-7)
-            np.testing.assert_allclose(g_spec, fd_spec, rtol=1e-4, atol=1e-7)
+            np.testing.assert_allclose(-g_sen, fd_spec, rtol=1e-4, atol=1e-7)
             checked += 1
 
     @given(simplex_points, simplex_points, st.integers(0, 1))
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_and_zero_iff(self, y1, y2, a):
-        loss, _, _ = consensus_loss(y1, y2, a, margin=1.0)
+        loss, _ = consensus_one(y1, y2, a, margin=1.0)
         assert loss >= 0.0
         dist = float(np.linalg.norm(y1 - y2))
         expect_zero = (a == 1 and dist == 0.0) or (a == 0 and dist >= 1.0)
         assert (loss == 0.0) == expect_zero
 
-    def test_rejects_unnormalized_input(self):
-        with pytest.raises(ContractError):
-            consensus_loss((0.9, 0.9), (0.5, 0.5), a=1)
-
-    def test_rejects_bad_flag_and_margin(self):
-        with pytest.raises(ParameterError):
-            consensus_loss((0.5, 0.5), (0.5, 0.5), a=2)
-        with pytest.raises(ParameterError):
-            consensus_loss((0.5, 0.5), (0.5, 0.5), a=0, margin=0.0)
-
 
 class TestUncertainty:
     def test_identical_vectors(self):
-        assert uncertainty((0.3, 0.7), (0.3, 0.7)) == pytest.approx(0.0, abs=1e-12)
+        assert uncertainty_one((0.3, 0.7), (0.3, 0.7)) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_one_hots(self):
-        assert uncertainty((1.0, 0.0), (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+        assert uncertainty_one((1.0, 0.0), (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_worked_example(self):
         # cos((0.5, 0.5), (1, 0)) = 1/sqrt(2); u = 0.5 * (1 - 1/sqrt(2))
         expected = 0.5 * (1.0 - 1.0 / math.sqrt(2.0))
-        assert uncertainty((0.5, 0.5), (1.0, 0.0)) == pytest.approx(expected, abs=1e-12)
+        assert uncertainty_one((0.5, 0.5), (1.0, 0.0)) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.14644660940672627, abs=1e-15)
 
     def test_matches_scalar_oracle_on_random_inputs(self):
         for _ in range(1000):
             y1, y2 = random_prob(RNG), random_prob(RNG)
-            assert uncertainty(y1, y2) == pytest.approx(
+            assert uncertainty_one(y1, y2) == pytest.approx(
                 oracles.uncertainty_scalar(y1.tolist(), y2.tolist()), abs=1e-9
             )
 
     @given(simplex_points, simplex_points)
     @settings(max_examples=300, deadline=None)
     def test_bounded_on_simplex(self, y1, y2):
-        u = uncertainty(y1, y2)
+        u = uncertainty_one(y1, y2)
         assert 0.0 <= u <= 0.5
 
 
 class TestBranchLoss:
     def test_perfect_prediction_vanishes(self):
-        label = np.array([0.0, 1.0])
         pred = np.array([1e-12, 1.0 - 1e-12])
-        loss, _, _ = branch_loss(pred, label, pred, a=1)
+        loss, _, _ = branch_one(pred, 1, pred, a=1)
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_alpha_zero_reduces_to_cross_entropy(self):
         pred = np.array([0.2, 0.8])
-        label = np.array([0.0, 1.0])
-        loss, g_pred, g_partner = branch_loss(pred, label, np.array([0.9, 0.1]), a=0, alpha=0.0)
+        loss, g_pred, g_partner = branch_one(pred, 1, np.array([0.9, 0.1]), a=0, alpha=0.0)
         assert loss == pytest.approx(-math.log(0.8), abs=1e-12)
         np.testing.assert_array_equal(g_partner, 0.0)
 
     def test_worked_example(self):
         # -log(0.8) + 0.5 * consensus(identical, a=0) = 0.22314... + 0.25
-        loss, _, _ = branch_loss(
-            (0.2, 0.8), (0.0, 1.0), (0.2, 0.8), a=0, margin=1.0, alpha=0.5
-        )
+        loss, _, _ = branch_one((0.2, 0.8), 1, (0.2, 0.8), a=0, margin=1.0, alpha=0.5)
         assert loss == pytest.approx(-math.log(0.8) + 0.25, abs=1e-12)
         assert loss == pytest.approx(0.4731435513142097, abs=1e-12)
 
@@ -150,32 +161,32 @@ class TestBranchLoss:
         checked = 0
         while checked < 100:
             pred, partner = random_prob(RNG), random_prob(RNG)
-            label = np.zeros(2)
-            label[RNG.integers(2)] = 1.0
+            label = int(RNG.integers(2))
+            onehot = [float(label == 0), float(label == 1)]
             a = int(RNG.integers(2))
             dist = float(np.linalg.norm(pred - partner))
             if a == 0 and (abs(dist - margin) < 1e-3 or dist < 1e-3):
                 continue
-            _, g_pred, g_partner = branch_loss(pred, label, partner, a, alpha=alpha, margin=margin)
+            loss, g_pred, g_partner = branch_one(pred, label, partner, a, alpha=alpha, margin=margin)
+            assert loss == pytest.approx(
+                oracles.branch_loss_scalar(pred.tolist(), onehot, partner.tolist(), a), abs=1e-12
+            )
             fd_pred = oracles.central_difference(
-                lambda v: oracles.branch_loss_scalar(v, label.tolist(), partner.tolist(), a),
+                lambda v: oracles.branch_loss_scalar(v, onehot, partner.tolist(), a),
                 pred.tolist(),
             )
             fd_partner = oracles.central_difference(
-                lambda v: oracles.branch_loss_scalar(pred.tolist(), label.tolist(), v, a),
+                lambda v: oracles.branch_loss_scalar(pred.tolist(), onehot, v, a),
                 partner.tolist(),
             )
             np.testing.assert_allclose(g_pred, fd_pred, rtol=1e-4, atol=1e-6)
             np.testing.assert_allclose(g_partner, fd_partner, rtol=1e-4, atol=1e-6)
+            want_pred, want_partner = oracles.branch_loss_grads_scalar(
+                pred.tolist(), onehot, partner.tolist(), a, alpha, margin
+            )
+            np.testing.assert_allclose(g_pred, want_pred, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g_partner, want_partner, rtol=0, atol=1e-12)
             checked += 1
-
-    def test_rejects_non_onehot_label(self):
-        with pytest.raises(ContractError):
-            branch_loss((0.5, 0.5), (0.4, 0.6), (0.5, 0.5), a=1)
-
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ParameterError):
-            branch_loss((0.5, 0.5), (0.0, 1.0), (0.5, 0.5), a=1, alpha=-0.1)
 
 
 class TestFusionLoss:
@@ -229,6 +240,8 @@ class TestFusionLoss:
 
             fd = oracles.central_difference(f, flat)
             np.testing.assert_allclose(grad.ravel(), fd, rtol=1e-4, atol=1e-7)
+            want = oracles.fusion_grad_scalar(preds.tolist(), softs.tolist(), u.tolist())
+            np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
 
     def test_nonnegative(self):
         for _ in range(200):

@@ -1,12 +1,12 @@
 """Model: forward/backward correctness, topology routing, checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from multirater.errors import ContractError, DataError, ParameterError
-from multirater.losses import branch_loss, fusion_loss, uncertainty
 from multirater.model import (
     ModelConfig,
     ModelParams,
@@ -16,6 +16,8 @@ from multirater.model import (
     load_checkpoint,
     save_checkpoint,
 )
+
+import oracles
 
 RNG = np.random.default_rng(7)
 
@@ -34,19 +36,19 @@ def toy_params(seed=123, multi_branch=True, jitter=None):
 
 
 def total_loss(params, x, sen_labels, spec_labels, softs, a, u_weights):
-    """Full objective via the per-sample loss functions (all terms active).
+    """Full objective from the scalar oracles (all terms active).
 
     A single-head model has only the fusion term.
     """
     out, _ = forward_batch(params, x)
     total = 0.0
     n = x.shape[0]
+    y_sen, y_spec = out.y_sen.tolist(), out.y_spec.tolist()
     for i in range(n if params.multi_branch else 0):
-        ls, _, _ = branch_loss(out.y_sen[i], sen_labels[i], out.y_spec[i], a[i])
-        lp, _, _ = branch_loss(out.y_spec[i], spec_labels[i], out.y_sen[i], a[i])
+        ls = oracles.branch_loss_scalar(y_sen[i], sen_labels[i], y_spec[i], a[i])
+        lp = oracles.branch_loss_scalar(y_spec[i], spec_labels[i], y_sen[i], a[i])
         total += (ls + lp) / n
-    lf, _ = fusion_loss(out.y_fusion, softs, u_weights)
-    return total + lf
+    return total + oracles.fusion_loss_scalar(out.y_fusion.tolist(), softs.tolist(), u_weights.tolist())
 
 
 def assemble_prob_grads(out, sen_labels, spec_labels, softs, a, u_weights):
@@ -54,15 +56,16 @@ def assemble_prob_grads(out, sen_labels, spec_labels, softs, a, u_weights):
     n = out.y_sen.shape[0]
     dy_sen = np.zeros_like(out.y_sen)
     dy_spec = np.zeros_like(out.y_spec)
+    y_sen, y_spec = out.y_sen.tolist(), out.y_spec.tolist()
     for i in range(n):
-        _, g_own, g_partner = branch_loss(out.y_sen[i], sen_labels[i], out.y_spec[i], a[i])
-        dy_sen[i] += g_own / n
-        dy_spec[i] += g_partner / n
-        _, g_own, g_partner = branch_loss(out.y_spec[i], spec_labels[i], out.y_sen[i], a[i])
-        dy_spec[i] += g_own / n
-        dy_sen[i] += g_partner / n
-    _, dy_fus = fusion_loss(out.y_fusion, softs, u_weights)
-    return {"y_sen": dy_sen, "y_spec": dy_spec, "y_fusion": dy_fus}
+        g_own, g_partner = oracles.branch_loss_grads_scalar(y_sen[i], sen_labels[i], y_spec[i], a[i])
+        dy_sen[i] += np.array(g_own) / n
+        dy_spec[i] += np.array(g_partner) / n
+        g_own, g_partner = oracles.branch_loss_grads_scalar(y_spec[i], spec_labels[i], y_sen[i], a[i])
+        dy_spec[i] += np.array(g_own) / n
+        dy_sen[i] += np.array(g_partner) / n
+    dy_fus = oracles.fusion_grad_scalar(out.y_fusion.tolist(), softs.tolist(), u_weights.tolist())
+    return {"y_sen": dy_sen, "y_spec": dy_spec, "y_fusion": np.array(dy_fus)}
 
 
 def random_batch(n, rng):
@@ -107,7 +110,7 @@ class TestForward:
         out, _ = forward_batch(params, RNG.standard_normal((20, 5)))
         for i in range(20):
             assert out.uncertainty[i] == pytest.approx(
-                uncertainty(out.y_sen[i], out.y_spec[i]), abs=1e-9
+                oracles.uncertainty_scalar(out.y_sen[i].tolist(), out.y_spec[i].tolist()), abs=1e-9
             )
 
     def test_dimension_mismatch_rejected(self):
@@ -209,6 +212,23 @@ class TestBackward:
             backward(params, cache, {"y_sen": np.ones_like(out.y_sen)})
 
 
+def _edited(change):
+    def apply(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return apply
+
+
+MALFORMED_CHECKPOINTS = {
+    "mis_shaped_tensor": _edited(lambda doc: doc["tensors"][0].update(shape=[3])),
+    "scalar_trunk_dims": _edited(lambda doc: doc["model"].update(trunk_dims=5)),
+    "string_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, "x")),
+    "truncated": lambda text: text[:95],
+    "not_an_object": lambda text: "[]",
+}
+
+
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         params = toy_params(jitter=2)
@@ -266,6 +286,14 @@ class TestCheckpoint:
         extra = {"name": "extra.W", "shape": [1, 1], "data": [0.0]}
         path = self._tampered(tmp_path, lambda doc: doc["tensors"].append(extra))
         with pytest.raises(DataError, match="ckpt.json: unknown tensor extra.W"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("breakage", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_is_a_data_error_naming_the_file(self, tmp_path, breakage):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(toy_params(), path)
+        path.write_text(MALFORMED_CHECKPOINTS[breakage](path.read_text()))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
 
     def test_non_finite_tensor_rejected(self, tmp_path):

@@ -391,6 +391,14 @@ class TestCsvRoundTrip:
         write_dataset_csv(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_repeated_sample_id_rejected_at_its_line(self, tmp_path):
+        ds = _toy_dataset(5)
+        ds.sample_ids[3] = ds.sample_ids[1]
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        with pytest.raises(DataError, match=rf"data\.csv:5: duplicate sample_id {ds.sample_ids[1]}$"):
+            read_dataset_csv(path)
+
     def test_bad_files_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

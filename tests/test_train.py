@@ -7,9 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from multirater.errors import TrainingDivergedError
+from multirater.errors import ParameterError, TrainingDivergedError
 from multirater.labels import Branch, compute_rater_weights, sample_branch_label
-from multirater.losses import branch_loss, fusion_loss
 from multirater.model import ModelConfig, forward_batch, init_params
 from multirater.rng import STREAM_SHUFFLE, seeded_rng
 from multirater.simulate import (
@@ -33,6 +32,8 @@ from multirater.train import (
     soft_targets,
     train_step,
 )
+
+import oracles
 
 TOY_MODEL = ModelConfig(input_dim=6, trunk_dims=(10, 10, 10), branch_dim=5, seed=5)
 
@@ -83,7 +84,7 @@ class TestTrainStep:
             )
 
     def test_batch_losses_match_per_sample_loss_functions(self):
-        """The vectorized trainer math must equal the per-sample loss functions."""
+        """The vectorized trainer math must equal the per-sample scalar oracles."""
         train, _, _ = toy_data()
         weights = compute_rater_weights(train)
         cfg = TrainConfig(seed=7)
@@ -100,31 +101,29 @@ class TestTrainStep:
         scalars, grads = _losses_and_grads(out, sen_idx, spec_idx, softs, final_idx, a, cfg)
 
         n = len(batch)
-        eye = np.eye(2)
+        eye = np.eye(2).tolist()
+        y_sen, y_spec = out.y_sen.tolist(), out.y_spec.tolist()
         want_sen = np.zeros((n, 2))
         want_spec = np.zeros((n, 2))
         sen_losses, spec_losses = [], []
         for i in range(n):
-            ls, g_own, g_partner = branch_loss(
-                out.y_sen[i], eye[sen_idx[i]], out.y_spec[i], a[i], alpha=cfg.alpha, margin=cfg.margin
-            )
-            sen_losses.append(ls)
-            want_sen[i] += g_own / n
-            want_spec[i] += g_partner / n
-            lp, g_own, g_partner = branch_loss(
-                out.y_spec[i], eye[spec_idx[i]], out.y_sen[i], a[i], alpha=cfg.alpha, margin=cfg.margin
-            )
-            spec_losses.append(lp)
-            want_spec[i] += g_own / n
-            want_sen[i] += g_partner / n
-        lf, want_fus = fusion_loss(out.y_fusion, softs, out.uncertainty)
+            terms = (a[i], cfg.alpha, cfg.margin)
+            sen_losses.append(oracles.branch_loss_scalar(y_sen[i], eye[sen_idx[i]], y_spec[i], *terms))
+            g_own, g_partner = oracles.branch_loss_grads_scalar(y_sen[i], eye[sen_idx[i]], y_spec[i], *terms)
+            want_sen[i] += np.array(g_own) / n
+            want_spec[i] += np.array(g_partner) / n
+            spec_losses.append(oracles.branch_loss_scalar(y_spec[i], eye[spec_idx[i]], y_sen[i], *terms))
+            g_own, g_partner = oracles.branch_loss_grads_scalar(y_spec[i], eye[spec_idx[i]], y_sen[i], *terms)
+            want_spec[i] += np.array(g_own) / n
+            want_sen[i] += np.array(g_partner) / n
+        fusion_args = (out.y_fusion.tolist(), softs.tolist(), out.uncertainty.tolist())
 
         assert scalars["loss_sen"] == pytest.approx(np.mean(sen_losses), abs=1e-12)
         assert scalars["loss_spec"] == pytest.approx(np.mean(spec_losses), abs=1e-12)
-        assert scalars["loss_fusion"] == pytest.approx(lf, abs=1e-12)
+        assert scalars["loss_fusion"] == pytest.approx(oracles.fusion_loss_scalar(*fusion_args), abs=1e-12)
         np.testing.assert_allclose(grads["y_sen"], want_sen, atol=1e-12)
         np.testing.assert_allclose(grads["y_spec"], want_spec, atol=1e-12)
-        np.testing.assert_allclose(grads["y_fusion"], want_fus, atol=1e-12)
+        np.testing.assert_allclose(grads["y_fusion"], oracles.fusion_grad_scalar(*fusion_args), atol=1e-12)
 
     def test_loss_decreases_on_a_fixed_batch(self):
         """Ten repeated steps on one batch lower the total loss (>= 4 of 5 seeds)."""
@@ -192,6 +191,14 @@ class TestFit:
         fresh = init_params(TOY_MODEL, multi_branch=True)
         for name in fresh.tensors:
             np.testing.assert_array_equal(params.tensors[name], fresh.tensors[name])
+
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_empty_split_is_rejected_naming_it(self, empty):
+        train, val, _ = toy_data()
+        parts = {"training": train, "validation": val}
+        parts[empty] = parts[empty].subset(np.arange(0))
+        with pytest.raises(ParameterError, match=f"the {empty} split is empty"):
+            fit(parts["training"], parts["validation"], TOY_MODEL, TrainConfig(max_epochs=1))
 
     def test_bit_exact_determinism(self):
         train, val, _ = toy_data()

@@ -11,6 +11,11 @@ each ablation arm, then ``ablation --seeds 2 --n 400 --epochs 2 --seed 3``:
 ``OPENBLAS_NUM_THREADS=1``, so that BLAS blocking cannot move the last bits.
 The output is one ``sha256  path`` line per file, sorted by path, with paths
 relative to OUT; two checkouts with equal outputs print equal lines.
+
+``tools/artifact_digests.sha256`` holds the reference lines. The
+byte-identity check is an empty diff::
+
+    python tools/artifact_digests.py OUT | diff - tools/artifact_digests.sha256
 """
 
 from __future__ import annotations
