@@ -116,9 +116,8 @@ class ExperimentConfig:
         if not (0.0 <= self.difficulty_mix <= 1.0):
             raise ParameterError(f"difficulty_mix must lie in [0, 1], got {self.difficulty_mix}")
         ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
-        if min(ratios[:2]) <= 0 or ratios[2] < 0 or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ParameterError("split ratios must sum to 1, with train_ratio and val_ratio > 0 "
-                                 f"and test_ratio >= 0, got {ratios}")
+        if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
+            raise ParameterError(f"split ratios must each be > 0 and sum to 1, got {ratios}")
         if self.ablation not in ARM_FLAGS:
             raise ParameterError(f"ablation must be one of {sorted(ARM_FLAGS)}, got {self.ablation!r}")
         if not (0.0 <= self.threshold <= 1.0):
@@ -179,7 +178,7 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` lines; blank lines and # comments ignored.
 
-    Errors name the file and line. Every float must be finite.
+    Errors name the file and line. Every float must be finite, and no key may repeat.
     """
     values = {}
     text = Path(path).read_text()
@@ -190,6 +189,8 @@ def parse_config_file(path) -> dict:
         if "=" not in stripped:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in values:
+            raise ParameterError(f"{path}:{lineno}: duplicate key {key}")
         try:
             values[key] = _coerce(key, raw)
         except ParameterError as exc:

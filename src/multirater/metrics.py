@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,20 +102,15 @@ class EvalReport:
     zero-denominator threshold metrics reported as 0.0.
     """
 
+    threshold: float
     counts: dict[str, int]
     mean_uncertainty: dict[str, float | None]
     metrics: dict[str, dict[str, dict[str, float | None]]]
     undefined: dict[str, dict[str, list[str]]]
-    threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "counts": self.counts,
-            "mean_uncertainty": self.mean_uncertainty,
-            "metrics": self.metrics,
-            "undefined": self.undefined,
-        }
+        """The fields as plain containers, in ``report.json`` order."""
+        return asdict(self)
 
     def format_table(self) -> str:
         """Aligned text table: branches x (stratum-grouped Sen / Spec / AUC)."""

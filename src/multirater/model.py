@@ -185,11 +185,13 @@ def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - inner)
 
 
-def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarray]) -> ModelParams:
     """Map probability-space gradients onto all parameters.
 
     ``grads`` holds dL/dy arrays of shape (n, 2) under keys 'y_sen', 'y_spec',
-    'y_fusion'; missing keys mean zero gradient. Raises ContractError when the
+    'y_fusion'; missing keys mean zero gradient. Returns the gradient as a
+    ``ModelParams`` laid out like ``params``: ``flat`` is the whole gradient
+    and ``tensors[name]`` each tensor's part. Raises ContractError when the
     cache does not match the current parameter values.
     """
     if cache.params is not params or cache.version != params.version:
@@ -200,36 +202,36 @@ def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarr
     def head_dz(name):  # dL/dlogits of the branch's head
         return _softmax_backward(cache.probs[name], np.asarray(grads.get(f"y_{name}", 0.0), dtype=float))
 
-    t, bd, h3 = params.tensors, params.config.branch_dim, cache.trunk[2]
-    out: dict[str, np.ndarray] = {}
+    grad = ModelParams(params.config, params.multi_branch)
+    t, g, bd, h3 = params.tensors, grad.tensors, params.config.branch_dim, cache.trunk[2]
+
+    def dense(layer, layer_in, dz):  # fill the layer's weight and bias gradients
+        np.matmul(layer_in.T, dz, out=g[f"{layer}.W"])
+        dz.sum(axis=0, out=g[f"{layer}.b"])
+
     branches = _branches(params.multi_branch)
     fusion = branches[-1]
 
     dz = head_dz(fusion)
-    out[f"{fusion}.head.W"] = cache.block.T @ dz
-    out[f"{fusion}.head.b"] = dz.sum(axis=0)
+    dense(f"{fusion}.head", cache.block, dz)
     dconcat = dz @ t[f"{fusion}.head.W"].T  # one column block per branch
 
     dh = np.zeros_like(h3)
     for name, feat, dfeat in zip(branches, _branch_columns(cache.block, bd), _branch_columns(dconcat, bd)):
         if name != fusion:  # the branch's own head also reads its features
             dz = head_dz(name)
-            out[f"{name}.head.W"] = feat.T @ dz
-            out[f"{name}.head.b"] = dz.sum(axis=0)
+            dense(f"{name}.head", feat, dz)
             dfeat = dz @ t[f"{name}.head.W"].T + dfeat
         dz = dfeat * (1.0 - feat**2)
-        out[f"{name}.feat.W"] = h3.T @ dz
-        out[f"{name}.feat.b"] = dz.sum(axis=0)
+        dense(f"{name}.feat", h3, dz)
         dh += dz @ t[f"{name}.feat.W"].T
 
     for i in (2, 1, 0):
         dz = dh * (1.0 - cache.trunk[i] ** 2)
-        prev = cache.x if i == 0 else cache.trunk[i - 1]
-        out[f"trunk.{i}.W"] = prev.T @ dz
-        out[f"trunk.{i}.b"] = dz.sum(axis=0)
+        dense(f"trunk.{i}", cache.x if i == 0 else cache.trunk[i - 1], dz)
         if i > 0:
             dh = dz @ t[f"trunk.{i}.W"].T
-    return out
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,10 @@ class GradedDataset:
     def records(self) -> list[GradingRecord]:
         """The gradings as one ``GradingRecord`` per sample, built on each access."""
         return [
-            GradingRecord(sid, ((r1, l1), (r2, l2)), None if l3 < 0 else (r3, l3),
-                          int(l1 == l2), l1 if l1 == l2 else l3, soft)
-            for sid, (r1, r2, r3), (l1, l2, l3), soft in zip(
+            GradingRecord(sid, ((r1, l1), (r2, l2)), None if l3 < 0 else (r3, l3), agreed, final, soft)
+            for sid, (r1, r2, r3), (l1, l2, l3), agreed, final, soft in zip(
                 self.sample_ids.tolist(), self.rater_ids.tolist(), self.ratings.tolist(),
-                self.soft_labels.tolist())
+                self.consensus_flags.tolist(), self.final_labels.tolist(), self.soft_labels.tolist())
         ]
 
     def subset(self, indices) -> "GradedDataset":
@@ -407,15 +406,14 @@ def write_dataset_csv(dataset: GradedDataset, path) -> None:
     """
     r1, r2, r3 = dataset.rater_ids.T.tolist()
     l1, l2, l3 = dataset.ratings.T.tolist()
-    agreed = dataset.consensus_flags
     columns = [
         dataset.sample_ids.tolist(),
         *dataset.features.T.tolist(),
         dataset.true_labels.tolist(),
         [f"{a}:{x};{b}:{y}" for a, x, b, y in zip(r1, l1, r2, l2)],
         ["" if lab < 0 else f"{rid}:{lab}" for rid, lab in zip(r3, l3)],
-        agreed.tolist(),
-        np.where(agreed, dataset.ratings[:, 0], dataset.ratings[:, 2]).tolist(),
+        dataset.consensus_flags.tolist(),
+        dataset.final_labels.tolist(),
         dataset.soft_labels.tolist(),
     ]
     with open(path, "w", newline="") as fh:
@@ -424,12 +422,16 @@ def write_dataset_csv(dataset: GradedDataset, path) -> None:
         writer.writerows(zip(*columns))
 
 
-def _protocol_violation(labels: list[int], adjudicated: bool, soft_label: float) -> str | None:
+def _protocol_violation(labels: list[int], raters: list[int], adjudicated: bool, soft_label: float) -> str | None:
     """Why a parsed CSV row breaks the grading protocol, or None when it does not.
 
-    ``labels`` is (true_label, l1, l2, adjudicator label, consensus, final_label).
+    ``labels`` is (true_label, l1, l2, adjudicator label, consensus, final_label)
+    and ``raters`` the ids (r1, r2, adjudicator).
     """
     true_label, l1, l2, l3, consensus, final_label = labels
+    r1, r2, r3 = raters
+    if r1 == r2 or (adjudicated and r3 in (r1, r2)):
+        return "a rater id repeats: the stage-1 raters and the adjudicator must all differ"
     if not {true_label, l1, l2, consensus, final_label} <= {0, 1} or (adjudicated and l3 not in (0, 1)):
         return "label outside {0, 1}"
     if consensus != (l1 == l2):
@@ -479,7 +481,7 @@ def read_dataset_csv(path) -> GradedDataset:
                 soft = float(row[6 + d])
             except ValueError as exc:
                 raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-            problem = _protocol_violation(labels, bool(row[3 + d]), soft)
+            problem = _protocol_violation(labels, ids[1:], bool(row[3 + d]), soft)
             if problem is not None:
                 raise DataError(f"{path}:{reader.line_num}: {problem}")
             if ids[0] in seen:  # branch-label draws are keyed by sample_id

@@ -13,13 +13,14 @@ the training split, and ``train_step`` receives the training arrays and the
 batch's row indices. Branch labels are redrawn every step through
 ``labels.sample_branch_label``, one call per sample and branch, a keyed
 closed-form draw: a sample's labels depend on (seed, epoch, sample) alone, not
-on the batch it lands in. Adam runs as three vector operations over the
-parameters' flat buffer.
+on the batch it lands in. ``backward`` returns the gradient laid out like the
+parameters, and Adam steps on the two flat buffers.
 
 Ablation flags:
 
-* ``multi_branch=False``: single head trained with cross entropy on the final
-  labels (the baseline); the other flags are ignored.
+* ``multi_branch=False``: single head trained on the fusion KL to the one-hot
+  final labels, i.e. their cross entropy (the baseline); the other flags are
+  ignored.
 * ``consensus_loss=False``: drop the consensus term from both branch losses.
 * ``uncertainty_weighting=False``: fusion KL weights all samples equally.
 """
@@ -93,56 +94,42 @@ def init_state(model_config: ModelConfig, train_config: TrainConfig) -> TrainSta
     return TrainState(params=params, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def _losses_and_grads(
-    out: BatchOutputs,
-    sen_idx: np.ndarray,
-    spec_idx: np.ndarray,
-    softs: np.ndarray,
-    final_idx: np.ndarray,
-    a: np.ndarray,
-    config: TrainConfig,
-):
-    """Batch objective scalars and probability-space gradients."""
-    n = final_idx.size
-    scalars: dict[str, float] = {}
-    grads: dict[str, np.ndarray] = {}
+def _losses_and_grads(out: BatchOutputs, sen_idx: np.ndarray | None, spec_idx: np.ndarray | None,
+                      softs: np.ndarray, a: np.ndarray, config: TrainConfig):
+    """Batch objective scalars and probability-space gradients.
 
-    if not config.multi_branch:
-        ce, dfus = cross_entropy(out.y_fusion, final_idx)
-        scalars.update(
-            loss_sen=0.0, loss_spec=0.0, loss_consensus=0.0, loss_fusion=float(ce.mean())
-        )
-        grads["y_fusion"] = dfus / n
-        scalars["total"] = scalars["loss_fusion"]
-        return scalars, grads
-
-    ce_sen, d_sen = cross_entropy(out.y_sen, sen_idx)
-    ce_spec, d_spec = cross_entropy(out.y_spec, spec_idx)
-    con, g_con_sen = consensus_terms(out.y_sen, out.y_spec, a, config.margin)
-    alpha = config.alpha if config.consensus_loss else 0.0
-
+    Every arm trains the fusion output on ``softs``; the multi-branch arms add
+    the sen/spec cross entropy and the consensus term.
+    """
+    n = a.size
     u = out.uncertainty if config.uncertainty_weighting else np.zeros(n)
     fus, d_fus = fusion_loss(out.y_fusion, softs, u)
+    scalars = dict(loss_sen=0.0, loss_spec=0.0, loss_consensus=0.0, loss_fusion=fus)
+    grads = {"y_fusion": d_fus}
 
-    scalars["loss_sen"] = float((ce_sen + alpha * con).mean())
-    scalars["loss_spec"] = float((ce_spec + alpha * con).mean())
-    scalars["loss_consensus"] = float(con.mean())
-    scalars["loss_fusion"] = fus
+    if config.multi_branch:
+        ce_sen, d_sen = cross_entropy(out.y_sen, sen_idx)
+        ce_spec, d_spec = cross_entropy(out.y_spec, spec_idx)
+        con, g_con_sen = consensus_terms(out.y_sen, out.y_spec, a, config.margin)
+        alpha = config.alpha if config.consensus_loss else 0.0
+        scalars["loss_sen"] = float((ce_sen + alpha * con).mean())
+        scalars["loss_spec"] = float((ce_spec + alpha * con).mean())
+        scalars["loss_consensus"] = float(con.mean())
+        grads["y_sen"] = (d_sen + 2.0 * alpha * g_con_sen) / n
+        grads["y_spec"] = (d_spec - 2.0 * alpha * g_con_sen) / n
     scalars["total"] = scalars["loss_sen"] + scalars["loss_spec"] + fus
-
-    grads["y_sen"] = (d_sen + 2.0 * alpha * g_con_sen) / n
-    grads["y_spec"] = (d_spec - 2.0 * alpha * g_con_sen) / n
-    grads["y_fusion"] = d_fus
     return scalars, grads
 
 
-def _adam_update(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> None:
+def _adam_update(state: TrainState, g: np.ndarray, lr: float) -> None:
+    """One Adam step on ``state.params.flat`` with the flat gradient ``g``."""
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    g = np.concatenate([grads[name].ravel() for name in state.params.tensors])
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
     state.params.flat -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
     state.params.version += 1
 
@@ -163,31 +150,28 @@ def train_step(
     """One combined Adam step on the rows ``idx`` of ``data``; returns the loss scalars.
 
     ``softs`` holds the (n, 2) fusion targets of every row of ``data``, as
-    ``soft_targets`` returns them; the single-head baseline trains on the
-    final labels and ignores them.
+    ``fit`` builds them: ``soft_targets`` for the multi-branch arms, the
+    one-hot final labels for the single-head baseline.
     """
     if len(idx) < 1:
         raise ParameterError("batch must be non-empty")
     batch, softs = data.subset(idx), softs[idx]
-    final_idx = batch.final_labels
-    a = batch.consensus_flags
+    sen_idx = spec_idx = None  # the baseline draws no branch labels
     if config.multi_branch:
         rows = list(zip(batch.ratings.tolist(), batch.sample_ids.tolist()))
         sen_idx, spec_idx = (
             np.array([sample_branch_label(r, i, branch, config.seed, state.epoch) for r, i in rows])
             for branch in Branch
         )
-    else:
-        sen_idx = spec_idx = final_idx
 
     out, cache = forward_batch(state.params, batch.features)
-    scalars, prob_grads = _losses_and_grads(out, sen_idx, spec_idx, softs, final_idx, a, config)
+    scalars, prob_grads = _losses_and_grads(out, sen_idx, spec_idx, softs, batch.consensus_flags, config)
     if not math.isfinite(scalars["total"]):
         raise TrainingDivergedError(
             f"non-finite loss at epoch {state.epoch}, step {state.t}: {scalars}"
         )
-    param_grads = backward(state.params, cache, prob_grads)
-    _adam_update(state, param_grads, learning_rate(config, state.epoch))
+    grad = backward(state.params, cache, prob_grads)
+    _adam_update(state, grad.flat, learning_rate(config, state.epoch))
     return scalars
 
 

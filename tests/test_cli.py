@@ -134,6 +134,7 @@ class TestConfigFile:
             ("nonsense_key = 3", "unknown config key 'nonsense_key'"),
             ("lr = abc", "config key lr: cannot parse 'abc'"),
             ("alpha = -inf", "config key alpha: '-inf' is not a finite number"),
+            ("seed = 4", "duplicate key seed"),
         ],
     )
     def test_parse_error_names_file_and_line(self, tmp_path, line, message):
@@ -151,14 +152,14 @@ class TestValidate:
         with pytest.raises(ParameterError, match=f"{key} must be a finite number"):
             ExperimentConfig(**{key: value}).validate()
 
-    @pytest.mark.parametrize("ratios", [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5)])
+    @pytest.mark.parametrize("ratios", [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)])
     def test_empty_train_or_val_split_is_a_usage_error_before_any_file(self, tmp_path, ratios):
         cfg = tmp_path / "split.cfg"
         cfg.write_text("".join(f"{key}_ratio = {r}\n" for key, r in zip(("train", "val", "test"), ratios)))
         result = run_cli("ablation", "--config", cfg, "--n", 50, "--seeds", 1, "--epochs", 1,
                          "--out", tmp_path / "grid")
         assert result.returncode == 2
-        assert "train_ratio and val_ratio > 0" in result.stderr
+        assert "split ratios must each be > 0 and sum to 1" in result.stderr
         assert not (tmp_path / "grid").exists()
 
     def test_trunk_of_other_depth_is_a_usage_error_before_any_file(self, tmp_path, generated):
@@ -312,6 +313,12 @@ def _flip(column):
     return edit
 
 
+def _repeat_rater(fields, header):
+    """File rater 2's first-stage rating under rater 1's id, keeping both labels."""
+    i = header.index("rater_labels")
+    fields[i] = fields[i].replace("2:", "1:")
+
+
 BROKEN_ROWS = {
     "truncated": lambda fields, header: fields.pop(),
     "non_integer_label": _set("consensus", "yes"),
@@ -324,6 +331,7 @@ BROKEN_ROWS = {
     "non_finite_feature": _set("f_0", "nan"),
     "sample_id_beyond_int64": _set("sample_id", str(2**63)),
     "rater_id_beyond_int64": _set("rater_labels", f"{-(2**63) - 1}:0;2:0"),
+    "repeated_rater_id": _repeat_rater,
 }
 
 

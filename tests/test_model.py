@@ -154,7 +154,7 @@ class TestBackward:
         if not multi_branch:
             prob_grads = {"y_fusion": prob_grads["y_fusion"]}
         grads = backward(params, cache, prob_grads)
-        assert set(grads) == set(params.tensors)
+        assert list(grads.tensors) == list(params.tensors)
 
         h = 1e-5
         worst = 0.0
@@ -168,7 +168,7 @@ class TestBackward:
                 down = total_loss(params, x, sen, spec, softs, a, u_weights)
                 flat[k] = orig
                 fd = (up - down) / (2 * h)
-                got = grads[name].ravel()[k]
+                got = grads.tensors[name].ravel()[k]
                 rel = abs(got - fd) / max(abs(fd), 1e-6)
                 worst = max(worst, rel)
         assert worst < 1e-4, f"worst relative gradient error {worst}"
@@ -177,8 +177,7 @@ class TestBackward:
         params = toy_params()
         out, cache = forward_batch(params, RNG.standard_normal((4, 5)))
         grads = backward(params, cache, {})
-        for g in grads.values():
-            np.testing.assert_array_equal(g, 0.0)
+        np.testing.assert_array_equal(grads.flat, 0.0)
 
     def test_fusion_gradient_reaches_sen_features_but_not_sen_head(self):
         params = toy_params(jitter=9)
@@ -186,17 +185,17 @@ class TestBackward:
         # asymmetric probe: a constant vector would vanish in the softmax jacobian
         probe = np.tile([1.0, -1.0], (4, 1))
         grads = backward(params, cache, {"y_fusion": probe})
-        np.testing.assert_array_equal(grads["sen.head.W"], 0.0)
-        np.testing.assert_array_equal(grads["sen.head.b"], 0.0)
-        assert np.abs(grads["sen.feat.W"]).max() > 1e-6  # concat features carry gradient
+        np.testing.assert_array_equal(grads.tensors["sen.head.W"], 0.0)
+        np.testing.assert_array_equal(grads.tensors["sen.head.b"], 0.0)
+        assert np.abs(grads.tensors["sen.feat.W"]).max() > 1e-6  # concat features carry gradient
 
     def test_sen_gradient_does_not_touch_fusion_head(self):
         params = toy_params(jitter=9)
         out, cache = forward_batch(params, RNG.standard_normal((4, 5)))
         probe = np.tile([1.0, -1.0], (4, 1))
         grads = backward(params, cache, {"y_sen": probe})
-        np.testing.assert_array_equal(grads["fusion.head.W"], 0.0)
-        assert np.abs(grads["trunk.0.W"]).max() > 1e-6
+        np.testing.assert_array_equal(grads.tensors["fusion.head.W"], 0.0)
+        assert np.abs(grads.tensors["trunk.0.W"]).max() > 1e-6
 
     def test_stale_cache_rejected(self):
         params = toy_params()

@@ -399,6 +399,18 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match=rf"data\.csv:5: duplicate sample_id {ds.sample_ids[1]}$"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("slot", [1, 2])
+    def test_repeated_rater_id_rejected_at_its_line(self, tmp_path, slot):
+        """Rater 1 also rates in slot 1 (stage 1) or slot 2 (adjudicator) of a disagreement row."""
+        ds = _toy_dataset(40)
+        row = int(np.argmin(ds.consensus_flags))
+        assert ds.consensus_flags[row] == 0
+        ds.rater_ids[row, slot] = ds.rater_ids[row, 0]
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        with pytest.raises(DataError, match=rf"data\.csv:{row + 2}: a rater id repeats"):
+            read_dataset_csv(path)
+
     def test_bad_files_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from multirater.cli import ARM_FLAGS, ARM_ORDER
 from multirater.errors import ParameterError, TrainingDivergedError
 from multirater.labels import Branch, compute_rater_weights, sample_branch_label
 from multirater.model import ModelConfig, forward_batch, init_params
@@ -83,31 +84,43 @@ class TestTrainStep:
                 results[0][1].tensors[name], results[1][1].tensors[name]
             )
 
-    def test_batch_losses_match_per_sample_loss_functions(self):
+    @pytest.mark.parametrize("arm", ARM_ORDER)
+    def test_batch_losses_match_per_sample_loss_functions(self, arm):
         """The vectorized trainer math must equal the per-sample scalar oracles."""
         train, _, _ = toy_data()
-        weights = compute_rater_weights(train)
-        cfg = TrainConfig(seed=7)
+        cfg = TrainConfig(seed=7, **ARM_FLAGS[arm])
         batch = train.subset(np.arange(16))
         state = init_state(TOY_MODEL, cfg)
         out, _ = forward_batch(state.params, batch.features)
+        n = len(batch)
+        eye = np.eye(2).tolist()
+        a = np.array([r.consensus for r in batch.records])
+
+        if not cfg.multi_branch:  # the fusion KL to one-hot final labels is their cross entropy
+            finals = [r.final_label for r in batch.records]
+            scalars, grads = _losses_and_grads(out, None, None, np.eye(2)[finals], a, cfg)
+            preds = out.y_fusion.tolist()
+            want = [oracles.cross_entropy_scalar(preds[i], eye[finals[i]]) for i in range(n)]
+            want_grad = [oracles.cross_entropy_grad_scalar(preds[i], eye[finals[i]]) for i in range(n)]
+            assert scalars["loss_fusion"] == pytest.approx(np.mean(want), abs=1e-12)
+            assert scalars["total"] == scalars["loss_fusion"]
+            assert set(grads) == {"y_fusion"}
+            np.testing.assert_allclose(grads["y_fusion"], np.array(want_grad) / n, atol=1e-12)
+            return
 
         rows = list(zip(batch.ratings.tolist(), batch.sample_ids.tolist()))
         sen_idx = np.array([sample_branch_label(r, i, Branch.SEN, cfg.seed, 0) for r, i in rows])
         spec_idx = np.array([sample_branch_label(r, i, Branch.SPEC, cfg.seed, 0) for r, i in rows])
-        softs = soft_targets(batch, weights)
-        final_idx = np.array([r.final_label for r in batch.records])
-        a = np.array([r.consensus for r in batch.records])
-        scalars, grads = _losses_and_grads(out, sen_idx, spec_idx, softs, final_idx, a, cfg)
+        softs = soft_targets(batch, compute_rater_weights(train))
+        scalars, grads = _losses_and_grads(out, sen_idx, spec_idx, softs, a, cfg)
 
-        n = len(batch)
-        eye = np.eye(2).tolist()
         y_sen, y_spec = out.y_sen.tolist(), out.y_spec.tolist()
+        alpha = cfg.alpha if cfg.consensus_loss else 0.0
         want_sen = np.zeros((n, 2))
         want_spec = np.zeros((n, 2))
         sen_losses, spec_losses = [], []
         for i in range(n):
-            terms = (a[i], cfg.alpha, cfg.margin)
+            terms = (a[i], alpha, cfg.margin)
             sen_losses.append(oracles.branch_loss_scalar(y_sen[i], eye[sen_idx[i]], y_spec[i], *terms))
             g_own, g_partner = oracles.branch_loss_grads_scalar(y_sen[i], eye[sen_idx[i]], y_spec[i], *terms)
             want_sen[i] += np.array(g_own) / n
@@ -116,7 +129,8 @@ class TestTrainStep:
             g_own, g_partner = oracles.branch_loss_grads_scalar(y_spec[i], eye[spec_idx[i]], y_sen[i], *terms)
             want_spec[i] += np.array(g_own) / n
             want_sen[i] += np.array(g_partner) / n
-        fusion_args = (out.y_fusion.tolist(), softs.tolist(), out.uncertainty.tolist())
+        u = out.uncertainty if cfg.uncertainty_weighting else np.zeros(n)
+        fusion_args = (out.y_fusion.tolist(), softs.tolist(), u.tolist())
 
         assert scalars["loss_sen"] == pytest.approx(np.mean(sen_losses), abs=1e-12)
         assert scalars["loss_spec"] == pytest.approx(np.mean(spec_losses), abs=1e-12)
@@ -168,10 +182,11 @@ class TestAdam:
             return {k: flat[a:b].reshape(p.shape).copy() for (k, p), a, b in zip(params.items(), bounds, bounds[1:])}
 
         m, v = per_tensor(state.m), per_tensor(state.v)
-        grads = {k: rng.standard_normal(p.shape) for k, p in reversed(params.items())}
+        grad = rng.standard_normal(state.m.shape)
+        grads = per_tensor(grad)
         lr = 3e-4
 
-        _adam_update(state, grads, lr)
+        _adam_update(state, grad, lr)
 
         bc1, bc2 = 1.0 - ADAM_BETA1**4, 1.0 - ADAM_BETA2**4
         for name, g in grads.items():
@@ -361,17 +376,11 @@ class SingleHeadNet:
 
 
 class TestBaselineEquivalence:
-    def test_ablated_trainer_matches_standalone_single_head(self):
-        """With every flag off the trainer walks a plain single-head trajectory."""
-        train, val, _ = toy_data(n=180, seed=29)
-        cfg = TrainConfig(
-            max_epochs=5,
-            seed=29,
-            multi_branch=False,
-            consensus_loss=False,
-            uncertainty_weighting=False,
-        )
+    CONFIG = TrainConfig(max_epochs=5, seed=29, **ARM_FLAGS["baseline"])
 
+    @staticmethod
+    def standalone(train, cfg):
+        """The SingleHeadNet tensors after cfg.max_epochs epochs in the trainer's batch order."""
         toy = SingleHeadNet(init_params(TOY_MODEL, multi_branch=False).tensors)
         shuffle_rng = seeded_rng(cfg.seed, STREAM_SHUFFLE)
         finals = train.final_labels
@@ -381,20 +390,36 @@ class TestBaselineEquivalence:
             for start in range(0, len(train), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 toy.step(train.features[idx], finals[idx], lr)
+        return toy.t
 
+    def test_ablated_trainer_matches_standalone_single_head(self):
+        """With every flag off the trainer walks a plain single-head trajectory."""
+        train, _, _ = toy_data(n=180, seed=29)
+        want = self.standalone(train, self.CONFIG)
         # compare against the final-epoch parameters (fit() would return the
         # best-val-AUC snapshot, which may be an earlier epoch)
-        final_params = _fit_final(train, TOY_MODEL, cfg)
-        for name in toy.t:
-            np.testing.assert_allclose(
-                final_params.tensors[name], toy.t[name], rtol=1e-9, atol=1e-11
-            )
+        final_params = _fit_final(train, TOY_MODEL, self.CONFIG)
+        for name in want:
+            np.testing.assert_allclose(final_params.tensors[name], want[name], rtol=1e-9, atol=1e-11)
+
+    def test_fit_trains_the_baseline_on_one_hot_final_labels(self):
+        """One epoch with a defined validation AUC, so fit returns the epoch's final parameters."""
+        train, val, _ = toy_data(n=180, seed=29)
+        cfg = replace(self.CONFIG, max_epochs=1)
+        params, log = fit(train, val, TOY_MODEL, cfg)
+        assert log[0]["val_auc"] is not None
+        want = self.standalone(train, cfg)
+        for name in want:
+            np.testing.assert_allclose(params.tensors[name], want[name], rtol=1e-9, atol=1e-11)
 
 
 def _fit_final(train, model_config, cfg):
     """Run the package training loop and return the FINAL (not best) params."""
     state = init_state(model_config, cfg)
-    softs = soft_targets(train, compute_rater_weights(train))
+    if cfg.multi_branch:
+        softs = soft_targets(train, compute_rater_weights(train))
+    else:
+        softs = np.eye(2)[train.final_labels]
     shuffle_rng = seeded_rng(cfg.seed, STREAM_SHUFFLE)
     for epoch in range(cfg.max_epochs):
         state.epoch = epoch
