@@ -9,7 +9,8 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from multirater.cli import ARM_FLAGS, ExperimentConfig, cmd_ablation
+from multirater.cli import ExperimentConfig, cmd_ablation
+from multirater.train import ARM_FLAGS
 
 cfg = replace(ExperimentConfig(), n_samples=1200, max_epochs=8, seed=1)
 

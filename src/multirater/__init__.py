@@ -25,7 +25,6 @@ from .labels import (
 from .losses import fusion_loss
 from .metrics import ConfusionMetrics, EvalReport, confusion_metrics, evaluate, roc_auc
 from .model import (
-    BatchOutputs,
     ModelConfig,
     ModelParams,
     backward,

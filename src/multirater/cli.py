@@ -13,7 +13,8 @@ error, reported before any file is written. Every output artifact
 embeds the resolved settings and seed; no artifact contains paths or
 timestamps, so a rerun with the same seed is byte-identical.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error (a bad setting or
+argument, or a dataset file without samples).
 """
 
 from __future__ import annotations
@@ -51,25 +52,11 @@ from .simulate import (
     split_dataset,
     write_dataset_csv,
 )
-from .train import TrainConfig, fit
-
-ARM_FLAGS = {
-    "baseline": dict(multi_branch=False, consensus_loss=False, uncertainty_weighting=False),
-    "multibr": dict(multi_branch=True, consensus_loss=False, uncertainty_weighting=False),
-    "conloss": dict(multi_branch=True, consensus_loss=True, uncertainty_weighting=False),
-    "uncerty": dict(multi_branch=True, consensus_loss=False, uncertainty_weighting=True),
-    "full": dict(multi_branch=True, consensus_loss=True, uncertainty_weighting=True),
-}
-# Fixed row order of the ablation grid.
-ARM_ORDER = tuple(ARM_FLAGS)
+from .train import ARM_FLAGS, ARM_ORDER, TrainConfig, fit
 
 _DEFAULT_PANEL = default_panel()
 _DEFAULT_MODEL = ModelConfig(DEFAULT_FEATURE_DIM)
 _DEFAULT_TRAIN = TrainConfig()
-
-
-class _UsageError(Exception):
-    """Raised for problems that should exit with the usage code (2)."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +86,7 @@ class ExperimentConfig:
     alpha: float = _DEFAULT_TRAIN.alpha
     margin: float = _DEFAULT_TRAIN.margin
     threshold: float = 0.5
-    ablation: str = "full"
+    ablation: str = _DEFAULT_TRAIN.ablation
     seed: int = _DEFAULT_TRAIN.seed
 
     def validate(self) -> "ExperimentConfig":
@@ -118,8 +105,6 @@ class ExperimentConfig:
         ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
         if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
             raise ParameterError(f"split ratios must each be > 0 and sum to 1, got {ratios}")
-        if self.ablation not in ARM_FLAGS:
-            raise ParameterError(f"ablation must be one of {sorted(ARM_FLAGS)}, got {self.ablation!r}")
         if not (0.0 <= self.threshold <= 1.0):
             raise ParameterError(f"threshold must lie in [0, 1], got {self.threshold}")
         # Delegate the remaining checks to the component configs.
@@ -146,10 +131,8 @@ class ExperimentConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        """The trainer's fields, each read from the field of the same name or from the arm's flags."""
-        flags = ARM_FLAGS[self.ablation]
-        shared = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name not in flags}
-        return TrainConfig(**shared, **flags)
+        """The trainer's fields, each read from the field of the same name."""
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def to_dict(self) -> dict:
         out = {}
@@ -293,10 +276,7 @@ def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
 def cmd_eval(cfg: ExperimentConfig, checkpoint: Path, data_csv: Path, out_dir: Path) -> int:
     if not data_csv.is_file():
         raise FileNotFoundError(f"missing dataset file {data_csv}")
-    try:
-        dataset = read_dataset_csv(data_csv)
-    except EmptyDatasetError as exc:
-        raise _UsageError(str(exc)) from exc
+    dataset = read_dataset_csv(data_csv)
     params, checkpoint_meta = load_checkpoint(checkpoint)
     if dataset.features.shape[1] != params.config.input_dim:
         raise DataError(
@@ -462,11 +442,9 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, args.data, args.out)
         if args.command == "ablation":
-            if args.seeds < 1:
-                parser.error(f"--seeds must be >= 1, got {args.seeds}")
             return cmd_ablation(cfg, args.out, args.seeds)
         raise AssertionError(f"unhandled command {args.command}")
-    except _UsageError as exc:
+    except (EmptyDatasetError, ParameterError) as exc:
         parser.error(str(exc))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

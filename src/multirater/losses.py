@@ -57,15 +57,15 @@ def cross_entropy(probs: np.ndarray, idx: np.ndarray):
     return ce, dprob
 
 
-def consensus_terms(y_sen: np.ndarray, y_spec: np.ndarray, a: np.ndarray, margin: float):
-    """Per-sample consensus loss and its gradient wrt y_sen (negate for y_spec).
+def consensus_terms(p_sen: np.ndarray, p_spec: np.ndarray, a: np.ndarray, margin: float):
+    """Per-sample consensus loss and its gradient wrt p_sen (negate for p_spec).
 
     loss = 0.5 * a * ||d||^2 + 0.5 * (1 - a) * max(0, margin - ||d||)^2,
-    d = y_sen - y_spec. In the disagreement term the gradient is 0 throughout
+    d = p_sen - p_spec. In the disagreement term the gradient is 0 throughout
     the inactive region ||d|| >= margin (including the kink at
     ||d|| = margin) and, by subgradient choice, at d = 0.
     """
-    d = y_sen - y_spec
+    d = p_sen - p_spec
     dist = np.linalg.norm(d, axis=1)
     gap = margin - dist
     agree = a == 1
@@ -75,10 +75,10 @@ def consensus_terms(y_sen: np.ndarray, y_spec: np.ndarray, a: np.ndarray, margin
     return loss, scale[:, None] * d
 
 
-def uncertainties(y_sen: np.ndarray, y_spec: np.ndarray) -> np.ndarray:
+def uncertainties(p_sen: np.ndarray, p_spec: np.ndarray) -> np.ndarray:
     """Per-sample 0.5 * (1 - cosine similarity), clipped to [0, 0.5]."""
-    dots = (y_sen * y_spec).sum(axis=1)
-    norms = np.linalg.norm(y_sen, axis=1) * np.linalg.norm(y_spec, axis=1)
+    dots = (p_sen * p_spec).sum(axis=1)
+    norms = np.linalg.norm(p_sen, axis=1) * np.linalg.norm(p_spec, axis=1)
     return np.clip(0.5 * (1.0 - dots / norms), 0.0, 0.5)
 
 

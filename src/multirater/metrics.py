@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, UndefinedMetricError
+from .losses import uncertainties
 from .model import ModelParams, forward_batch
 from .simulate import GradedDataset
 
@@ -142,15 +143,19 @@ def evaluate(params: ModelParams, dataset: GradedDataset, threshold: float = 0.5
 
     Positive predictions are scores >= threshold on the positive-class
     probability. Labels are the adjudicated final labels; strata follow the
-    per-record consensus flags. Raises DataError naming the first sample whose
-    features or branch outputs are not finite.
+    per-record consensus flags. A single-head baseline reports its fusion
+    output in the sen and spec rows too, with uncertainty 0. Raises DataError
+    naming the first sample whose features or branch outputs are not finite.
     """
     if not (0.0 <= threshold <= 1.0):
         raise ParameterError(f"threshold must lie in [0, 1], got {threshold}")
-    out, _ = forward_batch(params, dataset.features)
-    finite = np.isfinite(np.column_stack(
-        (dataset.features, out.y_sen, out.y_spec, out.y_fusion, out.uncertainty)
-    )).all(axis=1)
+    branch_probs, _ = forward_batch(params, dataset.features)
+    if params.multi_branch:
+        u = uncertainties(branch_probs["sen"], branch_probs["spec"])
+    else:  # the baseline's one output fills every report row
+        branch_probs = dict.fromkeys(REPORT_BRANCHES, branch_probs["fusion"])
+        u = np.zeros(len(dataset))
+    finite = np.isfinite(np.column_stack((dataset.features, *branch_probs.values(), u))).all(axis=1)
     if not finite.all():
         raise DataError(f"sample {int(dataset.sample_ids[finite.argmin()])}: non-finite features or outputs")
     finals = dataset.final_labels
@@ -160,12 +165,9 @@ def evaluate(params: ModelParams, dataset: GradedDataset, threshold: float = 0.5
         "non_consensus": cons == 0,
         "all": np.ones(len(dataset), dtype=bool),
     }
-    branch_probs = {"sen": out.y_sen, "spec": out.y_spec, "fusion": out.y_fusion}
 
     counts = {s: int(m.sum()) for s, m in masks.items()}
-    mean_u = {
-        s: (float(out.uncertainty[m].mean()) if m.any() else None) for s, m in masks.items()
-    }
+    mean_u = {s: (float(u[m].mean()) if m.any() else None) for s, m in masks.items()}
     metrics: dict[str, dict[str, dict[str, float | None]]] = {}
     undefined: dict[str, dict[str, list[str]]] = {}
     for branch in REPORT_BRANCHES:

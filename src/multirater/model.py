@@ -9,8 +9,9 @@ except the fusion head, which reads the whole block. Gradients from the
 fusion head therefore flow back into every feature layer, and the trunk
 receives the sum of all branch contributions.
 
-In the baseline the sen/spec outputs mirror the fusion output and the
-uncertainty is 0.
+``forward_batch`` returns the softmax outputs keyed by branch name, and
+``backward`` takes the gradients keyed the same way; the baseline has the
+``"fusion"`` key only.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
-from .losses import uncertainties
-from .rng import seeded_rng
+from .rng import STREAM_INIT, seeded_rng
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -43,14 +43,6 @@ class ModelConfig:
             raise ParameterError(f"trunk_dims must hold three widths, got {self.trunk_dims}")
         if self.input_dim < 1 or self.branch_dim < 1 or any(w < 1 for w in self.trunk_dims):
             raise ParameterError("all layer widths must be >= 1")
-
-
-@dataclass
-class BatchOutputs:
-    y_sen: np.ndarray  # (n, 2)
-    y_spec: np.ndarray
-    y_fusion: np.ndarray
-    uncertainty: np.ndarray  # (n,)
 
 
 class ModelParams:
@@ -116,7 +108,7 @@ def _flat_layout(config: ModelConfig, multi_branch: bool):
 
 def init_params(config: ModelConfig, multi_branch: bool = True) -> ModelParams:
     """Symmetric uniform fan-in initialization; all biases zero."""
-    rng = seeded_rng(config.seed)
+    rng = seeded_rng(config.seed, STREAM_INIT)
     params = ModelParams(config, multi_branch)
     for name, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
         bound = 1.0 / np.sqrt(fan_in)
@@ -145,8 +137,12 @@ class ForwardCache:
     probs: dict[str, np.ndarray]  # branch name -> softmax outputs
 
 
-def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[BatchOutputs, ForwardCache]:
-    """Run the network on a (n, input_dim) batch; a single sample is a (1, input_dim) batch."""
+def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[dict[str, np.ndarray], ForwardCache]:
+    """Run the network on a (n, input_dim) batch; a single sample is a (1, input_dim) batch.
+
+    Returns ``(probs, cache)``: ``probs`` maps each branch of the network to
+    its (n, 2) softmax output.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise ParameterError(
@@ -170,13 +166,7 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[BatchOutputs, For
         name: _softmax(head_in @ t[f"{name}.head.W"] + t[f"{name}.head.b"])
         for name, head_in in zip(branches, cols[:-1] + [block])
     }
-
-    y_fusion = probs[branches[-1]]
-    y_sen, y_spec = probs.get("sen", y_fusion), probs.get("spec", y_fusion)
-    u = uncertainties(y_sen, y_spec) if params.multi_branch else np.zeros(x.shape[0])
-    out = BatchOutputs(y_sen=y_sen, y_spec=y_spec, y_fusion=y_fusion, uncertainty=u)
-    cache = ForwardCache(params=params, version=params.version, x=x, trunk=trunk, block=block, probs=probs)
-    return out, cache
+    return probs, ForwardCache(params=params, version=params.version, x=x, trunk=trunk, block=block, probs=probs)
 
 
 def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -188,19 +178,21 @@ def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarray]) -> ModelParams:
     """Map probability-space gradients onto all parameters.
 
-    ``grads`` holds dL/dy arrays of shape (n, 2) under keys 'y_sen', 'y_spec',
-    'y_fusion'; missing keys mean zero gradient. Returns the gradient as a
-    ``ModelParams`` laid out like ``params``: ``flat`` is the whole gradient
-    and ``tensors[name]`` each tensor's part. Raises ContractError when the
-    cache does not match the current parameter values.
+    ``grads`` maps branch names to dL/dy arrays of shape (n, 2), keyed like
+    ``forward_batch``'s outputs; a missing branch means zero gradient.
+    Returns the gradient as a ``ModelParams`` laid out like ``params``:
+    ``flat`` is the whole gradient and ``tensors[name]`` each tensor's part.
+    Raises ContractError for a key that names no branch of the network, or
+    when the cache does not match the current parameter values.
     """
     if cache.params is not params or cache.version != params.version:
         raise ContractError("stale forward cache: parameters changed since forward_batch()")
-    if not params.multi_branch and any(np.any(grads[k]) for k in ("y_sen", "y_spec") if k in grads):
-        raise ContractError("single-branch model only accepts y_fusion gradients")
+    unknown = sorted(set(grads) - set(cache.probs))
+    if unknown:
+        raise ContractError(f"gradients for {unknown}, but the network's branches are {list(cache.probs)}")
 
     def head_dz(name):  # dL/dlogits of the branch's head
-        return _softmax_backward(cache.probs[name], np.asarray(grads.get(f"y_{name}", 0.0), dtype=float))
+        return _softmax_backward(cache.probs[name], np.asarray(grads.get(name, 0.0), dtype=float))
 
     grad = ModelParams(params.config, params.multi_branch)
     t, g, bd, h3 = params.tensors, grad.tensors, params.config.branch_dim, cache.trunk[2]

@@ -28,10 +28,16 @@ STREAM_SHUFFLE = 1
 STREAM_SPLIT = 2
 STREAM_GRADE = 3
 STREAM_BRANCH_LABEL = 4
+STREAM_INIT = 5
 
 
 def seeded_rng(*parts: int) -> np.random.Generator:
-    """Generator keyed by a tuple of integers; negatives fold to uint64."""
+    """Generator keyed by a tuple of integers; negatives fold to uint64.
+
+    numpy's ``SeedSequence`` ignores trailing zero words, so keys that differ
+    only by trailing zeros name one stream: ``(s,)`` is ``(s, STREAM_GENERATE)``.
+    Key every use by the seed and its own stream tag.
+    """
     return np.random.default_rng([int(p) & _MASK for p in parts])
 
 

@@ -169,15 +169,6 @@ class GradedDataset:
         return replace(self, **{name: a[idx] for name, a in vars(self).items() if a is not None})
 
 
-def boundary_margins(features: np.ndarray) -> np.ndarray:
-    """Signed distance x.u to the class boundary x.u = 0; positive on the class-1 side.
-
-    u = ones / sqrt(d) is the diagonal signal direction of ``generate_dataset``.
-    """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    return features @ (np.ones(features.shape[1]) / np.sqrt(features.shape[1]))
-
-
 def generate_dataset(
     n_samples: int,
     feature_dim: int = DEFAULT_FEATURE_DIM,
@@ -190,9 +181,9 @@ def generate_dataset(
     Class 1 samples center on +g * u and class 0 samples on -g * u, with
     u = ones / sqrt(feature_dim) and an amplitude g that shrinks from
     SEPARATION_EASY to SEPARATION_HARD as ``difficulty_mix`` goes 0 -> 1.
-    Difficulty is exp(-m^2 / DIFFICULTY_SCALE) of the ``boundary_margins`` m,
-    so it falls as |x.u| grows. ``difficulty_mix`` = 0 yields well-separated
-    classes with difficulty ~ 0 everywhere.
+    Difficulty is exp(-m^2 / DIFFICULTY_SCALE) of the signed margin m = x.u
+    to the boundary, so it falls as |x.u| grows. ``difficulty_mix`` = 0 yields
+    well-separated classes with difficulty ~ 0 everywhere.
     """
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
@@ -209,8 +200,7 @@ def generate_dataset(
     u = np.ones(feature_dim) / np.sqrt(feature_dim)
     signs = 2.0 * labels - 1.0
     features = rng.standard_normal((n_samples, feature_dim)) + amplitude * signs[:, None] * u
-    margins = boundary_margins(features)
-    difficulties = np.exp(-(margins**2) / DIFFICULTY_SCALE)
+    difficulties = np.exp(-((features @ u) ** 2) / DIFFICULTY_SCALE)
     return Samples(features, labels, difficulties)
 
 
@@ -488,15 +478,14 @@ def read_dataset_csv(path) -> GradedDataset:
                 raise DataError(f"{path}:{reader.line_num}: duplicate sample_id {ids[0]}")
             seen.add(ids[0])
             features.append(feats)
-            rows.append((ids, labels, soft))
+            rows.append((ids, labels, soft, reader.line_num))
     if not rows:
         raise EmptyDatasetError(f"{path}: dataset has a header but no rows")
     matrix = np.stack(features)
+    ids, labels, softs, line_nums = (np.array(column) for column in zip(*rows))
     finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        # Rows never span lines, so row i sits on line i + 2.
-        raise DataError(f"{path}:{int(finite.argmin()) + 2}: non-finite feature")
-    ids, labels, softs = (np.array(column) for column in zip(*rows))
+    if not finite.all():  # a quoted field may span lines, so each row keeps its own line number
+        raise DataError(f"{path}:{line_nums[finite.argmin()]}: non-finite feature")
     return GradedDataset(
         features=matrix,
         true_labels=labels[:, 0],

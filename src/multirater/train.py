@@ -16,13 +16,14 @@ closed-form draw: a sample's labels depend on (seed, epoch, sample) alone, not
 on the batch it lands in. ``backward`` returns the gradient laid out like the
 parameters, and Adam steps on the two flat buffers.
 
-Ablation flags:
+Ablation arms (``TrainConfig.ablation``), each a row of switches in ``ARM_FLAGS``:
 
-* ``multi_branch=False``: single head trained on the fusion KL to the one-hot
-  final labels, i.e. their cross entropy (the baseline); the other flags are
-  ignored.
-* ``consensus_loss=False``: drop the consensus term from both branch losses.
-* ``uncertainty_weighting=False``: fusion KL weights all samples equally.
+* ``baseline``: a single fusion head trained on the fusion KL to the one-hot
+  final labels, i.e. their cross entropy; no branch labels are drawn.
+* ``multibr``: the three branches, no consensus term, equal fusion weights.
+* ``conloss``: adds the consensus term to both branch losses.
+* ``uncerty``: weights the fusion KL by the uncertainty u of the sen/spec outputs.
+* ``full``: both, as in the paper.
 """
 
 from __future__ import annotations
@@ -34,15 +35,26 @@ import numpy as np
 
 from .errors import ParameterError, TrainingDivergedError, UndefinedMetricError
 from .labels import Branch, compute_rater_weights, sample_branch_label, soft_label
-from .losses import consensus_terms, cross_entropy, fusion_loss
+from .losses import consensus_terms, cross_entropy, fusion_loss, uncertainties
 from .metrics import roc_auc
-from .model import BatchOutputs, ModelConfig, ModelParams, backward, forward_batch, init_params
+from .model import ModelConfig, ModelParams, backward, forward_batch, init_params
 from .rng import STREAM_SHUFFLE, seeded_rng
 from .simulate import GradedDataset
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+ARM_FLAGS = {
+    "baseline": dict(multi_branch=False, consensus_loss=False, uncertainty_weighting=False),
+    "multibr": dict(multi_branch=True, consensus_loss=False, uncertainty_weighting=False),
+    "conloss": dict(multi_branch=True, consensus_loss=True, uncertainty_weighting=False),
+    "uncerty": dict(multi_branch=True, consensus_loss=False, uncertainty_weighting=True),
+    "full": dict(multi_branch=True, consensus_loss=True, uncertainty_weighting=True),
+}
+# Fixed row order of the ablation grid.
+ARM_ORDER = tuple(ARM_FLAGS)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -53,11 +65,11 @@ class TrainConfig:
     alpha: float = 0.5
     margin: float = 1.0
     seed: int = 0
-    multi_branch: bool = True
-    consensus_loss: bool = True
-    uncertainty_weighting: bool = True
+    ablation: str = "full"
 
     def __post_init__(self):
+        if self.ablation not in ARM_FLAGS:
+            raise ParameterError(f"ablation must be one of {sorted(ARM_FLAGS)}, got {self.ablation!r}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
@@ -90,33 +102,34 @@ class TrainState:
 
 
 def init_state(model_config: ModelConfig, train_config: TrainConfig) -> TrainState:
-    params = init_params(model_config, multi_branch=train_config.multi_branch)
+    params = init_params(model_config, multi_branch=ARM_FLAGS[train_config.ablation]["multi_branch"])
     return TrainState(params=params, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def _losses_and_grads(out: BatchOutputs, sen_idx: np.ndarray | None, spec_idx: np.ndarray | None,
+def _losses_and_grads(probs: dict[str, np.ndarray], sen_idx: np.ndarray | None, spec_idx: np.ndarray | None,
                       softs: np.ndarray, a: np.ndarray, config: TrainConfig):
-    """Batch objective scalars and probability-space gradients.
+    """Batch objective scalars and probability-space gradients, both keyed like ``probs``.
 
     Every arm trains the fusion output on ``softs``; the multi-branch arms add
     the sen/spec cross entropy and the consensus term.
     """
     n = a.size
-    u = out.uncertainty if config.uncertainty_weighting else np.zeros(n)
-    fus, d_fus = fusion_loss(out.y_fusion, softs, u)
+    arm = ARM_FLAGS[config.ablation]
+    u = uncertainties(probs["sen"], probs["spec"]) if arm["uncertainty_weighting"] else np.zeros(n)
+    fus, d_fus = fusion_loss(probs["fusion"], softs, u)
     scalars = dict(loss_sen=0.0, loss_spec=0.0, loss_consensus=0.0, loss_fusion=fus)
-    grads = {"y_fusion": d_fus}
+    grads = {"fusion": d_fus}
 
-    if config.multi_branch:
-        ce_sen, d_sen = cross_entropy(out.y_sen, sen_idx)
-        ce_spec, d_spec = cross_entropy(out.y_spec, spec_idx)
-        con, g_con_sen = consensus_terms(out.y_sen, out.y_spec, a, config.margin)
-        alpha = config.alpha if config.consensus_loss else 0.0
+    if arm["multi_branch"]:
+        ce_sen, d_sen = cross_entropy(probs["sen"], sen_idx)
+        ce_spec, d_spec = cross_entropy(probs["spec"], spec_idx)
+        con, g_con_sen = consensus_terms(probs["sen"], probs["spec"], a, config.margin)
+        alpha = config.alpha if arm["consensus_loss"] else 0.0
         scalars["loss_sen"] = float((ce_sen + alpha * con).mean())
         scalars["loss_spec"] = float((ce_spec + alpha * con).mean())
         scalars["loss_consensus"] = float(con.mean())
-        grads["y_sen"] = (d_sen + 2.0 * alpha * g_con_sen) / n
-        grads["y_spec"] = (d_spec - 2.0 * alpha * g_con_sen) / n
+        grads["sen"] = (d_sen + 2.0 * alpha * g_con_sen) / n
+        grads["spec"] = (d_spec - 2.0 * alpha * g_con_sen) / n
     scalars["total"] = scalars["loss_sen"] + scalars["loss_spec"] + fus
     return scalars, grads
 
@@ -157,15 +170,15 @@ def train_step(
         raise ParameterError("batch must be non-empty")
     batch, softs = data.subset(idx), softs[idx]
     sen_idx = spec_idx = None  # the baseline draws no branch labels
-    if config.multi_branch:
+    if ARM_FLAGS[config.ablation]["multi_branch"]:
         rows = list(zip(batch.ratings.tolist(), batch.sample_ids.tolist()))
         sen_idx, spec_idx = (
             np.array([sample_branch_label(r, i, branch, config.seed, state.epoch) for r, i in rows])
             for branch in Branch
         )
 
-    out, cache = forward_batch(state.params, batch.features)
-    scalars, prob_grads = _losses_and_grads(out, sen_idx, spec_idx, softs, batch.consensus_flags, config)
+    probs, cache = forward_batch(state.params, batch.features)
+    scalars, prob_grads = _losses_and_grads(probs, sen_idx, spec_idx, softs, batch.consensus_flags, config)
     if not math.isfinite(scalars["total"]):
         raise TrainingDivergedError(
             f"non-finite loss at epoch {state.epoch}, step {state.t}: {scalars}"
@@ -177,9 +190,9 @@ def train_step(
 
 def _validation_auc(params: ModelParams, features: np.ndarray, labels: np.ndarray):
     """(AUC, None), or (None, reason) when the AUC is undefined."""
-    out, _ = forward_batch(params, features)
+    probs, _ = forward_batch(params, features)
     try:
-        return roc_auc(out.y_fusion[:, 1], labels), None
+        return roc_auc(probs["fusion"][:, 1], labels), None
     except UndefinedMetricError as exc:
         return None, str(exc)
 
@@ -213,7 +226,7 @@ def fit(
         if len(part) == 0:
             raise ParameterError(f"the {name} split is empty")
     state = init_state(model_config, train_config)
-    if train_config.multi_branch:
+    if ARM_FLAGS[train_config.ablation]["multi_branch"]:
         softs = soft_targets(train, compute_rater_weights(train))
     else:  # the baseline's target is the one-hot final label
         softs = np.eye(2)[train.final_labels]

@@ -280,13 +280,21 @@ class TestEval:
                          "--data", empty, "--out", tmp_path / "e")
         assert result.returncode == 2
 
-    def test_header_only_dataset_is_a_usage_error(self, tmp_path, small_run):
-        header_only = tmp_path / "header.csv"
-        header_only.write_text((small_run / "data" / "test.csv").read_text().splitlines()[0] + "\n")
-        result = run_cli("eval", "--checkpoint", small_run / "run" / "checkpoint.json",
-                         "--data", header_only, "--out", tmp_path / "e")
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_header_only_dataset_is_a_usage_error(self, tmp_path, small_run, command):
+        """A header-only train.csv exits 2 from either command, before any output is written."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "val.csv").write_text((small_run / "data" / "val.csv").read_text())
+        (data / "train.csv").write_text((small_run / "data" / "test.csv").read_text().splitlines()[0] + "\n")
+        inputs = {
+            "train": ("--data", data),
+            "eval": ("--checkpoint", small_run / "run" / "checkpoint.json", "--data", data / "train.csv"),
+        }
+        result = run_cli(command, *inputs[command], "--out", tmp_path / "out")
         assert result.returncode == 2
         assert "no rows" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_feature_dim_mismatch_fails(self, tmp_path, config_file, generated, trained):
         other_cfg = tmp_path / "wide.cfg"
@@ -505,3 +513,9 @@ class TestUsage:
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run_cli("generate", "--out", tmp_path, "--bogus").returncode == 2
+
+    def test_zero_seeds_is_a_usage_error_before_any_file(self, tmp_path):
+        result = run_cli("ablation", "--out", tmp_path / "grid", "--seeds", 0)
+        assert result.returncode == 2
+        assert "--seeds must be >= 1, got 0" in result.stderr
+        assert not (tmp_path / "grid").exists()

@@ -285,3 +285,5 @@ class TestTrainConfigLossSettings:
             TrainConfig(margin=0.0)
         with pytest.raises(ParameterError):
             TrainConfig(alpha=-0.1)
+        with pytest.raises(ParameterError, match=r"\['baseline', 'conloss', 'full', 'multibr', 'uncerty'\]"):
+            TrainConfig(ablation="bogus")

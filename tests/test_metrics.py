@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from multirater.errors import DataError, ParameterError, UndefinedMetricError
 from multirater.metrics import _average_ranks, confusion_metrics, evaluate, roc_auc
-from multirater.model import ModelConfig
+from multirater.model import ModelConfig, forward_batch, init_params
 from multirater.simulate import (
     GradingPanel,
     RaterProfile,
@@ -180,18 +180,35 @@ class TestEvaluate:
     def test_all_stratum_equals_recomputation_on_concatenation(self):
         samples = generate_dataset(600, feature_dim=4, difficulty_mix=0.8, seed=17)
         ds = grade_dataset(samples, default_panel(), seed=17)
-        from multirater.model import forward_batch, init_params
-
         params = init_params(ModelConfig(4, (8, 8, 8), 4, seed=1))
         report = evaluate(params, ds)
-        out, _ = forward_batch(params, ds.features)
-        preds = (out.y_fusion[:, 1] >= 0.5).astype(int)
+        probs, _ = forward_batch(params, ds.features)
+        preds = (probs["fusion"][:, 1] >= 0.5).astype(int)
         m = confusion_metrics(preds, ds.final_labels)
         assert report.metrics["fusion"]["all"]["acc"] == m.acc
         assert report.metrics["fusion"]["all"]["sen"] == m.sen
         assert report.metrics["fusion"]["all"]["auc"] == pytest.approx(
-            roc_auc(out.y_fusion[:, 1], ds.final_labels), abs=1e-12
+            roc_auc(probs["fusion"][:, 1], ds.final_labels), abs=1e-12
         )
+
+    def test_mean_uncertainty_is_the_sen_spec_disagreement(self):
+        ds = grade_dataset(generate_dataset(300, feature_dim=4, seed=5), default_panel(), seed=5)
+        params = init_params(ModelConfig(4, (8, 8, 8), 4, seed=2))
+        probs, _ = forward_batch(params, ds.features)
+        pairs = zip(probs["sen"].tolist(), probs["spec"].tolist())
+        u = np.array([oracles.uncertainty_scalar(p, q) for p, q in pairs])
+        report = evaluate(params, ds)
+        for stratum, mask in (("consensus", ds.consensus_flags == 1), ("all", slice(None))):
+            assert report.mean_uncertainty[stratum] == pytest.approx(u[mask].mean(), abs=1e-12)
+        assert report.mean_uncertainty["all"] > 0
+
+    def test_baseline_reports_its_fusion_output_in_every_branch_row(self):
+        ds = grade_dataset(generate_dataset(300, feature_dim=4, seed=5), default_panel(), seed=5)
+        report = evaluate(init_params(ModelConfig(4, (8, 8, 8), 4, seed=2), multi_branch=False), ds)
+        assert report.metrics["sen"] == report.metrics["spec"] == report.metrics["fusion"]
+        assert report.undefined["sen"] == report.undefined["spec"] == report.undefined["fusion"]
+        assert report.metrics["fusion"]["all"]["auc"] is not None
+        assert report.mean_uncertainty == {"consensus": 0.0, "non_consensus": 0.0, "all": 0.0}
 
     def test_empty_stratum_reports_absent_metrics(self):
         panel = GradingPanel(
@@ -200,8 +217,6 @@ class TestEvaluate:
         )
         samples = generate_dataset(60, feature_dim=4, difficulty_mix=0.0, seed=23)
         ds = grade_dataset(samples, panel, seed=23)  # every record is consensus
-        from multirater.model import init_params
-
         report = evaluate(init_params(ModelConfig(4, (8, 8, 8), 4, seed=0)), ds)
         assert report.counts["non_consensus"] == 0
         assert all(v is None for v in report.metrics["fusion"]["non_consensus"].values())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from multirater.errors import ContractError, DataError, ParameterError
+from multirater.losses import uncertainties
 from multirater.model import (
     ModelConfig,
     ModelParams,
@@ -40,23 +41,27 @@ def total_loss(params, x, sen_labels, spec_labels, softs, a, u_weights):
 
     A single-head model has only the fusion term.
     """
-    out, _ = forward_batch(params, x)
+    probs, _ = forward_batch(params, x)
     total = 0.0
     n = x.shape[0]
-    y_sen, y_spec = out.y_sen.tolist(), out.y_spec.tolist()
-    for i in range(n if params.multi_branch else 0):
-        ls = oracles.branch_loss_scalar(y_sen[i], sen_labels[i], y_spec[i], a[i])
-        lp = oracles.branch_loss_scalar(y_spec[i], spec_labels[i], y_sen[i], a[i])
-        total += (ls + lp) / n
-    return total + oracles.fusion_loss_scalar(out.y_fusion.tolist(), softs.tolist(), u_weights.tolist())
+    if params.multi_branch:
+        y_sen, y_spec = probs["sen"].tolist(), probs["spec"].tolist()
+        for i in range(n):
+            ls = oracles.branch_loss_scalar(y_sen[i], sen_labels[i], y_spec[i], a[i])
+            lp = oracles.branch_loss_scalar(y_spec[i], spec_labels[i], y_sen[i], a[i])
+            total += (ls + lp) / n
+    return total + oracles.fusion_loss_scalar(probs["fusion"].tolist(), softs.tolist(), u_weights.tolist())
 
 
-def assemble_prob_grads(out, sen_labels, spec_labels, softs, a, u_weights):
-    """Probability-space gradients matching total_loss."""
-    n = out.y_sen.shape[0]
-    dy_sen = np.zeros_like(out.y_sen)
-    dy_spec = np.zeros_like(out.y_spec)
-    y_sen, y_spec = out.y_sen.tolist(), out.y_spec.tolist()
+def assemble_prob_grads(probs, sen_labels, spec_labels, softs, a, u_weights):
+    """Probability-space gradients matching total_loss, keyed by the branches of ``probs``."""
+    dy_fus = oracles.fusion_grad_scalar(probs["fusion"].tolist(), softs.tolist(), u_weights.tolist())
+    if "sen" not in probs:
+        return {"fusion": np.array(dy_fus)}
+    n = probs["sen"].shape[0]
+    dy_sen = np.zeros_like(probs["sen"])
+    dy_spec = np.zeros_like(probs["spec"])
+    y_sen, y_spec = probs["sen"].tolist(), probs["spec"].tolist()
     for i in range(n):
         g_own, g_partner = oracles.branch_loss_grads_scalar(y_sen[i], sen_labels[i], y_spec[i], a[i])
         dy_sen[i] += np.array(g_own) / n
@@ -64,8 +69,7 @@ def assemble_prob_grads(out, sen_labels, spec_labels, softs, a, u_weights):
         g_own, g_partner = oracles.branch_loss_grads_scalar(y_spec[i], spec_labels[i], y_sen[i], a[i])
         dy_spec[i] += np.array(g_own) / n
         dy_sen[i] += np.array(g_partner) / n
-    dy_fus = oracles.fusion_grad_scalar(out.y_fusion.tolist(), softs.tolist(), u_weights.tolist())
-    return {"y_sen": dy_sen, "y_spec": dy_spec, "y_fusion": np.array(dy_fus)}
+    return {"sen": dy_sen, "spec": dy_spec, "fusion": np.array(dy_fus)}
 
 
 def random_batch(n, rng):
@@ -83,34 +87,36 @@ def random_batch(n, rng):
 class TestForward:
     def test_outputs_are_distributions(self):
         params = toy_params()
-        out, _ = forward_batch(params, RNG.standard_normal((40, 5)))
-        for probs in (out.y_sen, out.y_spec, out.y_fusion):
-            assert np.all(probs >= 0)
-            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        probs, _ = forward_batch(params, RNG.standard_normal((40, 5)))
+        assert list(probs) == ["sen", "spec", "fusion"]
+        for p in probs.values():
+            assert p.shape == (40, 2) and np.all(p >= 0)
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
     def test_zeroed_heads_give_uniform_outputs_and_zero_uncertainty(self):
         params = toy_params()
         for name in ("sen.head", "spec.head", "fusion.head"):
             params.tensors[f"{name}.W"][...] = np.zeros_like(params.tensors[f"{name}.W"])
             params.tensors[f"{name}.b"][...] = np.zeros_like(params.tensors[f"{name}.b"])
-        out, _ = forward_batch(params, RNG.standard_normal((1, 5)))
-        np.testing.assert_allclose(out.y_sen, [[0.5, 0.5]], atol=1e-12)
-        np.testing.assert_allclose(out.y_fusion, [[0.5, 0.5]], atol=1e-12)
-        assert out.uncertainty[0] == pytest.approx(0.0, abs=1e-12)
+        probs, _ = forward_batch(params, RNG.standard_normal((1, 5)))
+        np.testing.assert_allclose(probs["sen"], [[0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(probs["fusion"], [[0.5, 0.5]], atol=1e-12)
+        assert uncertainties(probs["sen"], probs["spec"])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic(self):
         x = RNG.standard_normal((1, 5))
-        out1, _ = forward_batch(toy_params(), x)
-        out2, _ = forward_batch(toy_params(), x)
-        np.testing.assert_array_equal(out1.y_fusion, out2.y_fusion)
-        np.testing.assert_array_equal(out1.y_sen, out2.y_sen)
+        probs1, _ = forward_batch(toy_params(), x)
+        probs2, _ = forward_batch(toy_params(), x)
+        for name in probs1:
+            np.testing.assert_array_equal(probs1[name], probs2[name])
 
     def test_uncertainty_matches_definition(self):
         params = toy_params(jitter=5)
-        out, _ = forward_batch(params, RNG.standard_normal((20, 5)))
+        probs, _ = forward_batch(params, RNG.standard_normal((20, 5)))
+        u = uncertainties(probs["sen"], probs["spec"])
         for i in range(20):
-            assert out.uncertainty[i] == pytest.approx(
-                oracles.uncertainty_scalar(out.y_sen[i].tolist(), out.y_spec[i].tolist()), abs=1e-9
+            assert u[i] == pytest.approx(
+                oracles.uncertainty_scalar(probs["sen"][i].tolist(), probs["spec"][i].tolist()), abs=1e-9
             )
 
     def test_dimension_mismatch_rejected(self):
@@ -119,12 +125,12 @@ class TestForward:
         with pytest.raises(ParameterError):
             forward_batch(toy_params(), np.zeros((3, 7)))
 
-    def test_single_branch_outputs_mirror_fusion(self):
+    def test_single_branch_outputs_fusion_only(self):
+        """The baseline's sen/spec report rows are filled by ``evaluate``, not by the network."""
         params = toy_params(multi_branch=False)
-        out, _ = forward_batch(params, RNG.standard_normal((6, 5)))
-        np.testing.assert_array_equal(out.y_sen, out.y_fusion)
-        np.testing.assert_array_equal(out.y_spec, out.y_fusion)
-        np.testing.assert_array_equal(out.uncertainty, 0.0)
+        probs, _ = forward_batch(params, RNG.standard_normal((6, 5)))
+        assert list(probs) == ["fusion"]
+        np.testing.assert_allclose(probs["fusion"].sum(axis=1), 1.0, atol=1e-12)
 
     def test_permuting_trunk_units_preserves_outputs(self):
         params = toy_params(jitter=11)
@@ -135,10 +141,9 @@ class TestForward:
         permuted.tensors["trunk.1.W"][...] = params.tensors["trunk.1.W"][:, perm]
         permuted.tensors["trunk.1.b"][...] = params.tensors["trunk.1.b"][perm]
         permuted.tensors["trunk.2.W"][...] = params.tensors["trunk.2.W"][perm, :]
-        out, _ = forward_batch(permuted, x)
-        np.testing.assert_allclose(out.y_fusion, base.y_fusion, atol=1e-9)
-        np.testing.assert_allclose(out.y_sen, base.y_sen, atol=1e-9)
-        np.testing.assert_allclose(out.y_spec, base.y_spec, atol=1e-9)
+        probs, _ = forward_batch(permuted, x)
+        for name in ("fusion", "sen", "spec"):
+            np.testing.assert_allclose(probs[name], base[name], atol=1e-9)
 
 
 class TestBackward:
@@ -148,11 +153,10 @@ class TestBackward:
         params = toy_params(multi_branch=multi_branch, jitter=3)
         rng = np.random.default_rng(42)
         x, sen, spec, softs, a = random_batch(20, rng)
-        out, cache = forward_batch(params, x)
-        u_weights = out.uncertainty.copy()  # detached constants
-        prob_grads = assemble_prob_grads(out, sen, spec, softs, a, u_weights)
-        if not multi_branch:
-            prob_grads = {"y_fusion": prob_grads["y_fusion"]}
+        probs, cache = forward_batch(params, x)
+        # the uncertainty weights are detached constants
+        u_weights = uncertainties(probs["sen"], probs["spec"]) if multi_branch else np.zeros(20)
+        prob_grads = assemble_prob_grads(probs, sen, spec, softs, a, u_weights)
         grads = backward(params, cache, prob_grads)
         assert list(grads.tensors) == list(params.tensors)
 
@@ -175,40 +179,46 @@ class TestBackward:
 
     def test_zero_upstream_gradients_give_zero_parameter_gradients(self):
         params = toy_params()
-        out, cache = forward_batch(params, RNG.standard_normal((4, 5)))
+        _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
         grads = backward(params, cache, {})
         np.testing.assert_array_equal(grads.flat, 0.0)
 
     def test_fusion_gradient_reaches_sen_features_but_not_sen_head(self):
         params = toy_params(jitter=9)
-        out, cache = forward_batch(params, RNG.standard_normal((4, 5)))
+        _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
         # asymmetric probe: a constant vector would vanish in the softmax jacobian
         probe = np.tile([1.0, -1.0], (4, 1))
-        grads = backward(params, cache, {"y_fusion": probe})
+        grads = backward(params, cache, {"fusion": probe})
         np.testing.assert_array_equal(grads.tensors["sen.head.W"], 0.0)
         np.testing.assert_array_equal(grads.tensors["sen.head.b"], 0.0)
         assert np.abs(grads.tensors["sen.feat.W"]).max() > 1e-6  # concat features carry gradient
 
     def test_sen_gradient_does_not_touch_fusion_head(self):
         params = toy_params(jitter=9)
-        out, cache = forward_batch(params, RNG.standard_normal((4, 5)))
+        _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
         probe = np.tile([1.0, -1.0], (4, 1))
-        grads = backward(params, cache, {"y_sen": probe})
+        grads = backward(params, cache, {"sen": probe})
         np.testing.assert_array_equal(grads.tensors["fusion.head.W"], 0.0)
         assert np.abs(grads.tensors["trunk.0.W"]).max() > 1e-6
 
     def test_stale_cache_rejected(self):
         params = toy_params()
-        out, cache = forward_batch(params, RNG.standard_normal((2, 5)))
+        probs, cache = forward_batch(params, RNG.standard_normal((2, 5)))
         params.version += 1  # simulate an optimizer update
         with pytest.raises(ContractError, match="stale"):
-            backward(params, cache, {"y_fusion": np.ones_like(out.y_fusion)})
+            backward(params, cache, {"fusion": np.ones_like(probs["fusion"])})
 
     def test_single_branch_rejects_sen_gradients(self):
         params = toy_params(multi_branch=False)
-        out, cache = forward_batch(params, RNG.standard_normal((2, 5)))
-        with pytest.raises(ContractError):
-            backward(params, cache, {"y_sen": np.ones_like(out.y_sen)})
+        _, cache = forward_batch(params, RNG.standard_normal((2, 5)))
+        with pytest.raises(ContractError, match=r"gradients for \['sen'\].*branches are \['fusion'\]"):
+            backward(params, cache, {"sen": np.zeros((2, 2))})
+
+    def test_gradient_key_naming_no_branch_is_rejected(self):
+        params = toy_params()
+        probs, cache = forward_batch(params, RNG.standard_normal((2, 5)))
+        with pytest.raises(ContractError, match=r"gradients for \['y_fusion'\]"):
+            backward(params, cache, {"y_fusion": np.ones_like(probs["fusion"])})
 
 
 def _edited(change):
@@ -356,3 +366,21 @@ class TestConfig:
     def test_trunk_of_other_depth_rejected(self, trunk_dims):
         with pytest.raises(ParameterError, match="three widths"):
             ModelConfig(input_dim=3, trunk_dims=trunk_dims)
+
+
+class TestInit:
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_generated_labels_are_not_a_function_of_the_initial_weights(self, seed):
+        """Weights and features come from different streams of one run seed.
+
+        Both draw uniforms first: a label is ``u < class_balance`` and a first
+        trunk weight is ``bound * (2u - 1)``, so one shared stream would make
+        the labels a threshold of the weights.
+        """
+        from multirater.simulate import DEFAULT_CLASS_BALANCE, generate_dataset
+
+        labels = generate_dataset(2000, seed=seed).true_labels
+        weights = init_params(ModelConfig(16, seed=seed)).tensors["trunk.0.W"].ravel()
+        bound = 1.0 / np.sqrt(16)
+        thresholded = ((weights + bound) / (2 * bound) < DEFAULT_CLASS_BALANCE).astype(int)
+        assert np.mean(labels[: weights.size] == thresholded) < 0.6

@@ -411,6 +411,16 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match=rf"data\.csv:{row + 2}: a rater id repeats"):
             read_dataset_csv(path)
 
+    def test_non_finite_feature_named_at_its_line_after_a_row_spanning_two_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_dataset_csv(_toy_dataset(5), path)
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        lines[1][1] = '"1.0\n"'  # a quoted float with a trailing newline: row 0 spans lines 2 and 3
+        lines[4][1] = "nan"  # row 3, now on line 6
+        path.write_text("".join(",".join(fields) + "\n" for fields in lines))
+        with pytest.raises(DataError, match=r"data\.csv:6: non-finite feature$"):
+            read_dataset_csv(path)
+
     def test_bad_files_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

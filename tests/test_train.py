@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from multirater.cli import ARM_FLAGS, ARM_ORDER
 from multirater.errors import ParameterError, TrainingDivergedError
 from multirater.labels import Branch, compute_rater_weights, sample_branch_label
 from multirater.model import ModelConfig, forward_batch, init_params
@@ -24,6 +23,8 @@ from multirater.train import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    ARM_FLAGS,
+    ARM_ORDER,
     TrainConfig,
     _adam_update,
     _losses_and_grads,
@@ -88,34 +89,35 @@ class TestTrainStep:
     def test_batch_losses_match_per_sample_loss_functions(self, arm):
         """The vectorized trainer math must equal the per-sample scalar oracles."""
         train, _, _ = toy_data()
-        cfg = TrainConfig(seed=7, **ARM_FLAGS[arm])
+        cfg = TrainConfig(seed=7, ablation=arm)
+        flags = ARM_FLAGS[arm]
         batch = train.subset(np.arange(16))
         state = init_state(TOY_MODEL, cfg)
-        out, _ = forward_batch(state.params, batch.features)
+        probs, _ = forward_batch(state.params, batch.features)
         n = len(batch)
         eye = np.eye(2).tolist()
         a = np.array([r.consensus for r in batch.records])
 
-        if not cfg.multi_branch:  # the fusion KL to one-hot final labels is their cross entropy
+        if not flags["multi_branch"]:  # the fusion KL to one-hot final labels is their cross entropy
             finals = [r.final_label for r in batch.records]
-            scalars, grads = _losses_and_grads(out, None, None, np.eye(2)[finals], a, cfg)
-            preds = out.y_fusion.tolist()
+            scalars, grads = _losses_and_grads(probs, None, None, np.eye(2)[finals], a, cfg)
+            preds = probs["fusion"].tolist()
             want = [oracles.cross_entropy_scalar(preds[i], eye[finals[i]]) for i in range(n)]
             want_grad = [oracles.cross_entropy_grad_scalar(preds[i], eye[finals[i]]) for i in range(n)]
             assert scalars["loss_fusion"] == pytest.approx(np.mean(want), abs=1e-12)
             assert scalars["total"] == scalars["loss_fusion"]
-            assert set(grads) == {"y_fusion"}
-            np.testing.assert_allclose(grads["y_fusion"], np.array(want_grad) / n, atol=1e-12)
+            assert set(grads) == {"fusion"}
+            np.testing.assert_allclose(grads["fusion"], np.array(want_grad) / n, atol=1e-12)
             return
 
         rows = list(zip(batch.ratings.tolist(), batch.sample_ids.tolist()))
         sen_idx = np.array([sample_branch_label(r, i, Branch.SEN, cfg.seed, 0) for r, i in rows])
         spec_idx = np.array([sample_branch_label(r, i, Branch.SPEC, cfg.seed, 0) for r, i in rows])
         softs = soft_targets(batch, compute_rater_weights(train))
-        scalars, grads = _losses_and_grads(out, sen_idx, spec_idx, softs, a, cfg)
+        scalars, grads = _losses_and_grads(probs, sen_idx, spec_idx, softs, a, cfg)
 
-        y_sen, y_spec = out.y_sen.tolist(), out.y_spec.tolist()
-        alpha = cfg.alpha if cfg.consensus_loss else 0.0
+        y_sen, y_spec = probs["sen"].tolist(), probs["spec"].tolist()
+        alpha = cfg.alpha if flags["consensus_loss"] else 0.0
         want_sen = np.zeros((n, 2))
         want_spec = np.zeros((n, 2))
         sen_losses, spec_losses = [], []
@@ -129,15 +131,17 @@ class TestTrainStep:
             g_own, g_partner = oracles.branch_loss_grads_scalar(y_spec[i], eye[spec_idx[i]], y_sen[i], *terms)
             want_spec[i] += np.array(g_own) / n
             want_sen[i] += np.array(g_partner) / n
-        u = out.uncertainty if cfg.uncertainty_weighting else np.zeros(n)
-        fusion_args = (out.y_fusion.tolist(), softs.tolist(), u.tolist())
+        u = [oracles.uncertainty_scalar(y_sen[i], y_spec[i]) if flags["uncertainty_weighting"] else 0.0
+             for i in range(n)]
+        fusion_args = (probs["fusion"].tolist(), softs.tolist(), u)
 
         assert scalars["loss_sen"] == pytest.approx(np.mean(sen_losses), abs=1e-12)
         assert scalars["loss_spec"] == pytest.approx(np.mean(spec_losses), abs=1e-12)
         assert scalars["loss_fusion"] == pytest.approx(oracles.fusion_loss_scalar(*fusion_args), abs=1e-12)
-        np.testing.assert_allclose(grads["y_sen"], want_sen, atol=1e-12)
-        np.testing.assert_allclose(grads["y_spec"], want_spec, atol=1e-12)
-        np.testing.assert_allclose(grads["y_fusion"], oracles.fusion_grad_scalar(*fusion_args), atol=1e-12)
+        assert set(grads) == {"sen", "spec", "fusion"}
+        np.testing.assert_allclose(grads["sen"], want_sen, atol=1e-12)
+        np.testing.assert_allclose(grads["spec"], want_spec, atol=1e-12)
+        np.testing.assert_allclose(grads["fusion"], oracles.fusion_grad_scalar(*fusion_args), atol=1e-12)
 
     def test_loss_decreases_on_a_fixed_batch(self):
         """Ten repeated steps on one batch lower the total loss (>= 4 of 5 seeds)."""
@@ -292,8 +296,8 @@ class TestFit:
             train, val, _ = split_dataset(ds, (0.6, 0.2, 0.2), seed=9)
         cfg = TrainConfig(max_epochs=50, seed=9)
         params, _ = fit(train, val, TOY_MODEL, cfg)
-        out, _ = forward_batch(params, train.features)
-        preds = (out.y_fusion[:, 1] >= 0.5).astype(int)
+        probs, _ = forward_batch(params, train.features)
+        preds = (probs["fusion"][:, 1] >= 0.5).astype(int)
         acc = (preds == train.final_labels).mean()
         assert acc >= 0.99
 
@@ -315,9 +319,9 @@ class TestFit:
         params, log = fit(train, val, TOY_MODEL, cfg)
         from multirater.metrics import roc_auc
 
-        out, _ = forward_batch(params, val.features)
+        probs, _ = forward_batch(params, val.features)
         best_logged = max(rec["val_auc"] for rec in log)
-        assert roc_auc(out.y_fusion[:, 1], val.final_labels) == pytest.approx(best_logged, abs=1e-12)
+        assert roc_auc(probs["fusion"][:, 1], val.final_labels) == pytest.approx(best_logged, abs=1e-12)
 
 
 class SingleHeadNet:
@@ -376,7 +380,7 @@ class SingleHeadNet:
 
 
 class TestBaselineEquivalence:
-    CONFIG = TrainConfig(max_epochs=5, seed=29, **ARM_FLAGS["baseline"])
+    CONFIG = TrainConfig(max_epochs=5, seed=29, ablation="baseline")
 
     @staticmethod
     def standalone(train, cfg):
@@ -393,7 +397,7 @@ class TestBaselineEquivalence:
         return toy.t
 
     def test_ablated_trainer_matches_standalone_single_head(self):
-        """With every flag off the trainer walks a plain single-head trajectory."""
+        """The baseline arm walks a plain single-head trajectory."""
         train, _, _ = toy_data(n=180, seed=29)
         want = self.standalone(train, self.CONFIG)
         # compare against the final-epoch parameters (fit() would return the
@@ -416,7 +420,7 @@ class TestBaselineEquivalence:
 def _fit_final(train, model_config, cfg):
     """Run the package training loop and return the FINAL (not best) params."""
     state = init_state(model_config, cfg)
-    if cfg.multi_branch:
+    if ARM_FLAGS[cfg.ablation]["multi_branch"]:
         softs = soft_targets(train, compute_rater_weights(train))
     else:
         softs = np.eye(2)[train.final_labels]
