@@ -45,6 +45,7 @@ from .simulate import (
     GradingPanel,
     RaterProfile,
     category_counts,
+    check_generation,
     default_panel,
     generate_dataset,
     grade_dataset,
@@ -61,7 +62,7 @@ _DEFAULT_TRAIN = TrainConfig()
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Union of simulator, model, trainer and evaluation settings."""
+    """Union of simulator, model, trainer and evaluation settings, checked on construction."""
 
     n_samples: int = DEFAULT_N_SAMPLES
     feature_dim: int = DEFAULT_FEATURE_DIM
@@ -89,29 +90,22 @@ class ExperimentConfig:
     ablation: str = _DEFAULT_TRAIN.ablation
     seed: int = _DEFAULT_TRAIN.seed
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
+        # The rules no component owns: finite floats, no empty split (an empty test split nulls every
+        # grid cell) and a threshold in [0, 1]. Each component then checks its own settings.
         for f in fields(self):
             value = getattr(self, f.name)
             if _FIELD_TYPES[f.name] is float and not math.isfinite(value):
                 raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
-        if self.n_samples < 1:
-            raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.feature_dim < 2:
-            raise ParameterError(f"feature_dim must be >= 2, got {self.feature_dim}")
-        if not (0.0 < self.class_balance < 1.0):
-            raise ParameterError(f"class_balance must lie in (0, 1), got {self.class_balance}")
-        if not (0.0 <= self.difficulty_mix <= 1.0):
-            raise ParameterError(f"difficulty_mix must lie in [0, 1], got {self.difficulty_mix}")
         ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
         if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
             raise ParameterError(f"split ratios must each be > 0 and sum to 1, got {ratios}")
         if not (0.0 <= self.threshold <= 1.0):
             raise ParameterError(f"threshold must lie in [0, 1], got {self.threshold}")
-        # Delegate the remaining checks to the component configs.
+        check_generation(self.n_samples, self.feature_dim, self.class_balance, self.difficulty_mix)
         self.panel()
         self.train_config()
-        ModelConfig(self.feature_dim, self.trunk_dims, self.branch_dim, self.seed)
-        return self
+        self.model_config()
 
     def panel(self) -> GradingPanel:
         return GradingPanel(
@@ -123,12 +117,9 @@ class ExperimentConfig:
         )
 
     def model_config(self, input_dim: int | None = None) -> ModelConfig:
-        return ModelConfig(
-            input_dim=self.feature_dim if input_dim is None else input_dim,
-            trunk_dims=self.trunk_dims,
-            branch_dim=self.branch_dim,
-            seed=self.seed,
-        )
+        """The network's fields read by name; ``input_dim`` defaults to ``feature_dim``."""
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "input_dim"}
+        return ModelConfig(input_dim=self.feature_dim if input_dim is None else input_dim, **shared)
 
     def train_config(self) -> TrainConfig:
         """The trainer's fields, each read from the field of the same name."""
@@ -188,10 +179,9 @@ def resolve_config(config_path, overrides: dict) -> ExperimentConfig:
         values.update(parse_config_file(config_path))
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        cfg = ExperimentConfig(**values)
+        return ExperimentConfig(**values)
     except TypeError as exc:
         raise ParameterError(str(exc)) from exc
-    return cfg.validate()
 
 
 # ---------------------------------------------------------------------------

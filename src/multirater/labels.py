@@ -43,8 +43,9 @@ def compute_rater_weights(dataset: GradedDataset) -> dict[int, float]:
     """Accuracy of each rater against the adjudicated final label, by rater id.
 
     Tallied over every rating in the dataset, adjudicator ratings included.
-    Weights are floored at WEIGHT_FLOOR so downstream weighted means stay
-    well defined.
+    The adjudicator's weight is exactly 1.0 by construction: its rating is
+    the final label wherever it rates. Weights are floored at WEIGHT_FLOOR
+    so downstream weighted means stay well defined.
     """
     rated = dataset.ratings >= 0
     ids, slot = np.unique(dataset.rater_ids[rated], return_inverse=True)

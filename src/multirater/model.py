@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
+from numbers import Integral
 from types import MappingProxyType
 
 import numpy as np
@@ -38,11 +39,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "trunk_dims", tuple(int(w) for w in self.trunk_dims))
+        object.__setattr__(self, "trunk_dims", tuple(self.trunk_dims))
         if len(self.trunk_dims) != 3:
             raise ParameterError(f"trunk_dims must hold three widths, got {self.trunk_dims}")
-        if self.input_dim < 1 or self.branch_dim < 1 or any(w < 1 for w in self.trunk_dims):
-            raise ParameterError("all layer widths must be >= 1")
+        widths = (self.input_dim, *self.trunk_dims, self.branch_dim)
+        if not all(isinstance(w, Integral) and not isinstance(w, bool) and w >= 1 for w in widths):
+            raise ParameterError(f"all layer widths must be integers >= 1, got {widths}")
 
 
 class ModelParams:
@@ -229,22 +231,18 @@ def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarr
 # ---------------------------------------------------------------------------
 # Checkpoint format (stable): a JSON document
 #   {"format_version": 1,
-#    "model": {"input_dim", "trunk_dims", "branch_dim", "seed", "multi_branch"},
+#    "model": {<each ModelConfig field, in field order>, "multi_branch"},
 #    "metadata": {...},
 #    "tensors": [{"name": str, "shape": [int, ...], "data": [row-major floats]}]}
+# "model" is written and read through ModelConfig's fields, so a new field
+# changes format 1 and must bump CHECKPOINT_FORMAT_VERSION.
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(params: ModelParams, path, metadata: dict | None = None) -> None:
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "model": {
-            "input_dim": params.config.input_dim,
-            "trunk_dims": list(params.config.trunk_dims),
-            "branch_dim": params.config.branch_dim,
-            "seed": params.config.seed,
-            "multi_branch": params.multi_branch,
-        },
+        "model": {**asdict(params.config), "multi_branch": params.multi_branch},
         "metadata": metadata or {},
         "tensors": [
             {"name": name, "shape": list(arr.shape), "data": arr.ravel(order="C").tolist()}
@@ -263,12 +261,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise DataError(f"unsupported checkpoint format {doc.get('format_version')!r}")
         m = doc["model"]
-        config = ModelConfig(
-            input_dim=m["input_dim"],
-            trunk_dims=tuple(m["trunk_dims"]),
-            branch_dim=m["branch_dim"],
-            seed=m["seed"],
-        )
+        config = ModelConfig(**{f.name: m[f.name] for f in fields(ModelConfig)})
         multi_branch = bool(m["multi_branch"])
         tensors = {
             entry["name"]: np.array(entry["data"], dtype=float).reshape(entry["shape"])

@@ -169,6 +169,18 @@ class GradedDataset:
         return replace(self, **{name: a[idx] for name, a in vars(self).items() if a is not None})
 
 
+def check_generation(n_samples: int, feature_dim: int, class_balance: float, difficulty_mix: float) -> None:
+    """ParameterError naming the first of ``generate_dataset``'s settings that is out of range."""
+    if n_samples < 1:
+        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    if feature_dim < 2:
+        raise ParameterError(f"feature_dim must be >= 2, got {feature_dim}")
+    if not (0.0 < class_balance < 1.0):
+        raise ParameterError(f"class_balance must lie strictly in (0, 1), got {class_balance}")
+    if not (0.0 <= difficulty_mix <= 1.0):
+        raise ParameterError(f"difficulty_mix must lie in [0, 1], got {difficulty_mix}")
+
+
 def generate_dataset(
     n_samples: int,
     feature_dim: int = DEFAULT_FEATURE_DIM,
@@ -185,15 +197,7 @@ def generate_dataset(
     to the boundary, so it falls as |x.u| grows. ``difficulty_mix`` = 0 yields
     well-separated classes with difficulty ~ 0 everywhere.
     """
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
-    if feature_dim < 2:
-        raise ParameterError(f"feature_dim must be >= 2, got {feature_dim}")
-    if not (0.0 < class_balance < 1.0):
-        raise ParameterError(f"class_balance must lie strictly in (0, 1), got {class_balance}")
-    if not (0.0 <= difficulty_mix <= 1.0):
-        raise ParameterError(f"difficulty_mix must lie in [0, 1], got {difficulty_mix}")
-
+    check_generation(n_samples, feature_dim, class_balance, difficulty_mix)
     rng = seeded_rng(seed, STREAM_GENERATE)
     labels = (rng.random(n_samples) < class_balance).astype(int)
     amplitude = SEPARATION_EASY * (1.0 - difficulty_mix) + SEPARATION_HARD * difficulty_mix
@@ -347,9 +351,9 @@ def split_dataset(
     shuffled by a permutation seeded with ``seed`` before it is cut.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios):
         raise ParameterError(f"ratios must be three non-negative numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ParameterError(f"ratios must sum to 1, got sum={sum(ratios)!r}")
 
     finals = dataset.final_labels

@@ -72,16 +72,16 @@ class TrainConfig:
             raise ParameterError(f"ablation must be one of {sorted(ARM_FLAGS)}, got {self.ablation!r}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ParameterError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
         if self.max_epochs < 0:
             raise ParameterError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.lr_halving_period < 1:
             raise ParameterError(f"lr_halving_period must be >= 1, got {self.lr_halving_period}")
-        if self.margin <= 0:
-            raise ParameterError(f"margin must be > 0, got {self.margin}")
-        if self.alpha < 0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 < self.margin < math.inf:
+            raise ParameterError(f"margin must be finite and > 0, got {self.margin}")
+        if not 0 <= self.alpha < math.inf:
+            raise ParameterError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 def learning_rate(config: TrainConfig, epoch: int) -> float:

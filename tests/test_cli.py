@@ -119,7 +119,8 @@ class TestConfigFile:
         assert resolve_config(path, {}) == ExperimentConfig()
 
     @pytest.mark.parametrize("line", ["seed = 1.5", "lr = abc", "margin = 0", "alpha = -1", "error_gain = nan",
-                                      "lr = inf", "train_ratio = nan", "feature_dim = 1"])
+                                      "lr = inf", "train_ratio = nan", "feature_dim = 1", "class_balance = 1",
+                                      "difficulty_mix = 1.5", "threshold = 2"])
     def test_bad_value_is_a_usage_error(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
@@ -135,6 +136,7 @@ class TestConfigFile:
             ("lr = abc", "config key lr: cannot parse 'abc'"),
             ("alpha = -inf", "config key alpha: '-inf' is not a finite number"),
             ("seed = 4", "duplicate key seed"),
+            ("seed 4", "expected 'key = value', got 'seed 4'"),
         ],
     )
     def test_parse_error_names_file_and_line(self, tmp_path, line, message):
@@ -150,7 +152,7 @@ class TestValidate:
                                             ("train_ratio", math.nan), ("alpha", -math.inf)])
     def test_non_finite_float_rejected(self, key, value):
         with pytest.raises(ParameterError, match=f"{key} must be a finite number"):
-            ExperimentConfig(**{key: value}).validate()
+            ExperimentConfig(**{key: value})
 
     @pytest.mark.parametrize("ratios", [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)])
     def test_empty_train_or_val_split_is_a_usage_error_before_any_file(self, tmp_path, ratios):
@@ -327,6 +329,13 @@ def _repeat_rater(fields, header):
     fields[i] = fields[i].replace("2:", "1:")
 
 
+def _overrule_adjudicator(fields, header):
+    """Make the row a stage-1 disagreement whose final label is not the adjudicator's."""
+    for column, value in (("rater_labels", "1:0;2:1"), ("adjudicator_label", "3:1"),
+                          ("consensus", "0"), ("final_label", "0")):
+        fields[header.index(column)] = value
+
+
 BROKEN_ROWS = {
     "truncated": lambda fields, header: fields.pop(),
     "non_integer_label": _set("consensus", "yes"),
@@ -340,6 +349,7 @@ BROKEN_ROWS = {
     "sample_id_beyond_int64": _set("sample_id", str(2**63)),
     "rater_id_beyond_int64": _set("rater_labels", f"{-(2**63) - 1}:0;2:0"),
     "repeated_rater_id": _repeat_rater,
+    "final_label_not_the_adjudicators": _overrule_adjudicator,
 }
 
 

@@ -67,6 +67,13 @@ class TestRaterWeights:
         assert w == oracles.rater_accuracy_tally(ds.records)
         assert list(w) == sorted(w)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adjudicator_weight_is_exactly_one(self, seed):
+        panel = default_panel()
+        w = compute_rater_weights(grade_dataset(generate_dataset(1000, seed=seed), panel, seed=seed))
+        assert w[panel.adjudicator.rater_id] == 1.0
+        assert all(w[rater.rater_id] < 1.0 for rater in panel.stage1)
+
 
 class TestSoftLabel:
     def test_weighted_mean_example(self):

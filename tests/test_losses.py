@@ -278,6 +278,12 @@ class TestFusionLoss:
         with pytest.raises(ParameterError):
             fusion_loss(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([0.9]))
 
+    def test_wrong_shape_and_empty_batch_rejected(self):
+        with pytest.raises(ParameterError, match=r"batch_preds must be \(n, 2\)"):
+            fusion_loss(np.full((1, 3), 1 / 3), np.full((1, 3), 1 / 3), np.zeros(1))
+        with pytest.raises(ParameterError, match="at least one sample"):
+            fusion_loss(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+
 
 class TestTrainConfigLossSettings:
     def test_rejects_bad_values(self):
@@ -287,3 +293,8 @@ class TestTrainConfigLossSettings:
             TrainConfig(alpha=-0.1)
         with pytest.raises(ParameterError, match=r"\['baseline', 'conloss', 'full', 'multibr', 'uncerty'\]"):
             TrainConfig(ablation="bogus")
+        for key, value in [("lr", math.nan), ("lr", math.inf), ("margin", math.nan), ("margin", math.inf),
+                           ("alpha", math.nan), ("alpha", math.inf), ("lr", 0.0), ("batch_size", 0),
+                           ("max_epochs", -1), ("lr_halving_period", 0)]:
+            with pytest.raises(ParameterError, match=f"{key} must be"):
+                TrainConfig(**{key: value})

@@ -118,6 +118,10 @@ class TestRocAuc:
         for transform in (lambda s: 3.0 * s + 2.0, np.tanh, lambda s: s**3, np.exp):
             assert roc_auc(transform(scores), labels) == pytest.approx(base, abs=1e-12)
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ParameterError, match="equal-length"):
+            roc_auc([0.1, 0.9, 0.5], [0, 1])
+
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             roc_auc([0.2, 0.4], [1, 1])
@@ -221,6 +225,20 @@ class TestEvaluate:
         assert report.counts["non_consensus"] == 0
         assert all(v is None for v in report.metrics["fusion"]["non_consensus"].values())
         assert report.mean_uncertainty["non_consensus"] is None
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        ds = grade_dataset(generate_dataset(20, feature_dim=4, seed=5), default_panel(), seed=5)
+        with pytest.raises(ParameterError, match="threshold must lie in"):
+            evaluate(init_params(ModelConfig(4, (8, 8, 8), 4, seed=2)), ds, threshold)
+
+    def test_one_class_stratum_reports_no_auc(self):
+        ds = grade_dataset(generate_dataset(300, feature_dim=4, seed=5), default_panel(), seed=5)
+        positives = ds.subset(np.flatnonzero(ds.final_labels == 1))
+        report = evaluate(init_params(ModelConfig(4, (8, 8, 8), 4, seed=2)), positives)
+        for stratum in ("consensus", "non_consensus", "all"):
+            assert report.metrics["fusion"][stratum]["auc"] is None
+            assert report.metrics["fusion"][stratum]["acc"] is not None
 
     def test_non_finite_row_is_rejected_naming_its_sample(self, separable_run):
         params, test = separable_run

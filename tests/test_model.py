@@ -235,6 +235,10 @@ MALFORMED_CHECKPOINTS = {
     "string_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, "x")),
     "truncated": lambda text: text[:95],
     "not_an_object": lambda text: "[]",
+    "float_input_dim": _edited(lambda doc: doc["model"].update(input_dim=5.0)),
+    "bool_branch_dim": _edited(lambda doc: doc["model"].update(branch_dim=True)),
+    "fractional_trunk_width": _edited(lambda doc: doc["model"].update(trunk_dims=[6.5, 5, 4])),
+    "unsupported_format_version": _edited(lambda doc: doc.update(format_version=2)),
 }
 
 
@@ -361,6 +365,8 @@ class TestConfig:
             ModelConfig(input_dim=0)
         with pytest.raises(ParameterError):
             ModelConfig(input_dim=3, trunk_dims=(4, 0, 4))
+        with pytest.raises(ParameterError, match="integers"):
+            ModelConfig(input_dim=3.0)
 
     @pytest.mark.parametrize("trunk_dims", [(8, 8), (8, 8, 8, 8), ()])
     def test_trunk_of_other_depth_rejected(self, trunk_dims):

@@ -261,8 +261,9 @@ class TestSplitDataset:
 
     def test_ratio_sum_violation_rejected(self):
         ds = _toy_dataset(100)
-        with pytest.raises(ParameterError):
-            split_dataset(ds, (0.5, 0.2, 0.2), seed=0)
+        for ratios in [(0.5, 0.2, 0.2), (math.nan, 0.5, 0.5), (-0.1, 0.6, 0.5)]:
+            with pytest.raises(ParameterError):
+                split_dataset(ds, ratios, seed=0)
 
     def test_empty_stratum_warns_but_proceeds(self):
         panel = GradingPanel(

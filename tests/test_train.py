@@ -85,6 +85,13 @@ class TestTrainStep:
                 results[0][1].tensors[name], results[1][1].tensors[name]
             )
 
+    def test_empty_batch_rejected(self):
+        train, _, _ = toy_data()
+        softs = soft_targets(train, compute_rater_weights(train))
+        cfg = TrainConfig(seed=3)
+        with pytest.raises(ParameterError, match="batch must be non-empty"):
+            train_step(init_state(TOY_MODEL, cfg), train, np.arange(0), softs, cfg)
+
     @pytest.mark.parametrize("arm", ARM_ORDER)
     def test_batch_losses_match_per_sample_loss_functions(self, arm):
         """The vectorized trainer math must equal the per-sample scalar oracles."""
