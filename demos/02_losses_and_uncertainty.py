@@ -1,9 +1,9 @@
 """Worked numbers for the losses and the branch label machinery.
 
 Every value printed here can be checked by hand. The loss functions take
-(n, 2) batches; the single-sample examples are batches of one row. The
-finite-difference block at the end shows that the analytic gradients track
-the numeric ones.
+(n, 2) batches, and ``positive_probabilities`` an (n, 3) ratings matrix; the
+single-sample examples are batches of one row. The finite-difference block at
+the end shows that the analytic gradients track the numeric ones.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from multirater import (
     Branch,
     GradedDataset,
     fusion_loss,
-    positive_probability,
+    positive_probabilities,
     sample_branch_label,
     soft_label,
 )
@@ -59,9 +59,10 @@ dataset = GradedDataset(features=np.zeros((1, 1)), true_labels=np.zeros(1, dtype
 weights = {1: 0.8, 2: 0.9, 3: 1.0}
 y = soft_label(dataset, weights)[0]
 print(f"ratings (1, 0, 0) with weights (0.8, 0.9, 1.0) -> soft label {y:.4f}")
-print(f"sensitivity P(label=1): {positive_probability(ratings, Branch.SEN):.4f}  (positives counted twice: 2/4)")
-print(f"specificity P(label=1): {positive_probability(ratings, Branch.SPEC):.4f}  (negatives counted twice: 1/5)")
-draws = [sample_branch_label(ratings, 0, Branch.SEN, seed=1, epoch=e) for e in range(10000)]
+p_sen, p_spec = (positive_probabilities(dataset.ratings, branch)[0] for branch in Branch)
+print(f"sensitivity P(label=1): {p_sen:.4f}  (positives counted twice: 2/4)")
+print(f"specificity P(label=1): {p_spec:.4f}  (negatives counted twice: 1/5)")
+draws = [sample_branch_label(p_sen, 0, Branch.SEN, seed=1, epoch=e) for e in range(10000)]
 print(f"empirical P(label=1) for the sensitivity branch: {np.mean(draws):.3f} (exact: 0.5)")
 
 print()

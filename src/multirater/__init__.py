@@ -18,7 +18,7 @@ from .labels import (
     Branch,
     attach_soft_labels,
     compute_rater_weights,
-    positive_probability,
+    positive_probabilities,
     sample_branch_label,
     soft_label,
 )

@@ -149,12 +149,13 @@ def _coerce(key: str, raw: str):
     return value
 
 
-def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; blank lines and # comments ignored.
+def parse_config_file(path) -> list[tuple[int, str, object]]:
+    """(line number, key, value) of each setting in a flat ``key = value`` file, in file order.
 
-    Errors name the file and line. Every float must be finite, and no key may repeat.
+    Blank lines and # comments are skipped. Errors name the file and line.
+    Every float must be finite, and no key may repeat.
     """
-    values = {}
+    settings = []
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -163,25 +164,42 @@ def parse_config_file(path) -> dict:
         if "=" not in stripped:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in values:
+        if any(key == seen for _, seen, _ in settings):
             raise ParameterError(f"{path}:{lineno}: duplicate key {key}")
         try:
-            values[key] = _coerce(key, raw)
+            settings.append((lineno, key, _coerce(key, raw)))
         except ParameterError as exc:
             raise ParameterError(f"{path}:{lineno}: {exc}") from exc
-    return values
+    return settings
 
 
 def resolve_config(config_path, overrides: dict) -> ExperimentConfig:
-    """defaults <- config file <- CLI overrides (None entries skipped)."""
-    values = {}
-    if config_path is not None:
-        values.update(parse_config_file(config_path))
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    """defaults <- config file <- CLI overrides (None entries skipped).
+
+    A rejected setting names the first config-file line it depends on: the
+    first line whose removal changes or clears the error.
+    """
+    lines = parse_config_file(config_path) if config_path is not None else []
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+
+    def build(skip=None):
+        values = {key: value for lineno, key, value in lines if lineno != skip}
+        try:
+            return ExperimentConfig(**{**values, **overrides})
+        except TypeError as exc:
+            raise ParameterError(str(exc)) from exc
+
     try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ParameterError(str(exc)) from exc
+        return build()
+    except ParameterError as exc:
+        for lineno, _, _ in lines:
+            try:
+                build(skip=lineno)
+            except ParameterError as other:
+                if str(other) == str(exc):
+                    continue
+            raise ParameterError(f"{config_path}:{lineno}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ Three label views are derived from the ratings matrix of a ``GradedDataset``
 * a clipped soft label for the fusion branch: the rater-accuracy-weighted
   mean of all raw ratings, with the weights a plain {rater_id: accuracy} dict.
 
-Rater weights and soft labels are computed a whole column at a time. Branch
-labels are redrawn every epoch, one sample per call. A uniform draw from the
-ratings with the favoured class counted twice has a closed form: with p
-positive and q negative ratings, P(sen = 1) = 2p / (2p + q) and
-P(spec = 1) = p / (p + 2q). Each draw compares that probability with
-``rng.keyed_uniform`` keyed by (seed, epoch, branch, sample_id), so it is a
-pure function of those four integers and builds no numpy Generator.
+Rater weights, soft labels and branch probabilities are computed a whole
+column at a time, once per fit. A uniform draw from the ratings with the
+favoured class counted twice has a closed form: with p positive and q
+negative ratings, P(sen = 1) = 2p / (2p + q) and P(spec = 1) = p / (p + 2q);
+``positive_probabilities`` gives it for every row. Branch labels are redrawn
+every epoch, one sample per ``sample_branch_label`` call, which compares the
+sample's probability with ``rng.keyed_uniform`` keyed by (seed, epoch,
+branch, sample_id). A label is therefore a pure function of those four
+integers and the ratings, and no numpy Generator is built.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .simulate import SOFT_LABEL_MAX, SOFT_LABEL_MIN, GradedDataset
 WEIGHT_FLOOR = 1e-6
 
 
-class Branch(enum.Enum):
-    """A label-drawing branch; its value is the branch's part of the draw key."""
+class Branch(enum.IntEnum):
+    """A label-drawing branch; as an int it is the branch's part of the draw key."""
 
     SEN = 0
     SPEC = 1
@@ -75,28 +77,26 @@ def soft_label(dataset: GradedDataset, weights: dict[int, float]) -> np.ndarray:
                    SOFT_LABEL_MIN, SOFT_LABEL_MAX)
 
 
-def positive_probability(ratings: list[int], branch: Branch) -> float:
-    """P(label = 1) of the branch's draw for one ratings row, in closed form.
+def positive_probabilities(ratings: np.ndarray, branch: Branch) -> np.ndarray:
+    """(n,) P(label = 1) of the branch's draw for each row of an (n, 3) ratings matrix.
 
-    With p positive and q negative ratings, counting the favoured class twice
-    gives SEN 2p ones among 2p + q ratings and SPEC p ones among p + 2q.
+    With p positive and q negative ratings in a row (-1 entries count as
+    neither), counting the favoured class twice gives SEN 2p ones among
+    2p + q ratings and SPEC p ones among p + 2q.
     """
-    p = ratings.count(1)
-    q = ratings.count(0)
+    p = (ratings == 1).sum(axis=1)
+    q = (ratings == 0).sum(axis=1)
     return 2 * p / (2 * p + q) if branch is Branch.SEN else p / (p + 2 * q)
 
 
-def sample_branch_label(
-    ratings: list[int], sample_id: int, branch: Branch, seed: int, epoch: int = 0
-) -> int:
-    """The branch's label for one sample; deterministic per (seed, epoch, sample).
+def sample_branch_label(prob: float, sample_id: int, branch: Branch, seed: int, epoch: int = 0) -> int:
+    """The branch's label for one sample; deterministic per (seed, epoch, branch, sample).
 
-    ``ratings`` is the sample's row of the ratings matrix as a list of ints.
+    ``prob`` is the sample's ``positive_probabilities`` entry for ``branch``.
     The draw is 1 when a uniform keyed by (seed, epoch, branch, sample_id)
-    falls below ``positive_probability``.
+    falls below it.
     """
-    u = keyed_uniform(seed, STREAM_BRANCH_LABEL, epoch, branch.value, sample_id)
-    return int(u < positive_probability(ratings, branch))
+    return int(keyed_uniform(seed, STREAM_BRANCH_LABEL, epoch, branch, sample_id) < prob)
 
 
 def attach_soft_labels(dataset: GradedDataset, weights: dict[int, float]) -> None:

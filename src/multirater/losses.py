@@ -33,10 +33,15 @@ PROB_TOL = 1e-3
 
 
 def _check_prob(arr: np.ndarray, name: str) -> None:
-    """Reject a row of the (n, 2) batch ``arr`` that is not a probability vector."""
-    bad = np.any(arr < -PROB_TOL, axis=1) | (np.abs(arr.sum(axis=1) - 1.0) > PROB_TOL)
-    if bad.any():
-        i = int(bad.argmax())
+    """Reject a row of the (n, 2) batch ``arr`` that is not a probability vector.
+
+    NaN entries are let through, so a diverged batch surfaces as a non-finite
+    loss. The passing path takes NaN-ignoring whole-array extremes; the bad
+    row is looked for only once one is known to exist.
+    """
+    off = np.abs(arr.sum(axis=1) - 1.0)
+    if np.fmin.reduce(arr, axis=None) < -PROB_TOL or np.fmax.reduce(off) > PROB_TOL:
+        i = int((np.any(arr < -PROB_TOL, axis=1) | (off > PROB_TOL)).argmax())
         raise ContractError(f"{name}[{i}] is not a normalized probability vector: {arr[i]}")
 
 
@@ -102,7 +107,7 @@ def fusion_loss(batch_preds, batch_soft, batch_u):
         raise ParameterError("batch must contain at least one sample")
     _check_prob(preds, "batch_preds")
     _check_prob(soft, "batch_soft")
-    if np.any(u < -PROB_TOL) or np.any(u > 0.5 + PROB_TOL):
+    if np.fmin.reduce(u) < -PROB_TOL or np.fmax.reduce(u) > 0.5 + PROB_TOL:
         raise ParameterError("uncertainty weights must lie in [0, 0.5]")
 
     w = 1.0 + u

@@ -43,8 +43,14 @@ class ModelConfig:
         if len(self.trunk_dims) != 3:
             raise ParameterError(f"trunk_dims must hold three widths, got {self.trunk_dims}")
         widths = (self.input_dim, *self.trunk_dims, self.branch_dim)
-        if not all(isinstance(w, Integral) and not isinstance(w, bool) and w >= 1 for w in widths):
+        if not all(_is_int(w) and w >= 1 for w in widths):
             raise ParameterError(f"all layer widths must be integers >= 1, got {widths}")
+        if not _is_int(self.seed):
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class ModelParams:
@@ -109,12 +115,22 @@ def _flat_layout(config: ModelConfig, multi_branch: bool):
 
 
 def init_params(config: ModelConfig, multi_branch: bool = True) -> ModelParams:
-    """Symmetric uniform fan-in initialization; all biases zero."""
+    """Symmetric uniform fan-in initialization; all biases zero.
+
+    ``rng.random`` fills each layer's weight view in place, layer by layer in
+    parameter order, and a layer with bound b = 1 / sqrt(fan_in) maps each
+    draw r to -b + (b - -b) * r. That is the stream and the arithmetic of one
+    ``rng.uniform(-b, b)`` call per layer, so the weights equal theirs bit
+    for bit, without a temporary per layer.
+    """
     rng = seeded_rng(config.seed, STREAM_INIT)
     params = ModelParams(config, multi_branch)
     for name, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
-        bound = 1.0 / np.sqrt(fan_in)
-        params.tensors[f"{name}.W"][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        bound = 1.0 / math.sqrt(fan_in)
+        weight = params.tensors[f"{name}.W"]
+        rng.random(out=weight)
+        weight *= bound - -bound
+        weight += -bound
     return params
 
 
@@ -177,15 +193,20 @@ def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - inner)
 
 
-def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarray]) -> ModelParams:
+def backward(
+    params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarray], out: ModelParams | None = None
+) -> ModelParams:
     """Map probability-space gradients onto all parameters.
 
     ``grads`` maps branch names to dL/dy arrays of shape (n, 2), keyed like
     ``forward_batch``'s outputs; a missing branch means zero gradient.
     Returns the gradient as a ``ModelParams`` laid out like ``params``:
     ``flat`` is the whole gradient and ``tensors[name]`` each tensor's part.
-    Raises ContractError for a key that names no branch of the network, or
-    when the cache does not match the current parameter values.
+    With ``out`` (a ``ModelParams`` of the same topology) every entry of
+    ``out`` is overwritten and ``out`` is returned; without it a new one is.
+    Raises ContractError for a key that names no branch of the network, for
+    an ``out`` of another topology, or when the cache does not match the
+    current parameter values.
     """
     if cache.params is not params or cache.version != params.version:
         raise ContractError("stale forward cache: parameters changed since forward_batch()")
@@ -196,8 +217,11 @@ def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarr
     def head_dz(name):  # dL/dlogits of the branch's head
         return _softmax_backward(cache.probs[name], np.asarray(grads.get(name, 0.0), dtype=float))
 
-    grad = ModelParams(params.config, params.multi_branch)
-    t, g, bd, h3 = params.tensors, grad.tensors, params.config.branch_dim, cache.trunk[2]
+    if out is None:
+        out = ModelParams(params.config, params.multi_branch)
+    elif (out.config, out.multi_branch) != (params.config, params.multi_branch):
+        raise ContractError("gradient buffer is laid out for another network")
+    t, g, bd, h3 = params.tensors, out.tensors, params.config.branch_dim, cache.trunk[2]
 
     def dense(layer, layer_in, dz):  # fill the layer's weight and bias gradients
         np.matmul(layer_in.T, dz, out=g[f"{layer}.W"])
@@ -225,7 +249,7 @@ def backward(params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarr
         dense(f"trunk.{i}", cache.x if i == 0 else cache.trunk[i - 1], dz)
         if i > 0:
             dh = dz @ t[f"trunk.{i}.W"].T
-    return grad
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +286,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise DataError(f"unsupported checkpoint format {doc.get('format_version')!r}")
         m = doc["model"]
         config = ModelConfig(**{f.name: m[f.name] for f in fields(ModelConfig)})
-        multi_branch = bool(m["multi_branch"])
+        multi_branch = m["multi_branch"]
+        if not isinstance(multi_branch, bool):
+            raise DataError(f"multi_branch must be a JSON boolean, got {multi_branch!r}")
         tensors = {
             entry["name"]: np.array(entry["data"], dtype=float).reshape(entry["shape"])
             for entry in doc["tensors"]

@@ -8,13 +8,16 @@ Each batch optimizes one combined objective,
 with a single Adam update over all parameters. The consensus term appears in
 both branch losses, so its effective weight on the shared term is 2 * alpha.
 
-Soft fusion targets are computed once per fit, from rater-accuracy weights of
-the training split, and ``train_step`` receives the training arrays and the
-batch's row indices. Branch labels are redrawn every step through
-``labels.sample_branch_label``, one call per sample and branch, a keyed
-closed-form draw: a sample's labels depend on (seed, epoch, sample) alone, not
-on the batch it lands in. ``backward`` returns the gradient laid out like the
-parameters, and Adam steps on the two flat buffers.
+Work that depends only on the fit is done once per fit. ``fit_targets``
+builds every training row's soft fusion target (from rater-accuracy weights
+of the training split), consensus flag and two branch probabilities, and
+``init_state`` allocates the gradient buffer and Adam's work buffers.
+``train_step`` gathers its batch's rows from the training arrays and those
+targets. It redraws the branch labels through ``labels.sample_branch_label``,
+one call per sample and branch, a keyed closed-form draw: a sample's labels
+depend on (seed, epoch, sample) alone, not on the batch it lands in.
+``backward`` fills the state's gradient buffer, laid out like the
+parameters, and Adam steps on the two flat buffers in place.
 
 Ablation arms (``TrainConfig.ablation``), each a row of switches in ``ARM_FLAGS``:
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, TrainingDivergedError, UndefinedMetricError
-from .labels import Branch, compute_rater_weights, sample_branch_label, soft_label
+from .labels import Branch, compute_rater_weights, positive_probabilities, sample_branch_label, soft_label
 from .losses import consensus_terms, cross_entropy, fusion_loss, uncertainties
 from .metrics import roc_auc
 from .model import ModelConfig, ModelParams, backward, forward_batch, init_params
@@ -94,6 +97,8 @@ class TrainState:
     params: ModelParams
     m: np.ndarray  # Adam moments, aligned with params.flat
     v: np.ndarray
+    grad: ModelParams  # refilled by backward on every step
+    scratch: tuple[np.ndarray, np.ndarray]  # Adam's work buffers, aligned with params.flat
     t: int = 0
     epoch: int = 0
     best_params: ModelParams | None = None
@@ -103,7 +108,33 @@ class TrainState:
 
 def init_state(model_config: ModelConfig, train_config: TrainConfig) -> TrainState:
     params = init_params(model_config, multi_branch=ARM_FLAGS[train_config.ablation]["multi_branch"])
-    return TrainState(params=params, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    flat = params.flat
+    # backward overwrites every gradient entry, so the buffer needs no zero fill.
+    return TrainState(params=params, m=np.zeros_like(flat), v=np.zeros_like(flat),
+                      grad=ModelParams(params.config, params.multi_branch, np.empty_like(flat)),
+                      scratch=(np.empty_like(flat), np.empty_like(flat)))
+
+
+@dataclass(frozen=True)
+class FitTargets:
+    """Per-row training targets of one fit, aligned with the training split's rows."""
+
+    softs: np.ndarray  # (n, 2) fusion targets
+    consensus: np.ndarray  # (n,) consensus flags
+    positive: tuple[np.ndarray, ...] = ()  # (n,) P(label = 1) per Branch; empty for the baseline
+
+
+def fit_targets(train: GradedDataset, config: TrainConfig) -> FitTargets:
+    """The targets ``train_step`` gathers from, for every row of ``train``.
+
+    The multi-branch arms train the fusion output on ``soft_targets`` and draw
+    branch labels with ``positive_probabilities``; the single-head baseline
+    trains it on the one-hot final labels and draws none.
+    """
+    if not ARM_FLAGS[config.ablation]["multi_branch"]:
+        return FitTargets(np.eye(2)[train.final_labels], train.consensus_flags)
+    positive = tuple(positive_probabilities(train.ratings, branch) for branch in Branch)
+    return FitTargets(soft_targets(train, compute_rater_weights(train)), train.consensus_flags, positive)
 
 
 def _losses_and_grads(probs: dict[str, np.ndarray], sen_idx: np.ndarray | None, spec_idx: np.ndarray | None,
@@ -135,15 +166,31 @@ def _losses_and_grads(probs: dict[str, np.ndarray], sen_idx: np.ndarray | None, 
 
 
 def _adam_update(state: TrainState, g: np.ndarray, lr: float) -> None:
-    """One Adam step on ``state.params.flat`` with the flat gradient ``g``."""
+    """One Adam step on ``state.params.flat`` with the flat gradient ``g``, in place.
+
+    The same operations in the same order as
+    m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g;
+    flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with every temporary
+    written to ``state.scratch``.
+    """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
+    step, denom = state.scratch
+    np.multiply(g, 1.0 - ADAM_BETA1, out=step)
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * g
+    state.m += step
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+    step *= g
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * g * g
-    state.params.flat -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
+    state.v += step
+    np.divide(state.m, bc1, out=step)
+    step *= lr
+    np.divide(state.v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    state.params.flat -= step
     state.params.version += 1
 
 
@@ -157,34 +204,34 @@ def train_step(
     state: TrainState,
     data: GradedDataset,
     idx: np.ndarray,
-    softs: np.ndarray,
+    targets: FitTargets,
     config: TrainConfig,
 ) -> dict[str, float]:
     """One combined Adam step on the rows ``idx`` of ``data``; returns the loss scalars.
 
-    ``softs`` holds the (n, 2) fusion targets of every row of ``data``, as
-    ``fit`` builds them: ``soft_targets`` for the multi-branch arms, the
-    one-hot final labels for the single-head baseline.
+    ``targets`` holds the per-row targets of every row of ``data``, as
+    ``fit_targets`` builds them for ``config``.
     """
     if len(idx) < 1:
         raise ParameterError("batch must be non-empty")
-    batch, softs = data.subset(idx), softs[idx]
     sen_idx = spec_idx = None  # the baseline draws no branch labels
     if ARM_FLAGS[config.ablation]["multi_branch"]:
-        rows = list(zip(batch.ratings.tolist(), batch.sample_ids.tolist()))
+        ids = data.sample_ids[idx].tolist()
         sen_idx, spec_idx = (
-            np.array([sample_branch_label(r, i, branch, config.seed, state.epoch) for r, i in rows])
-            for branch in Branch
+            np.array([sample_branch_label(p, i, branch, config.seed, state.epoch)
+                      for p, i in zip(prob[idx].tolist(), ids)])
+            for branch, prob in zip(Branch, targets.positive)
         )
 
-    probs, cache = forward_batch(state.params, batch.features)
-    scalars, prob_grads = _losses_and_grads(probs, sen_idx, spec_idx, softs, batch.consensus_flags, config)
+    probs, cache = forward_batch(state.params, data.features[idx])
+    scalars, prob_grads = _losses_and_grads(probs, sen_idx, spec_idx, targets.softs[idx],
+                                            targets.consensus[idx], config)
     if not math.isfinite(scalars["total"]):
         raise TrainingDivergedError(
             f"non-finite loss at epoch {state.epoch}, step {state.t}: {scalars}"
         )
-    grad = backward(state.params, cache, prob_grads)
-    _adam_update(state, grad.flat, learning_rate(config, state.epoch))
+    backward(state.params, cache, prob_grads, out=state.grad)
+    _adam_update(state, state.grad.flat, learning_rate(config, state.epoch))
     return scalars
 
 
@@ -226,10 +273,7 @@ def fit(
         if len(part) == 0:
             raise ParameterError(f"the {name} split is empty")
     state = init_state(model_config, train_config)
-    if ARM_FLAGS[train_config.ablation]["multi_branch"]:
-        softs = soft_targets(train, compute_rater_weights(train))
-    else:  # the baseline's target is the one-hot final label
-        softs = np.eye(2)[train.final_labels]
+    targets = fit_targets(train, train_config)
     val_labels = val.final_labels
     shuffle_rng = seeded_rng(train_config.seed, STREAM_SHUFFLE)
     state.best_params = state.params.copy()
@@ -242,7 +286,7 @@ def fit(
         try:
             for start in range(0, n, train_config.batch_size):
                 idx = order[start : start + train_config.batch_size]
-                scalars = train_step(state, train, idx, softs, train_config)
+                scalars = train_step(state, train, idx, targets, train_config)
                 for key in sums:
                     sums[key] += scalars[key] * idx.size
         except TrainingDivergedError as exc:
@@ -253,7 +297,8 @@ def fit(
         val_auc, undefined = _validation_auc(state.params, val.features, val_labels)
         if val_auc is not None and val_auc >= state.best_val_auc:
             state.best_val_auc = val_auc
-            state.best_params = state.params.copy()
+            state.best_params.flat[...] = state.params.flat
+            state.best_params.version += 1
         record = {
             "epoch": epoch,
             "lr": learning_rate(train_config, epoch),

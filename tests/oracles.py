@@ -172,7 +172,7 @@ def label_pool(record, favored):
     """Raw labels with every rating of the ``favored`` class duplicated in place.
 
     A uniform draw from the pool is the branch draw that
-    ``labels.positive_probability`` gives in closed form: favored = 1 for the
+    ``labels.positive_probabilities`` gives in closed form: favored = 1 for the
     sensitivity branch, 0 for the specificity branch.
     """
     pool = []
@@ -181,6 +181,17 @@ def label_pool(record, favored):
         if lab == favored:
             pool.append(lab)
     return pool
+
+
+def positive_probability(ratings, branch):
+    """P(label = 1) of one ratings row's branch draw from its p ones and q zeros.
+
+    ``branch`` 0 (sensitivity) counts each positive twice, giving 2p / (2p + q);
+    1 (specificity) counts each negative twice, giving p / (p + 2q).
+    """
+    p = ratings.count(1)
+    q = ratings.count(0)
+    return 2 * p / (2 * p + q) if branch == 0 else p / (p + 2 * q)
 
 
 MASK64 = (1 << 64) - 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -126,8 +127,20 @@ class TestConfigFile:
         cfg.write_text(line + "\n")
         result = run_cli("generate", "--config", cfg, "--out", tmp_path / "x")
         assert result.returncode == 2
-        assert line.split()[0] in result.stderr
+        assert f"{cfg}:1: " in result.stderr and line.split()[0] in result.stderr
         assert not (tmp_path / "x").exists()
+
+    def test_value_error_names_the_line_it_depends_on(self, tmp_path):
+        path = tmp_path / "two.cfg"
+        path.write_text("margin = 0\nlr = -1\n")  # the trainer checks lr first
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}:2: lr must be finite and > 0"):
+            resolve_config(path, {})
+
+    def test_error_from_a_flag_names_no_line(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text("seed = 3\nmargin = 2\n")
+        with pytest.raises(ParameterError, match="^n_samples must be >= 1, got 0$"):
+            resolve_config(path, {"n_samples": 0})
 
     @pytest.mark.parametrize(
         "line, message",
@@ -137,6 +150,7 @@ class TestConfigFile:
             ("alpha = -inf", "config key alpha: '-inf' is not a finite number"),
             ("seed = 4", "duplicate key seed"),
             ("seed 4", "expected 'key = value', got 'seed 4'"),
+            ("margin = 0", "margin must be finite and > 0, got 0.0"),
         ],
     )
     def test_parse_error_names_file_and_line(self, tmp_path, line, message):

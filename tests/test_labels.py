@@ -12,7 +12,7 @@ from multirater.labels import (
     Branch,
     attach_soft_labels,
     compute_rater_weights,
-    positive_probability,
+    positive_probabilities,
     sample_branch_label,
     soft_label,
 )
@@ -39,8 +39,8 @@ def make_dataset(rows, sample_ids=None):
 
 def draw(ds, branch, seed, epoch=0):
     """Every row's branch label, one call per sample as ``train_step`` makes them."""
-    rows = zip(ds.ratings.tolist(), ds.sample_ids.tolist())
-    return np.array([sample_branch_label(r, i, branch, seed, epoch) for r, i in rows])
+    rows = zip(positive_probabilities(ds.ratings, branch).tolist(), ds.sample_ids.tolist())
+    return np.array([sample_branch_label(p, i, branch, seed, epoch) for p, i in rows])
 
 
 class TestRaterWeights:
@@ -133,12 +133,14 @@ class TestSoftLabel:
 class TestLabelPools:
     def test_sen_pool_duplicates_positives(self):
         # raw labels {1, 0, 0}: SEN pool {1, 1, 0, 0}, SPEC pool {1, 0, 0, 0, 0}
-        assert positive_probability([1, 0, 0], Branch.SEN) == 2 / 4
-        assert positive_probability([1, 0, 0], Branch.SPEC) == 1 / 5
+        ratings = make_dataset([(1, 0, 0)]).ratings
+        assert positive_probabilities(ratings, Branch.SEN).tolist() == [2 / 4]
+        assert positive_probabilities(ratings, Branch.SPEC).tolist() == [1 / 5]
 
     def test_two_rater_sen_pool(self):
-        # raw labels {1, 0, 1}: SEN pool has four 1s and one 0
-        assert positive_probability([1, 0, 1], Branch.SEN) == 4 / 5
+        # raw labels {1, 0, 1}: SEN pool has four 1s and one 0; {1, 1} gives {1, 1, 1, 1} and {0, 0} gives {0, 0}
+        ratings = make_dataset([(1, 0, 1), (1, 1, None), (0, 0, None)]).ratings
+        assert positive_probabilities(ratings, Branch.SEN).tolist() == [4 / 5, 1.0, 0.0]
 
     def test_consensus_record_samples_are_constant(self):
         ds = make_dataset([(1, 1, None)] * 20)
@@ -187,9 +189,13 @@ def pool_probability(record, branch):
 class TestClosedFormDraw:
     @pytest.mark.parametrize("ratings", ALL_PATTERNS)
     def test_probability_equals_the_pool_enumeration(self, ratings):
-        ds = pattern_dataset([ratings])
+        """The vectorised form, over every pattern at once, and the scalar oracle, for one pattern."""
+        ds = pattern_dataset(ALL_PATTERNS)
+        k = ALL_PATTERNS.index(ratings)
         for branch in Branch:
-            assert positive_probability(ds.ratings[0].tolist(), branch) == pool_probability(ds.records[0], branch)
+            want = pool_probability(ds.records[k], branch)
+            assert positive_probabilities(ds.ratings, branch)[k] == want
+            assert oracles.positive_probability(ds.ratings[k].tolist(), branch) == want
 
     def test_draw_is_the_keyed_uniform_below_the_probability(self):
         rng = np.random.default_rng(4)
@@ -198,7 +204,7 @@ class TestClosedFormDraw:
         ds = pattern_dataset(patterns, ids)
         for seed, branch, epoch in product((4, -3, 2**64 + 1), Branch, range(3)):
             want = [
-                int(oracles.keyed_uniform(seed, STREAM_BRANCH_LABEL, epoch, branch.value, rec.sample_id)
+                int(oracles.keyed_uniform(seed, STREAM_BRANCH_LABEL, epoch, int(branch), rec.sample_id)
                     < pool_probability(rec, branch))
                 for rec in ds.records
             ]

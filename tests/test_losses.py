@@ -272,6 +272,24 @@ class TestFusionLoss:
         with pytest.raises(ContractError, match=rf"{arg}\[1\]"):
             fusion_loss(args["batch_preds"], args["batch_soft"], np.zeros(3))
 
+    @pytest.mark.parametrize("arg", ["batch_preds", "batch_soft"])
+    def test_nan_rows_pass_and_do_not_hide_a_bad_row(self, arg):
+        """A diverged row yields a NaN loss, not an error; a bad row beside it is still named."""
+        good = np.array([[0.7, 0.3], [0.4, 0.6], [0.5, 0.5]])
+        nan_row = good.copy()
+        nan_row[0] = np.nan
+        args = {"batch_preds": good, "batch_soft": good, arg: nan_row}
+        loss, _ = fusion_loss(args["batch_preds"], args["batch_soft"], np.array([np.nan, 0.0, 0.0]))
+        assert np.isnan(loss)
+        for bad_row in ((-0.5, 1.5), (0.9, 0.9)):
+            bad = nan_row.copy()
+            bad[2] = bad_row
+            args[arg] = bad
+            with pytest.raises(ContractError, match=rf"{arg}\[2\]"):
+                fusion_loss(args["batch_preds"], args["batch_soft"], np.zeros(3))
+        with pytest.raises(ParameterError, match="uncertainty weights"):
+            fusion_loss(good, good, np.array([np.nan, 0.0, 0.7]))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             fusion_loss(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [0.4, 0.6]]), np.zeros(1))

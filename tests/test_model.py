@@ -17,6 +17,7 @@ from multirater.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from multirater.rng import STREAM_INIT, seeded_rng
 
 import oracles
 
@@ -177,6 +178,24 @@ class TestBackward:
                 worst = max(worst, rel)
         assert worst < 1e-4, f"worst relative gradient error {worst}"
 
+    @pytest.mark.parametrize("multi_branch", [True, False])
+    def test_reused_buffer_equals_a_fresh_one_bit_for_bit(self, multi_branch):
+        """Every entry of ``out`` is overwritten: NaN left anywhere would show."""
+        params = toy_params(multi_branch=multi_branch, jitter=6)
+        rng = np.random.default_rng(6)
+        probs, cache = forward_batch(params, rng.standard_normal((7, 5)))
+        prob_grads = {name: rng.standard_normal(p.shape) for name, p in probs.items()}
+        fresh = backward(params, cache, prob_grads)
+        out = ModelParams(params.config, params.multi_branch, np.full(params.flat.size, np.nan))
+        assert backward(params, cache, prob_grads, out=out) is out
+        assert out.flat.tobytes() == fresh.flat.tobytes()
+
+    def test_buffer_of_another_network_is_rejected(self):
+        params = toy_params()
+        _, cache = forward_batch(params, RNG.standard_normal((2, 5)))
+        with pytest.raises(ContractError, match="another network"):
+            backward(params, cache, {}, out=toy_params(multi_branch=False))
+
     def test_zero_upstream_gradients_give_zero_parameter_gradients(self):
         params = toy_params()
         _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
@@ -239,6 +258,10 @@ MALFORMED_CHECKPOINTS = {
     "bool_branch_dim": _edited(lambda doc: doc["model"].update(branch_dim=True)),
     "fractional_trunk_width": _edited(lambda doc: doc["model"].update(trunk_dims=[6.5, 5, 4])),
     "unsupported_format_version": _edited(lambda doc: doc.update(format_version=2)),
+    "string_multi_branch": _edited(lambda doc: doc["model"].update(multi_branch="false")),
+    "int_multi_branch": _edited(lambda doc: doc["model"].update(multi_branch=1)),
+    "float_seed": _edited(lambda doc: doc["model"].update(seed=1.5)),
+    "bool_seed": _edited(lambda doc: doc["model"].update(seed=True)),
 }
 
 
@@ -309,6 +332,13 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
 
+    def test_string_flag_on_a_baseline_checkpoint_names_the_flag(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(toy_params(multi_branch=False), path)
+        path.write_text(_edited(lambda doc: doc["model"].update(multi_branch="false"))(path.read_text()))
+        with pytest.raises(DataError, match="ckpt.json: multi_branch must be a JSON boolean, got 'false'"):
+            load_checkpoint(path)
+
     def test_non_finite_tensor_rejected(self, tmp_path):
         def poison(doc):
             doc["tensors"][0]["data"][0] = float("nan")
@@ -374,7 +404,25 @@ class TestConfig:
             ModelConfig(input_dim=3, trunk_dims=trunk_dims)
 
 
+def per_layer_uniform_init(config, multi_branch):
+    """Reference initialization: one ``rng.uniform(-b, b)`` call per weight, b = 1 / sqrt(fan_in)."""
+    rng = seeded_rng(config.seed, STREAM_INIT)
+    params = ModelParams(config, multi_branch)
+    for name, tensor in params.tensors.items():
+        if name.endswith(".W"):
+            bound = 1.0 / np.sqrt(tensor.shape[0])
+            tensor[...] = rng.uniform(-bound, bound, size=tensor.shape)
+    return params
+
+
 class TestInit:
+    @pytest.mark.parametrize("multi_branch", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 123, 2**64 - 1])
+    def test_equals_per_layer_uniform_draws_bit_for_bit(self, seed, multi_branch):
+        for config in (ModelConfig(16, seed=seed), ModelConfig(5, (6, 5, 4), 3, seed)):
+            want = per_layer_uniform_init(config, multi_branch)
+            assert init_params(config, multi_branch).flat.tobytes() == want.flat.tobytes()
+
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_generated_labels_are_not_a_function_of_the_initial_weights(self, seed):
         """Weights and features come from different streams of one run seed.

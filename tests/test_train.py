@@ -29,6 +29,7 @@ from multirater.train import (
     _adam_update,
     _losses_and_grads,
     fit,
+    fit_targets,
     init_state,
     learning_rate,
     soft_targets,
@@ -72,12 +73,12 @@ class TestSchedule:
 class TestTrainStep:
     def test_fixed_batch_is_deterministic(self):
         train, _, _ = toy_data()
-        softs = soft_targets(train, compute_rater_weights(train))
         cfg = TrainConfig(seed=3)
+        targets = fit_targets(train, cfg)
         results = []
         for _ in range(2):
             state = init_state(TOY_MODEL, cfg)
-            scalars = train_step(state, train, np.arange(32), softs, cfg)
+            scalars = train_step(state, train, np.arange(32), targets, cfg)
             results.append((scalars, state.params))
         assert results[0][0] == results[1][0]
         for name in results[0][1].tensors:
@@ -87,10 +88,9 @@ class TestTrainStep:
 
     def test_empty_batch_rejected(self):
         train, _, _ = toy_data()
-        softs = soft_targets(train, compute_rater_weights(train))
         cfg = TrainConfig(seed=3)
         with pytest.raises(ParameterError, match="batch must be non-empty"):
-            train_step(init_state(TOY_MODEL, cfg), train, np.arange(0), softs, cfg)
+            train_step(init_state(TOY_MODEL, cfg), train, np.arange(0), fit_targets(train, cfg), cfg)
 
     @pytest.mark.parametrize("arm", ARM_ORDER)
     def test_batch_losses_match_per_sample_loss_functions(self, arm):
@@ -118,8 +118,11 @@ class TestTrainStep:
             return
 
         rows = list(zip(batch.ratings.tolist(), batch.sample_ids.tolist()))
-        sen_idx = np.array([sample_branch_label(r, i, Branch.SEN, cfg.seed, 0) for r, i in rows])
-        spec_idx = np.array([sample_branch_label(r, i, Branch.SPEC, cfg.seed, 0) for r, i in rows])
+        sen_idx, spec_idx = (
+            np.array([sample_branch_label(oracles.positive_probability(r, b), i, b, cfg.seed, 0)
+                      for r, i in rows])
+            for b in Branch
+        )
         softs = soft_targets(batch, compute_rater_weights(train))
         scalars, grads = _losses_and_grads(probs, sen_idx, spec_idx, softs, a, cfg)
 
@@ -153,16 +156,16 @@ class TestTrainStep:
     def test_loss_decreases_on_a_fixed_batch(self):
         """Ten repeated steps on one batch lower the total loss (>= 4 of 5 seeds)."""
         train, _, _ = toy_data()
-        softs = soft_targets(train, compute_rater_weights(train))
         wins = 0
         for seed in range(5):
             cfg = TrainConfig(seed=seed, lr=1e-3)
+            targets = fit_targets(train, cfg)
             state = init_state(
                 ModelConfig(input_dim=6, trunk_dims=(10, 10, 10), branch_dim=5, seed=seed), cfg
             )
             first = last = None
             for _ in range(10):
-                scalars = train_step(state, train, np.arange(32), softs, cfg)
+                scalars = train_step(state, train, np.arange(32), targets, cfg)
                 first = scalars["total"] if first is None else first
                 last = scalars["total"]
             wins += last < first
@@ -170,17 +173,17 @@ class TestTrainStep:
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         train, _, _ = toy_data()
-        softs = soft_targets(train, compute_rater_weights(train))
         cfg = TrainConfig(seed=1)
         state = init_state(TOY_MODEL, cfg)
         state.params.tensors["trunk.0.W"][:] = np.nan
         state.params.version += 1
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
-            train_step(state, train, np.arange(8), softs, cfg)
+            train_step(state, train, np.arange(8), fit_targets(train, cfg), cfg)
 
 
 class TestAdam:
     def test_flat_update_equals_the_per_tensor_reference_bit_for_bit(self):
+        """Two consecutive steps, the second on the work buffers the first left filled, equal the formula."""
         rng = np.random.default_rng(17)
         state = init_state(TOY_MODEL, TrainConfig())
         state.m[...] = 0.01 * rng.standard_normal(state.m.shape)
@@ -193,19 +196,19 @@ class TestAdam:
             return {k: flat[a:b].reshape(p.shape).copy() for (k, p), a, b in zip(params.items(), bounds, bounds[1:])}
 
         m, v = per_tensor(state.m), per_tensor(state.v)
-        grad = rng.standard_normal(state.m.shape)
-        grads = per_tensor(grad)
-        lr = 3e-4
+        for t, lr in ((4, 3e-4), (5, 1e-4)):
+            grad = rng.standard_normal(state.m.shape)
+            grads = per_tensor(grad)
 
-        _adam_update(state, grad, lr)
+            _adam_update(state, grad, lr)
 
-        bc1, bc2 = 1.0 - ADAM_BETA1**4, 1.0 - ADAM_BETA2**4
-        for name, g in grads.items():
-            m_ref = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
-            v_ref = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
-            params[name] -= lr * (m_ref / bc1) / (np.sqrt(v_ref / bc2) + ADAM_EPS)
-            np.testing.assert_array_equal(state.params.tensors[name], params[name])
-        assert state.t == 4
+            bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+            for name, g in grads.items():
+                m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+                v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+                params[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+                np.testing.assert_array_equal(state.params.tensors[name], params[name])
+            assert state.t == t
 
 
 class TestFit:
@@ -427,15 +430,12 @@ class TestBaselineEquivalence:
 def _fit_final(train, model_config, cfg):
     """Run the package training loop and return the FINAL (not best) params."""
     state = init_state(model_config, cfg)
-    if ARM_FLAGS[cfg.ablation]["multi_branch"]:
-        softs = soft_targets(train, compute_rater_weights(train))
-    else:
-        softs = np.eye(2)[train.final_labels]
+    targets = fit_targets(train, cfg)
     shuffle_rng = seeded_rng(cfg.seed, STREAM_SHUFFLE)
     for epoch in range(cfg.max_epochs):
         state.epoch = epoch
         order = shuffle_rng.permutation(len(train))
         for start in range(0, len(train), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            train_step(state, train, idx, softs, cfg)
+            train_step(state, train, idx, targets, cfg)
     return state.params
