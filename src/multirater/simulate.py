@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, takewhile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -380,9 +380,30 @@ def split_dataset(
 #   sample_id,f_0..f_{d-1},true_label,rater_labels,adjudicator_label,consensus,final_label,soft_label
 # One row per GradingRecord. rater_labels holds the first-stage gradings as
 # semicolon-joined rater_id:label pairs; adjudicator_label is a single
-# rater_id:label pair, empty on consensus. Sample and rater ids must fit
-# int64. Floats are written with repr() so values round-trip exactly.
+# rater_id:label pair, empty on consensus. Sample and rater ids are int64.
+# The writer ends each line with \r\n and writes floats with repr(), so values
+# round-trip exactly; no field it writes needs quoting.
+#
+# The reader takes \r\n, \n or \r line ends and fields quoted with ", which
+# may then span lines. Numbers follow numpy's grammar: ASCII digits only and
+# no _ separators. There are no comments (# is an ordinary character) and no
+# blank lines, and every byte is printable ASCII, a tab or a line end. The
+# rater fields hold id:label pairs of int64 ids, at most 45 and 22 characters.
 # ---------------------------------------------------------------------------
+
+# Rows formatted and written per write call.
+CSV_CHUNK_ROWS = 2048
+# One byte wider than the longest valid rater fields, two and one
+# "-9223372036854775808:0" pairs, so a longer field reads as full width.
+_STAGE1_WIDTH = 46
+_ADJUDICATOR_WIDTH = 23
+# The bytes a dataset file may hold; a plain file (see _plain) holds no quote
+# and no empty line either.
+_CSV_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\v\f\r"
+_PLAIN_BYTES = _CSV_BYTES.replace(b'"', b"")
+_EMPTY_LINE = (b"\n\n", b"\r\r", b"\n\r")
+# Bytes read per step of the scan for a plain file.
+_SCAN_BYTES = 1 << 20
 
 
 def _csv_header(feature_dim: int) -> list[str]:
@@ -394,49 +415,31 @@ def _csv_header(feature_dim: int) -> list[str]:
 
 
 def write_dataset_csv(dataset: GradedDataset, path) -> None:
-    """Write one row per sample, built column by column from the dataset's arrays.
+    """Write the header and one row per sample, ``CSV_CHUNK_ROWS`` rows per write.
 
-    ``csv`` writes a Python float as its ``repr``, so values round-trip exactly.
+    Each chunk is formatted column by column from ``.tolist()`` values: ints
+    with ``str``, floats with ``repr`` so they round-trip exactly, and the
+    rater fields as ``id:label`` pairs. Fields are joined with "," and lines
+    end with "\\r\\n", the bytes Python's ``csv.writer`` writes for these fields.
     """
-    r1, r2, r3 = dataset.rater_ids.T.tolist()
-    l1, l2, l3 = dataset.ratings.T.tolist()
-    columns = [
-        dataset.sample_ids.tolist(),
-        *dataset.features.T.tolist(),
-        dataset.true_labels.tolist(),
-        [f"{a}:{x};{b}:{y}" for a, x, b, y in zip(r1, l1, r2, l2)],
-        ["" if lab < 0 else f"{rid}:{lab}" for rid, lab in zip(r3, l3)],
-        dataset.consensus_flags.tolist(),
-        dataset.final_labels.tolist(),
-        dataset.soft_labels.tolist(),
-    ]
+    consensus, final = dataset.consensus_flags, dataset.final_labels
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(dataset.features.shape[1]))
-        writer.writerows(zip(*columns))
-
-
-def _protocol_violation(labels: list[int], raters: list[int], adjudicated: bool, soft_label: float) -> str | None:
-    """Why a parsed CSV row breaks the grading protocol, or None when it does not.
-
-    ``labels`` is (true_label, l1, l2, adjudicator label, consensus, final_label)
-    and ``raters`` the ids (r1, r2, adjudicator).
-    """
-    true_label, l1, l2, l3, consensus, final_label = labels
-    r1, r2, r3 = raters
-    if r1 == r2 or (adjudicated and r3 in (r1, r2)):
-        return "a rater id repeats: the stage-1 raters and the adjudicator must all differ"
-    if not {true_label, l1, l2, consensus, final_label} <= {0, 1} or (adjudicated and l3 not in (0, 1)):
-        return "label outside {0, 1}"
-    if consensus != (l1 == l2):
-        return "consensus flag disagrees with the stage-1 ratings"
-    if consensus and (adjudicated or final_label != l1):
-        return "consensus sample must have no adjudicator and the agreed final label"
-    if not consensus and (not adjudicated or final_label != l3):
-        return "disagreement sample must have the adjudicator's final label"
-    if not SOFT_LABEL_MIN <= soft_label <= SOFT_LABEL_MAX:
-        return f"soft_label {soft_label!r} outside [{SOFT_LABEL_MIN}, {SOFT_LABEL_MAX}]"
-    return None
+        fh.write(",".join(_csv_header(dataset.features.shape[1])) + "\r\n")
+        for start in range(0, len(dataset), CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            r1, r2, r3 = dataset.rater_ids[rows].T.tolist()
+            l1, l2, l3 = dataset.ratings[rows].T.tolist()
+            columns = [
+                map(str, dataset.sample_ids[rows].tolist()),
+                *(map(repr, column) for column in dataset.features[rows].T.tolist()),
+                map(str, dataset.true_labels[rows].tolist()),
+                (f"{a}:{x};{b}:{y}" for a, x, b, y in zip(r1, l1, r2, l2)),
+                ("" if lab < 0 else f"{rid}:{lab}" for rid, lab in zip(r3, l3)),
+                map(str, consensus[rows].tolist()),
+                map(str, final[rows].tolist()),
+                map(repr, dataset.soft_labels[rows].tolist()),
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _id(text) -> int:
@@ -447,54 +450,232 @@ def _id(text) -> int:
     return value
 
 
+def _label(text) -> int:
+    """A rating; 2 stands for any integer outside {0, 1}, which the protocol check rejects."""
+    value = int(text)
+    return value if value in (0, 1) else 2
+
+
+def _stage1_pairs(text: str) -> tuple[int, int, int, int]:
+    (r1, l1), (r2, l2) = (pair.split(":") for pair in text.split(";"))
+    return _id(r1), _id(r2), _label(l1), _label(l2)
+
+
+def _adjudicator_pair(text: str) -> tuple[int, int]:
+    if not text:
+        return -1, -1
+    r3, l3 = text.split(":")
+    return _id(r3), _label(l3)
+
+
+def _parse_distinct(column: np.ndarray, parse, size: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``parse`` once to each distinct field of a rater column.
+
+    Returns per row the ``size`` parsed values, -1 where the field does not
+    parse, and why it does not, None where it does. A field as wide as the
+    column may have been cut short, so it does not parse.
+    """
+    patterns, inverse = np.unique(column, return_inverse=True)
+    values = np.full((len(patterns), size), -1, dtype=np.int64)
+    problems = []
+    for j, raw in enumerate(patterns.tolist()):
+        problem = None
+        try:
+            if len(raw) == column.dtype.itemsize:
+                raise ValueError(f"{name} longer than {column.dtype.itemsize - 1} characters")
+            values[j] = parse(raw.decode("latin-1"))
+        except ValueError as exc:
+            problem = str(exc)
+        problems.append(problem)
+    return values[inverse], np.array(problems, dtype=object)[inverse]
+
+
+class _Raters(NamedTuple):
+    """The rater fields of each row parsed; slot 2 holds -1 where no adjudicator rated."""
+
+    ids: np.ndarray  # (n, 3) int64
+    ratings: np.ndarray  # (n, 3) int64, 2 standing for any label outside {0, 1}
+    problems: np.ndarray  # (n,) why the row's rater fields do not parse, None where they do
+
+
+def _parse_raters(rows: np.ndarray) -> _Raters:
+    stage1, problem1 = _parse_distinct(rows["rater_labels"], _stage1_pairs, 4, "rater_labels")
+    adjudicator, problem3 = _parse_distinct(rows["adjudicator_label"], _adjudicator_pair, 2, "adjudicator_label")
+    return _Raters(
+        ids=np.column_stack([stage1[:, :2], adjudicator[:, 0]]),
+        ratings=np.column_stack([stage1[:, 2:], adjudicator[:, 1]]),
+        problems=np.where(np.equal(problem1, None), problem3, problem1),
+    )
+
+
+def _first_violation(rows: np.ndarray, raters: _Raters, complete: bool) -> tuple[int, str] | None:
+    """The first row that breaks the grading protocol, and why, checked column by column.
+
+    Each row is held to these rules in order: its rater fields parse, its
+    rater ids differ, its labels lie in {0, 1}, its consensus flag and final
+    label follow its ratings, its soft_label lies in [SOFT_LABEL_MIN,
+    SOFT_LABEL_MAX] and its sample_id is not that of an earlier row. When no
+    row breaks one and ``rows`` is the complete file, the first row with a
+    non-finite feature.
+    """
+    ids, soft = rows["sample_id"], rows["soft_label"]
+    true, consensus, final = rows["true_label"], rows["consensus"], rows["final_label"]
+    (r1, r2, r3), (l1, l2, l3) = raters.ids.T, raters.ratings.T
+    adjudicated = rows["adjudicator_label"] != b""
+    first_seen = np.zeros(len(rows), dtype=bool)
+    first_seen[np.unique(ids, return_index=True)[1]] = True
+    rules = [
+        (np.not_equal(raters.problems, None), lambda i: raters.problems[i]),
+        ((r1 == r2) | adjudicated & ((r3 == r1) | (r3 == r2)),
+         lambda i: "a rater id repeats: the stage-1 raters and the adjudicator must all differ"),
+        (np.logical_or.reduce([(c < 0) | (c > 1) for c in (true, consensus, final)]) | (raters.ratings == 2).any(1),
+         lambda i: "label outside {0, 1}"),
+        (consensus != (l1 == l2), lambda i: "consensus flag disagrees with the stage-1 ratings"),
+        ((consensus == 1) & (adjudicated | (final != l1)),
+         lambda i: "consensus sample must have no adjudicator and the agreed final label"),
+        ((consensus == 0) & (~adjudicated | (final != l3)),
+         lambda i: "disagreement sample must have the adjudicator's final label"),
+        (~((soft >= SOFT_LABEL_MIN) & (soft <= SOFT_LABEL_MAX)),
+         lambda i: f"soft_label {soft[i].item()!r} outside [{SOFT_LABEL_MIN}, {SOFT_LABEL_MAX}]"),
+        # branch-label draws are keyed by sample_id
+        (~first_seen, lambda i: f"duplicate sample_id {ids[i]}"),
+    ]
+    groups = [rules]
+    if complete:  # like a parse error, a broken rule anywhere outranks a non-finite feature
+        groups.append([(~np.isfinite(rows["features"]).all(axis=1), lambda i: "non-finite feature")])
+    for group in groups:
+        broken = np.logical_or.reduce([mask for mask, _ in group])
+        if broken.any():
+            row = int(broken.argmax())
+            return row, next(message(row) for mask, message in group if mask[row])
+    return None
+
+
+def _load_rows(path: Path, feature_dim: int, max_rows: int | None = None) -> np.ndarray:
+    """The rows after the header as one structured array; ValueError if one does not parse.
+
+    Latin-1 decodes every byte, so reading ahead of ``max_rows`` cannot fail.
+    """
+    dtype = np.dtype([
+        ("sample_id", np.int64), ("features", np.float64, (feature_dim,)), ("true_label", np.int64),
+        ("rater_labels", f"S{_STAGE1_WIDTH}"), ("adjudicator_label", f"S{_ADJUDICATOR_WIDTH}"),
+        ("consensus", np.int64), ("final_label", np.int64), ("soft_label", np.float64),
+    ])
+    with warnings.catch_warnings():
+        # loadtxt warns of an empty read and of blank lines it skips; the reader finds both itself
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                          skiprows=1, max_rows=max_rows, ndmin=1, encoding="latin-1")
+
+
+def _plain(path: Path) -> bool:
+    """Whether the file holds only ``_PLAIN_BYTES`` and no empty line.
+
+    Then each line after the header is one row, which ``np.loadtxt`` splits
+    as ``csv.reader`` does and parses as Python's ``int`` and ``float`` do,
+    but for their ``_`` separators. Row i is on line i + 2.
+    """
+    last = b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_SCAN_BYTES), b""):
+            if chunk.translate(None, _PLAIN_BYTES) or any(pair in chunk for pair in _EMPTY_LINE):
+                return False
+            if last + chunk[:1] in _EMPTY_LINE:  # a line end on either side of the chunk boundary
+                return False
+            last = chunk[-1:]
+    return True
+
+
+def _parse_prefix(path: Path, feature_dim: int, n: int | None) -> tuple[np.ndarray, str | None]:
+    """The first ``n`` rows (all when None), cut before the first ``np.loadtxt`` cannot parse, and why.
+
+    That row is found by bisecting ``max_rows`` (no file has more rows than
+    bytes), trying first the rows next to the one loadtxt's message names,
+    which it counts from 0 or from 1 depending on the fault.
+    """
+    try:
+        return _load_rows(path, feature_dim, n), None
+    except ValueError as exc:
+        failure = str(exc)
+    named = "".join(takewhile(str.isdigit, failure.rpartition(" at row ")[2]))
+    guesses = [int(named) + k for k in (0, 1, -1)] if named else []
+    rows, parsed, failing = _load_rows(path, feature_dim, 0), 0, path.stat().st_size if n is None else n
+    while failing - parsed > 1:
+        middle = guesses.pop(0) if guesses else (parsed + failing) // 2
+        if not parsed < middle < failing:
+            continue
+        try:
+            rows, parsed = _load_rows(path, feature_dim, middle), middle
+        except ValueError as exc:
+            failing, failure = middle, str(exc)
+    return rows, failure.split(" at row ")[0]
+
+
+def _walk(path: Path, feature_dim: int) -> tuple[list[int], tuple[int, str] | None]:
+    """The line of each row, walking the records after the header with ``csv.reader``.
+
+    The walk stops at the first record of the wrong width (a blank line has
+    none) or with a byte outside ``_CSV_BYTES``, and returns that record's
+    line and fault too.
+    """
+    width = feature_dim + 7
+    lines = []
+    with open(path, newline="", encoding="latin-1") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        try:
+            for record in reader:
+                if len(record) != width:
+                    return lines, (reader.line_num, f"expected {width} columns, got {len(record)}")
+                odd = ",".join(record).encode("latin-1").translate(None, _CSV_BYTES)
+                if odd:
+                    return lines, (reader.line_num, f"byte {odd[0]:#04x} is not printable ASCII")
+                lines.append(reader.line_num)
+        except csv.Error as exc:
+            return lines, (reader.line_num, str(exc))
+    return lines, None
+
+
 def read_dataset_csv(path) -> GradedDataset:
     """Read a dataset written by write_dataset_csv, validating every row.
 
     Raises EmptyDatasetError for a file without samples and DataError naming
-    ``path:line`` for a malformed row or a repeated sample_id.
+    ``path:line`` of the first malformed row, or of the first repeated
+    sample_id, in file order; a non-finite feature is reported only when no
+    row is malformed.
+
+    One ``np.loadtxt`` call parses a plain file (see ``_plain``), where row i
+    is on line i + 2, and whole-column checks validate it. Any other file is
+    walked with ``csv.reader`` first, for the line of each row and the first
+    record ``np.loadtxt`` would split otherwise or parse more leniently than
+    ``int`` and ``float``; only the rows before it are parsed.
     """
     path = Path(path)
-    features, rows, seen = [], [], set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDatasetError(f"{path}: empty dataset file")
-        d = len(header) - 7
-        if d < 1 or header != _csv_header(d):
-            raise DataError(f"{path}: unexpected CSV header")
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}")
-            try:
-                feats = np.array([float(x) for x in row[1 : 1 + d]])
-                (r1, l1), (r2, l2) = (pair.split(":") for pair in row[2 + d].split(";"))
-                r3, l3 = row[3 + d].split(":") if row[3 + d] else (-1, -1)
-                ids = [_id(x) for x in (row[0], r1, r2, r3)]
-                labels = [int(x) for x in (row[1 + d], l1, l2, l3, row[4 + d], row[5 + d])]
-                soft = float(row[6 + d])
-            except ValueError as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-            problem = _protocol_violation(labels, ids[1:], bool(row[3 + d]), soft)
-            if problem is not None:
-                raise DataError(f"{path}:{reader.line_num}: {problem}")
-            if ids[0] in seen:  # branch-label draws are keyed by sample_id
-                raise DataError(f"{path}:{reader.line_num}: duplicate sample_id {ids[0]}")
-            seen.add(ids[0])
-            features.append(feats)
-            rows.append((ids, labels, soft, reader.line_num))
-    if not rows:
+    with open(path, newline="", encoding="latin-1") as fh:
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise EmptyDatasetError(f"{path}: empty dataset file")
+    d = len(header) - 7
+    if d < 1 or header != _csv_header(d):
+        raise DataError(f"{path}: unexpected CSV header")
+    lines, cut = (None, None) if _plain(path) else _walk(path, d)
+    rows, failure = _parse_prefix(path, d, None if lines is None else len(lines))
+    raters = _parse_raters(rows)
+    found = _first_violation(rows, raters, complete=failure is None and cut is None)
+    if found is None and failure is not None:
+        found = len(rows), failure
+    if found is not None:
+        row, reason = found
+        raise DataError(f"{path}:{row + 2 if lines is None else lines[row]}: {reason}")
+    if cut is not None:
+        raise DataError(f"{path}:{cut[0]}: {cut[1]}")
+    if len(rows) == 0:
         raise EmptyDatasetError(f"{path}: dataset has a header but no rows")
-    matrix = np.stack(features)
-    ids, labels, softs, line_nums = (np.array(column) for column in zip(*rows))
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():  # a quoted field may span lines, so each row keeps its own line number
-        raise DataError(f"{path}:{line_nums[finite.argmin()]}: non-finite feature")
     return GradedDataset(
-        features=matrix,
-        true_labels=labels[:, 0],
-        sample_ids=ids[:, 0],
-        rater_ids=ids[:, 1:],
-        ratings=labels[:, 1:4].astype(np.int8),
-        soft_labels=softs,
+        features=np.ascontiguousarray(rows["features"]),
+        true_labels=rows["true_label"].copy(),
+        sample_ids=rows["sample_id"].copy(),
+        rater_ids=raters.ids,
+        ratings=raters.ratings.astype(np.int8),
+        soft_labels=rows["soft_label"].copy(),
     )

@@ -259,3 +259,102 @@ def write_dataset_csv(records, features, true_labels, path):
                 + [repr(x) for x in feats]
                 + [true_label, rater_labels, adj, rec.consensus, rec.final_label, repr(rec.soft_label)]
             )
+
+
+class CsvRejected(Exception):
+    """The oracle reader's rejection of a file: ``where`` is ``path:line``, or ``path`` for the whole file."""
+
+    def __init__(self, where, message, empty=False):
+        super().__init__(f"{where}: {message}")
+        self.where = where
+        self.empty = empty
+
+
+SOFT_LABEL_MIN = 0.01
+SOFT_LABEL_MAX = 0.99
+
+
+def _protocol_violation(labels, raters, adjudicated, soft_label):
+    """Why a parsed CSV row breaks the grading protocol, or None when it does not.
+
+    ``labels`` is (true_label, l1, l2, adjudicator label, consensus, final_label)
+    and ``raters`` the ids (r1, r2, adjudicator).
+    """
+    true_label, l1, l2, l3, consensus, final_label = labels
+    r1, r2, r3 = raters
+    if r1 == r2 or (adjudicated and r3 in (r1, r2)):
+        return "a rater id repeats: the stage-1 raters and the adjudicator must all differ"
+    if not {true_label, l1, l2, consensus, final_label} <= {0, 1} or (adjudicated and l3 not in (0, 1)):
+        return "label outside {0, 1}"
+    if consensus != (l1 == l2):
+        return "consensus flag disagrees with the stage-1 ratings"
+    if consensus and (adjudicated or final_label != l1):
+        return "consensus sample must have no adjudicator and the agreed final label"
+    if not consensus and (not adjudicated or final_label != l3):
+        return "disagreement sample must have the adjudicator's final label"
+    if not SOFT_LABEL_MIN <= soft_label <= SOFT_LABEL_MAX:
+        return f"soft_label {soft_label!r} outside [{SOFT_LABEL_MIN}, {SOFT_LABEL_MAX}]"
+    return None
+
+
+def _id(text):
+    """A sample or rater id; ValueError unless it fits int64."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"id {text} does not fit in int64")
+    return value
+
+
+def read_dataset_csv(path):
+    """The dataset CSV read row by row with ``csv.reader``, ``int`` and ``float``.
+
+    Returns the columns as lists under the names of ``GradedDataset``'s
+    arrays, rater slot 2 holding -1 where no adjudicator rated. Raises
+    CsvRejected for a file without samples (``empty``) and at ``path:line``
+    for a malformed row or a repeated sample_id; a non-finite feature is
+    rejected only after every row passed.
+    """
+    columns = {name: [] for name in ("features", "true_labels", "sample_ids", "rater_ids", "ratings", "soft_labels")}
+    line_nums, seen = [], set()
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvRejected(path, "empty dataset file", empty=True)
+        d = len(header) - 7
+        names = (["sample_id"] + [f"f_{j}" for j in range(d)]
+                 + ["true_label", "rater_labels", "adjudicator_label", "consensus", "final_label", "soft_label"])
+        if d < 1 or header != names:
+            raise CsvRejected(path, "unexpected CSV header")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise CsvRejected(where, f"expected {len(header)} columns, got {len(row)}")
+            try:
+                feats = [float(x) for x in row[1 : 1 + d]]
+                (r1, l1), (r2, l2) = (pair.split(":") for pair in row[2 + d].split(";"))
+                r3, l3 = row[3 + d].split(":") if row[3 + d] else (-1, -1)
+                ids = [_id(x) for x in (row[0], r1, r2, r3)]
+                labels = [int(x) for x in (row[1 + d], l1, l2, l3, row[4 + d], row[5 + d])]
+                soft = float(row[6 + d])
+            except ValueError as exc:
+                raise CsvRejected(where, exc) from exc
+            problem = _protocol_violation(labels, ids[1:], bool(row[3 + d]), soft)
+            if problem is not None:
+                raise CsvRejected(where, problem)
+            if ids[0] in seen:
+                raise CsvRejected(where, f"duplicate sample_id {ids[0]}")
+            seen.add(ids[0])
+            columns["features"].append(feats)
+            columns["true_labels"].append(labels[0])
+            columns["sample_ids"].append(ids[0])
+            columns["rater_ids"].append(ids[1:])
+            columns["ratings"].append(labels[1:4])
+            columns["soft_labels"].append(soft)
+            line_nums.append(reader.line_num)
+    if not line_nums:
+        raise CsvRejected(path, "dataset has a header but no rows", empty=True)
+    for feats, line in zip(columns["features"], line_nums):
+        if not all(math.isfinite(x) for x in feats):
+            raise CsvRejected(f"{path}:{line}", "non-finite feature")
+    return columns

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from csv_edits import BROKEN_ROWS
 from multirater import cli
 from multirater.cli import ExperimentConfig, resolve_config
 from multirater.errors import ParameterError
@@ -322,49 +323,6 @@ class TestEval:
                          "--data", wide / "test.csv", "--out", tmp_path / "m")
         assert result.returncode == 1
         assert "features" in result.stderr
-
-
-def _set(column, value):
-    def edit(fields, header):
-        fields[header.index(column)] = value
-    return edit
-
-
-def _flip(column):
-    def edit(fields, header):
-        i = header.index(column)
-        fields[i] = str(1 - int(fields[i]))
-    return edit
-
-
-def _repeat_rater(fields, header):
-    """File rater 2's first-stage rating under rater 1's id, keeping both labels."""
-    i = header.index("rater_labels")
-    fields[i] = fields[i].replace("2:", "1:")
-
-
-def _overrule_adjudicator(fields, header):
-    """Make the row a stage-1 disagreement whose final label is not the adjudicator's."""
-    for column, value in (("rater_labels", "1:0;2:1"), ("adjudicator_label", "3:1"),
-                          ("consensus", "0"), ("final_label", "0")):
-        fields[header.index(column)] = value
-
-
-BROKEN_ROWS = {
-    "truncated": lambda fields, header: fields.pop(),
-    "non_integer_label": _set("consensus", "yes"),
-    "true_label_out_of_domain": _set("true_label", "7"),
-    "stage1_label_out_of_domain": _set("rater_labels", "1:7;2:7"),
-    "three_stage1_ratings": _set("rater_labels", "1:0;2:0;4:0"),
-    "consensus_flag_flipped": _flip("consensus"),
-    "final_label_flipped": _flip("final_label"),
-    "soft_label_out_of_range": _set("soft_label", "1.5"),
-    "non_finite_feature": _set("f_0", "nan"),
-    "sample_id_beyond_int64": _set("sample_id", str(2**63)),
-    "rater_id_beyond_int64": _set("rater_labels", f"{-(2**63) - 1}:0;2:0"),
-    "repeated_rater_id": _repeat_rater,
-    "final_label_not_the_adjudicators": _overrule_adjudicator,
-}
 
 
 @pytest.fixture(scope="module")

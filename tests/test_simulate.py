@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from csv_edits import BROKEN_ROWS, flip_field, overrule_adjudicator, set_field
 from multirater import simulate
-from multirater.errors import DataError, ParameterError
+from multirater.errors import DataError, EmptyDatasetError, ParameterError
 from multirater.labels import attach_soft_labels, compute_rater_weights
 from multirater.simulate import (
     CATEGORY_NAMES,
+    CSV_CHUNK_ROWS,
     DEFAULT_N_SAMPLES,
     GradedDataset,
     GradingPanel,
@@ -227,6 +229,20 @@ def _toy_dataset(n=1000, seed=13, difficulty_mix=0.65):
     return grade_dataset(samples, default_panel(), seed=seed)
 
 
+# One row less than a writer chunk, one chunk, and one row more.
+CHUNK_SIZES = (CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1)
+
+
+def _with_extremes(ds):
+    """``ds`` with the extreme int64 ids in its first and last rows and edge-case floats in its first."""
+    ds.sample_ids[0] = -(2**63)
+    ds.sample_ids[-1] = 2**63 - 1
+    adjudicator = ds.rater_ids[0, 2]
+    ds.rater_ids[0] = [2**63 - 1, -(2**63), adjudicator if adjudicator < 0 else 7]
+    ds.features[0, :4] = [-0.0, 5e-324, 1e16, 1.2345678901234568e17]
+    return ds
+
+
 class TestSplitDataset:
     def test_split_sizes(self):
         ds = _toy_dataset(1000)
@@ -374,12 +390,14 @@ class TestCsvRoundTrip:
             assert (adj_field == "") == bool(rec.consensus)
 
     def test_matches_the_record_by_record_writer(self, tmp_path):
+        """Also at one row and at one chunk of rows less, exactly and more."""
         train, val, _ = split_dataset(_toy_dataset(300), (0.6, 0.15, 0.25), seed=1)
         attach_soft_labels(val, compute_rater_weights(train))
         val.sample_ids[0] = -(2**63)
         val.rater_ids[0] = [2**63 - 1, -5, -1]
         val.features[1, 0] = -0.0
-        for ds in (train, val):
+        sized = [_with_extremes(_toy_dataset(n)) for n in (1, *CHUNK_SIZES)]
+        for ds in (train, val, *sized):
             ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
             write_dataset_csv(ds, ours)
             oracles.write_dataset_csv(ds.records, ds.features.tolist(), ds.true_labels.tolist(), reference)
@@ -436,6 +454,240 @@ class TestCsvRoundTrip:
         bad_header.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError, match="header"):
             read_dataset_csv(bad_header)
+
+
+def _oracle_verdict(path):
+    """The oracle's columns for ``path``, or its CsvRejected."""
+    try:
+        return oracles.read_dataset_csv(path)
+    except oracles.CsvRejected as rejection:
+        return rejection
+
+
+def _assert_reads_as_the_oracle(path):
+    """Equal arrays and dtypes where the oracle accepts ``path``; where it rejects, the same error class and place."""
+    expected = _oracle_verdict(path)
+    if isinstance(expected, oracles.CsvRejected):
+        with pytest.raises(DataError) as raised:
+            read_dataset_csv(path)
+        assert isinstance(raised.value, EmptyDatasetError) == expected.empty
+        assert str(raised.value).startswith(f"{expected.where}: "), (str(raised.value), str(expected))
+        return
+    got = read_dataset_csv(path)
+    for name, dtype in (("features", np.float64), ("true_labels", np.int64), ("sample_ids", np.int64),
+                        ("rater_ids", np.int64), ("ratings", np.int8), ("soft_labels", np.float64)):
+        array, reference = getattr(got, name), np.array(expected[name], dtype=dtype)
+        assert array.dtype == dtype and array.shape == reference.shape, name
+        assert array.flags.c_contiguous, name  # as freshly built arrays are, for the same matmul bits
+        assert array.tobytes() == reference.tobytes(), name  # bit for bit, so -0.0 stays -0.0
+
+
+def _edit_row(row, edit):
+    """A file edit applying a ``csv_edits`` row edit to data row ``row`` of a CRLF file."""
+    def apply(text):
+        lines = text.split("\r\n")
+        fields = lines[row + 1].split(",")
+        edit(fields, lines[0].split(","))
+        lines[row + 1] = ",".join(fields)
+        return "\r\n".join(lines)
+    return apply
+
+
+def _edit_line(line, edit):
+    def apply(text):
+        lines = text.split("\r\n")
+        lines[line - 1] = edit(lines[line - 1])
+        return "\r\n".join(lines)
+    return apply
+
+
+def _both(*edits):
+    """The edits in turn; one that splits a line comes last, as the others count lines."""
+    def apply(text):
+        for edit in edits:
+            text = edit(text)
+        return text
+    return apply
+
+
+def _spanning_two_lines(row):
+    """Quote f_0 of data row ``row`` with a line end inside, which float() strips."""
+    return _edit_row(row, lambda fields, header: fields.__setitem__(1, f'"{fields[1]}\r\n"'))
+
+
+# Files the oracle accepts, written by the writer and then edited.
+VALID_VARIANTS = {
+    "crlf": lambda text: text,
+    "lf": lambda text: text.replace("\r\n", "\n"),
+    "cr": lambda text: text.replace("\r\n", "\r"),
+    "no_final_newline": lambda text: text[:-2],
+    "lf_without_final_newline": lambda text: text.replace("\r\n", "\n")[:-1],
+    "field_spanning_two_lines": _spanning_two_lines(3),
+    "field_spanning_two_lines_last": lambda text: _spanning_two_lines(11)(text)[:-2],
+    "quoted_fields": _edit_row(4, lambda fields, header: fields.__setitem__(
+        slice(None), [f'"{field}"' for field in fields])),
+    "padded_numbers": _edit_row(4, lambda fields, header: fields.__setitem__(
+        slice(0, 3), [f" {field}\t" for field in fields[:3]])),
+    "signed_numbers": _edit_row(4, lambda fields, header: fields.__setitem__(0, "+" + fields[0])),
+}
+
+CORRUPT_FILES = {
+    **{f"{name}_in_row_1": _edit_row(1, edit) for name, edit in BROKEN_ROWS.items()},
+    **{f"{name}_in_the_last_row": _edit_row(11, edit) for name, edit in BROKEN_ROWS.items()},
+    "blank_line_in_the_middle": _edit_line(5, lambda line: line + "\r\n"),
+    "blank_line_at_the_end": lambda text: text + "\r\n",
+    "lf_blank_line": lambda text: text.replace("\r\n", "\n").replace("\n", "\n\n", 3),
+    "whitespace_line": _edit_line(4, lambda line: line + "\r\n  "),
+    "hash_inside_a_field": _edit_row(2, set_field("f_1", "1.5#2")),
+    "hash_opening_a_line": _edit_row(2, set_field("sample_id", "#2")),
+    "rater_field_of_47_bytes": _edit_row(2, set_field("rater_labels", "1:0;2:" + "0" * 40 + "x")),
+    "adjudicator_field_of_24_bytes": _edit_row(2, set_field("adjudicator_label", "3:" + "1" * 22)),
+    "empty_numeric_field": _edit_row(2, set_field("f_3", "")),
+    "empty_label_field": _edit_row(2, set_field("final_label", "")),
+    "nan_feature": _edit_row(3, set_field("f_2", "nan")),
+    "inf_feature": _edit_row(3, set_field("f_2", "inf")),
+    "minus_infinity_feature": _edit_row(3, set_field("f_2", "-Infinity")),
+    "nan_soft_label": _edit_row(3, set_field("soft_label", "nan")),
+    "non_finite_feature_before_a_protocol_error": _both(_edit_row(1, set_field("f_0", "nan")),
+                                                        _edit_row(8, flip_field("consensus"))),
+    "protocol_error_before_an_unparsable_row": _both(_edit_row(2, flip_field("consensus")),
+                                                     _edit_row(6, set_field("final_label", "yes"))),
+    "non_finite_feature_before_an_unparsable_row": _both(_edit_row(1, set_field("f_0", "nan")),
+                                                         _edit_row(6, set_field("f_0", "x"))),
+    "unparsable_row_before_a_protocol_error": _both(_edit_row(2, set_field("f_4", "1.0.0")),
+                                                    _edit_row(6, flip_field("consensus"))),
+    "protocol_error_before_a_blank_line": _both(_edit_line(9, lambda line: line + "\r\n"),
+                                                _edit_row(3, flip_field("final_label"))),
+    "repeated_id_after_a_multi_line_row": _both(_edit_row(5, set_field("sample_id", "2")), _spanning_two_lines(1)),
+    "unparsable_row_after_a_multi_line_row": _both(_edit_row(5, set_field("f_0", "x")), _spanning_two_lines(1)),
+    "non_ascii_junk_in_an_int_column": _edit_row(2, set_field("sample_id", "1Ǿ0")),
+    "control_character_in_a_float": _edit_row(2, set_field("f_0", "1.0\x1c")),
+    "control_character_in_an_int": _edit_row(2, set_field("consensus", "\x1f1")),
+    "delete_character": _edit_row(2, set_field("f_0", "1.0\x7f")),
+    "lone_carriage_return_inside_a_row": _edit_row(2, set_field("f_0", "1.0\r5")),
+    "quote_left_open": _edit_row(4, set_field("f_0", '"1.0')),
+    "text_after_a_closing_quote": _edit_row(4, set_field("f_0", '"1.0"x')),
+    "label_beyond_int64": _edit_row(4, set_field("true_label", str(2**64))),
+    "adjudicator_label_minus_one": _edit_row(4, overrule_adjudicator),
+}
+
+# Inputs the oracle accepts and the reader rejects: numpy's number grammar has
+# no _ separators and only ASCII digits, and a rater field may not exceed the
+# longest valid one however its numbers are padded.
+ONLY_THE_ORACLE_ACCEPTS = {
+    "underscore_in_a_sample_id": _edit_row(2, lambda fields, header: fields.__setitem__(0, "1_0" + fields[0])),
+    "underscore_in_a_feature": _edit_row(2, set_field("f_0", "1_0.5")),
+    "arabic_indic_digit": _edit_row(2, set_field("true_label", "١")),
+    "zero_padded_rater_field": _edit_row(2, lambda fields, header: fields.__setitem__(
+        header.index("rater_labels"), "0" * 40 + fields[header.index("rater_labels")])),
+}
+
+
+# Characters of numbers, rater pairs and CSV structure; no _ and no non-ASCII digit.
+FUZZ_ALPHABET = '0123456789-+.e:;,"# \t\r\ninfaNIF\x1c\x0bǾ'
+
+
+class TestReaderAgainstOracle:
+    """``read_dataset_csv`` against the row-by-row reader it replaced (``oracles.read_dataset_csv``)."""
+
+    @pytest.fixture()
+    def written(self, tmp_path):
+        """A 12-row file as the writer writes it, with CRLF line ends."""
+        path = tmp_path / "data.csv"
+        write_dataset_csv(_toy_dataset(12), path)
+        return path
+
+    @pytest.mark.parametrize("n", [1, *CHUNK_SIZES])
+    def test_written_files(self, tmp_path, n):
+        path = tmp_path / "data.csv"
+        write_dataset_csv(_with_extremes(_toy_dataset(n)), path)
+        assert not isinstance(_oracle_verdict(path), oracles.CsvRejected)
+        _assert_reads_as_the_oracle(path)
+
+    @pytest.mark.parametrize("variant", sorted(VALID_VARIANTS))
+    def test_valid_variants(self, written, variant):
+        written.write_bytes(VALID_VARIANTS[variant](written.read_bytes().decode()).encode())
+        assert not isinstance(_oracle_verdict(written), oracles.CsvRejected)
+        _assert_reads_as_the_oracle(written)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPT_FILES))
+    def test_corrupt_files(self, written, corruption):
+        written.write_bytes(CORRUPT_FILES[corruption](written.read_bytes().decode()).encode())
+        assert isinstance(_oracle_verdict(written), oracles.CsvRejected)
+        _assert_reads_as_the_oracle(written)
+
+    def test_corrupt_files_without_loadtxt_row_numbers(self, written, monkeypatch):
+        """Bisection alone finds each row, should loadtxt's messages stop naming one."""
+        load = simulate._load_rows
+
+        def unnamed(*args):
+            try:
+                return load(*args)
+            except ValueError as exc:
+                raise ValueError(str(exc).split(" at row ")[0]) from None
+
+        monkeypatch.setattr(simulate, "_load_rows", unnamed)
+        text = written.read_bytes().decode()
+        for corruption in CORRUPT_FILES.values():
+            written.write_bytes(corruption(text).encode())
+            _assert_reads_as_the_oracle(written)
+
+    @pytest.mark.parametrize("text", ["", "sample_id,f_0\r\n", "\r\nsample_id\r\n"])
+    def test_files_without_rows_or_header(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        _assert_reads_as_the_oracle(path)
+
+    def test_header_only(self, written):
+        written.write_bytes(written.read_bytes().split(b"\r\n")[0] + b"\r\n")
+        _assert_reads_as_the_oracle(written)
+        written.write_bytes(written.read_bytes() + b"\r\n")  # and a blank line
+        _assert_reads_as_the_oracle(written)
+
+    @pytest.mark.parametrize("case", sorted(ONLY_THE_ORACLE_ACCEPTS))
+    def test_inputs_only_the_oracle_accepts(self, written, case):
+        written.write_bytes(ONLY_THE_ORACLE_ACCEPTS[case](written.read_bytes().decode()).encode())
+        assert not isinstance(_oracle_verdict(written), oracles.CsvRejected)
+        with pytest.raises(DataError, match=r"data\.csv:4: "):
+            read_dataset_csv(written)
+
+    @pytest.mark.parametrize("blank", ["\r\n", "\n", "\r"])
+    def test_blank_line_found_across_every_scan_boundary(self, written, monkeypatch, blank):
+        lines = written.read_bytes().split(b"\r\n")
+        lines[6] += blank.encode()
+        written.write_bytes(b"\r\n".join(lines))
+        for size in range(1, 40):
+            monkeypatch.setattr(simulate, "_SCAN_BYTES", size)
+            with pytest.raises(DataError, match=r"data\.csv:8: expected 23 columns, got 0$"):
+                read_dataset_csv(written)
+
+    def test_invalid_utf8_is_a_data_error(self, written):
+        """The oracle stops with UnicodeDecodeError; the reader names the row."""
+        lines = written.read_bytes().split(b"\r\n")
+        lines[5] = lines[5].replace(b",", b",\xff", 1)
+        written.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataError, match=r"data\.csv:6: byte 0xff is not printable ASCII$"):
+            read_dataset_csv(written)
+
+    @given(row=st.integers(0, 11), column=st.integers(0, 22),
+           value=st.text(alphabet=FUZZ_ALPHABET, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_one_field_replaced(self, tmp_path_factory, row, column, value):
+        path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        write_dataset_csv(_toy_dataset(12), path)
+        path.write_bytes(_edit_row(row, lambda fields, header: fields.__setitem__(column, value))(
+            path.read_bytes().decode()).encode())
+        _assert_reads_as_the_oracle(path)
+
+    @given(at=st.integers(0, 4000), value=st.text(alphabet=FUZZ_ALPHABET, min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_text_inserted(self, tmp_path_factory, at, value):
+        path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        write_dataset_csv(_toy_dataset(12), path)
+        text = path.read_bytes().decode()
+        at = at % (len(text) + 1)
+        path.write_bytes((text[:at] + value + text[at:]).encode())
+        _assert_reads_as_the_oracle(path)
 
 
 class TestCategoryCounts:

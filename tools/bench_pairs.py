@@ -2,20 +2,21 @@
 
 Usage::
 
-    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seconds S] [--seed K]
+    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [W ...] --pairs N [--seconds S] [--seed K]
 
 Each run is ``bench/run.py --workload W --seed K --seconds S`` in one
 checkout, in a fresh interpreter; its last output line is the JSON result.
-Pair k runs the parent first when k is even and the change first when k is
-odd, so drift on a shared machine does not favour one side. ``--seconds``
-defaults to ``run_seconds`` of PARENT_DIR/BENCHMARK.json.
+Pair k runs each workload in turn on both sides, the parent first when k is
+even and the change first when k is odd, so drift on a shared machine
+favours neither side and the workloads' pairs are interleaved.
+``--seconds`` defaults to ``run_seconds`` of PARENT_DIR/BENCHMARK.json.
 
-For each end-to-end metric of that BENCHMARK.json the script prints each
-side's median and quartiles, the pairs the change won (ties count for
-neither), and whether a gain may be claimed: the change won at least nine
-tenths of the pairs and the medians differ by more than the parent's
-interquartile range. Runs with failed passes are reported and count as
-losses for their side's metrics. Standard library only.
+For each workload and each end-to-end metric of that BENCHMARK.json the
+script prints each side's median and quartiles, the pairs the change won
+(ties count for neither), and whether a gain may be claimed: the change won
+at least nine tenths of the pairs and the medians differ by more than the
+parent's interquartile range. A run with failed passes, or one that does not
+report the metric, counts as a loss for its side. Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SIDES = ("parent", "change")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -47,11 +50,43 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def value(result: dict, name: str) -> float | None:
+    """The metric's value in one run's result; None when the run failed or lacks it."""
+    metric = result["metrics"].get(name)
+    return metric["value"] if result["correct"] and metric is not None else None
+
+
+def compare(parent: list, change: list, better: str):
+    """(pairs the change won, each side's quartiles, whether a gain may be claimed).
+
+    ``parent`` and ``change`` hold one value per pair, None for a failed run.
+    """
+    sign = 1 if better == "higher" else -1
+    won = sum(c is not None and (p is None or sign * (c - p) > 0) for p, c in zip(parent, change))
+    stats = [quartiles([v for v in vals if v is not None] or [float("nan")]) for vals in (parent, change)]
+    gap = sign * (stats[1][1] - stats[0][1])
+    return won, stats, won >= 0.9 * len(parent) and gap > stats[0][2] - stats[0][0]
+
+
+def print_table(workload: str, metrics: list[dict], results: dict, seed: int, seconds: float) -> None:
+    pairs = len(results["parent"])
+    print(f"\nworkload {workload}  seed {seed}  seconds {seconds:g}  pairs {pairs}")
+    print(f"{'metric':<22}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}{'won':>8}  gain")
+    for m in metrics:
+        values = [[value(r, m["name"]) for r in results[side]] for side in SIDES]
+        if not any(r["metrics"].get(m["name"]) for side in SIDES for r in results[side]):
+            print(f"{m['name']:<22}{'not reported':>36}")
+            continue
+        won, stats, claim = compare(*values, m["better"])
+        cells = "".join(f"{' / '.join(f'{v:.5g}' for v in s):>36}" for s in stats)
+        print(f"{m['name']:<22}{cells}{f'{won}/{pairs}':>8}  {'yes' if claim else 'no'}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
@@ -61,39 +96,25 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    sides = {"parent": args.parent, "change": args.change}
-    results = {side: [] for side in sides}
+    checkouts = dict(zip(SIDES, (args.parent, args.change)))
+    results = {w: {side: [] for side in SIDES} for w in args.workload}
     for k in range(args.pairs):
-        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            result = run_bench(sides[side], args.workload, args.seed, seconds)
-            if not result["correct"]:
-                print(f"pair {k + 1}: {side} had {result['failed']} failed passes", file=sys.stderr)
-            results[side].append(result)
-        print(f"pair {k + 1}: " + "  ".join(
-            f"{m['name']} {results['parent'][-1]['metrics'][m['name']]['value']:.6g}"
-            f" -> {results['change'][-1]['metrics'][m['name']]['value']:.6g}"
-            for m in spec["end_to_end"] if m["name"] in results["change"][-1]["metrics"]
-        ), flush=True)
+        for workload in args.workload:
+            runs = results[workload]
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                result = run_bench(checkouts[side], workload, args.seed, seconds)
+                if not result["correct"]:
+                    print(f"pair {k + 1} {workload}: {side} had {result['failed']} failed passes", file=sys.stderr)
+                runs[side].append(result)
+            reported = [m["name"] for m in spec["end_to_end"]
+                        if all(m["name"] in runs[side][-1]["metrics"] for side in SIDES)]
+            print(f"pair {k + 1} {workload}: " + "  ".join(
+                f"{name} {runs['parent'][-1]['metrics'][name]['value']:.6g}"
+                f" -> {runs['change'][-1]['metrics'][name]['value']:.6g}" for name in reported
+            ), flush=True)
 
-    print(f"\nworkload {args.workload}  seed {args.seed}  seconds {seconds:g}  pairs {args.pairs}")
-    print(f"{'metric':<22}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}{'won':>8}  gain")
-    for m in spec["end_to_end"]:
-        name, sign = m["name"], (1 if m["better"] == "higher" else -1)
-        values = {}
-        for side, runs in results.items():
-            values[side] = [r["metrics"][name]["value"] if r["correct"] else None
-                            for r in runs if name in r["metrics"]]
-        if len(values["parent"]) != args.pairs or len(values["change"]) != args.pairs:
-            print(f"{name:<22}{'not reported by every run':>36}")
-            continue
-        won = sum(c is not None and (p is None or sign * (c - p) > 0)
-                  for p, c in zip(values["parent"], values["change"]))
-        stats = {side: quartiles([v for v in vals if v is not None] or [float("nan")])
-                 for side, vals in values.items()}
-        gap = sign * (stats["change"][1] - stats["parent"][1])
-        claim = won >= 0.9 * args.pairs and gap > stats["parent"][2] - stats["parent"][0]
-        cells = "".join(f"{' / '.join(f'{v:.5g}' for v in stats[side]):>36}" for side in sides)
-        print(f"{name:<22}{cells}{f'{won}/{args.pairs}':>8}  {'yes' if claim else 'no'}")
+    for workload in args.workload:
+        print_table(workload, spec["end_to_end"], results[workload], args.seed, seconds)
     return 0
 
 
