@@ -257,6 +257,9 @@ def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
             raise FileNotFoundError(f"missing dataset file {data_dir / name}")
     train_ds = read_dataset_csv(data_dir / "train.csv")
     val_ds = read_dataset_csv(data_dir / "val.csv")
+    if val_ds.features.shape[1] != train_ds.features.shape[1]:
+        raise DataError(f"{data_dir / 'val.csv'}: dataset has {val_ds.features.shape[1]} features, "
+                        f"train.csv has {train_ds.features.shape[1]}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     snapshot = {"seed": cfg.seed, "ablation": cfg.ablation, "config": cfg.to_dict()}
@@ -287,10 +290,8 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint: Path, data_csv: Path, out_dir: P
     dataset = read_dataset_csv(data_csv)
     params, checkpoint_meta = load_checkpoint(checkpoint)
     if dataset.features.shape[1] != params.config.input_dim:
-        raise DataError(
-            f"checkpoint expects {params.config.input_dim} features, "
-            f"dataset has {dataset.features.shape[1]}"
-        )
+        raise DataError(f"{data_csv}: checkpoint expects {params.config.input_dim} features, "
+                        f"dataset has {dataset.features.shape[1]}")
     report = evaluate(params, dataset, cfg.threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {

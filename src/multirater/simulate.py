@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product, takewhile
+from itertools import combinations, product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -384,19 +384,21 @@ def split_dataset(
 # The writer ends each line with \r\n and writes floats with repr(), so values
 # round-trip exactly; no field it writes needs quoting.
 #
-# The reader takes \r\n, \n or \r line ends and fields quoted with ", which
-# may then span lines. Numbers follow numpy's grammar: ASCII digits only and
-# no _ separators. There are no comments (# is an ordinary character) and no
-# blank lines, and every byte is printable ASCII, a tab or a line end. The
-# rater fields hold id:label pairs of int64 ids, at most 45 and 22 characters.
+# _read_records states what the reader takes. Records are csv.reader's: \r\n,
+# \n or \r line ends, and fields quoted with ", which may then span lines.
+# There are no comments (# is an ordinary character) and no blank lines, and
+# every byte is printable ASCII, a tab or a line end. Numbers parse with int()
+# and float() but hold no _ separators. The rater fields hold id:label pairs
+# of int64 ids, at most 45 and 22 characters. _read_plain reads the files the
+# writer writes faster, and it may only accept: it returns what _read_records
+# would, or nothing.
 # ---------------------------------------------------------------------------
 
 # Rows formatted and written per write call.
 CSV_CHUNK_ROWS = 2048
-# One byte wider than the longest valid rater fields, two and one
-# "-9223372036854775808:0" pairs, so a longer field reads as full width.
-_STAGE1_WIDTH = 46
-_ADJUDICATOR_WIDTH = 23
+# The longest valid rater fields, two and one "-9223372036854775808:0" pairs.
+_STAGE1_WIDTH = 45
+_ADJUDICATOR_WIDTH = 22
 # The bytes a dataset file may hold; a plain file (see _plain) holds no quote
 # and no empty line either.
 _CSV_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\v\f\r"
@@ -457,123 +459,119 @@ def _label(text) -> int:
 
 
 def _stage1_pairs(text: str) -> tuple[int, int, int, int]:
+    """(r1, r2, l1, l2) of a rater_labels field."""
+    if len(text) > _STAGE1_WIDTH:
+        raise ValueError(f"rater_labels longer than {_STAGE1_WIDTH} characters")
     (r1, l1), (r2, l2) = (pair.split(":") for pair in text.split(";"))
     return _id(r1), _id(r2), _label(l1), _label(l2)
 
 
 def _adjudicator_pair(text: str) -> tuple[int, int]:
+    """(r3, l3) of an adjudicator_label field; (-1, -1) when it is empty."""
+    if len(text) > _ADJUDICATOR_WIDTH:
+        raise ValueError(f"adjudicator_label longer than {_ADJUDICATOR_WIDTH} characters")
     if not text:
         return -1, -1
     r3, l3 = text.split(":")
     return _id(r3), _label(l3)
 
 
-def _parse_distinct(column: np.ndarray, parse, size: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Apply ``parse`` once to each distinct field of a rater column.
+def _protocol_violation(stage1, adjudicator, flags) -> str | None:
+    """Why a row's gradings break the protocol, or None when they do not.
 
-    Returns per row the ``size`` parsed values, -1 where the field does not
-    parse, and why it does not, None where it does. A field as wide as the
-    column may have been cut short, so it does not parse.
+    ``stage1`` is (r1, r2, l1, l2) and ``adjudicator`` is (r3, l3), as
+    ``_stage1_pairs`` and ``_adjudicator_pair`` parse them; ``flags`` is
+    (true_label, consensus, final_label), with 2 for any value outside {0, 1}.
     """
-    patterns, inverse = np.unique(column, return_inverse=True)
-    values = np.full((len(patterns), size), -1, dtype=np.int64)
-    problems = []
-    for j, raw in enumerate(patterns.tolist()):
-        problem = None
-        try:
-            if len(raw) == column.dtype.itemsize:
-                raise ValueError(f"{name} longer than {column.dtype.itemsize - 1} characters")
-            values[j] = parse(raw.decode("latin-1"))
-        except ValueError as exc:
-            problem = str(exc)
-        problems.append(problem)
-    return values[inverse], np.array(problems, dtype=object)[inverse]
-
-
-class _Raters(NamedTuple):
-    """The rater fields of each row parsed; slot 2 holds -1 where no adjudicator rated."""
-
-    ids: np.ndarray  # (n, 3) int64
-    ratings: np.ndarray  # (n, 3) int64, 2 standing for any label outside {0, 1}
-    problems: np.ndarray  # (n,) why the row's rater fields do not parse, None where they do
-
-
-def _parse_raters(rows: np.ndarray) -> _Raters:
-    stage1, problem1 = _parse_distinct(rows["rater_labels"], _stage1_pairs, 4, "rater_labels")
-    adjudicator, problem3 = _parse_distinct(rows["adjudicator_label"], _adjudicator_pair, 2, "adjudicator_label")
-    return _Raters(
-        ids=np.column_stack([stage1[:, :2], adjudicator[:, 0]]),
-        ratings=np.column_stack([stage1[:, 2:], adjudicator[:, 1]]),
-        problems=np.where(np.equal(problem1, None), problem3, problem1),
-    )
-
-
-def _first_violation(rows: np.ndarray, raters: _Raters, complete: bool) -> tuple[int, str] | None:
-    """The first row that breaks the grading protocol, and why, checked column by column.
-
-    Each row is held to these rules in order: its rater fields parse, its
-    rater ids differ, its labels lie in {0, 1}, its consensus flag and final
-    label follow its ratings, its soft_label lies in [SOFT_LABEL_MIN,
-    SOFT_LABEL_MAX] and its sample_id is not that of an earlier row. When no
-    row breaks one and ``rows`` is the complete file, the first row with a
-    non-finite feature.
-    """
-    ids, soft = rows["sample_id"], rows["soft_label"]
-    true, consensus, final = rows["true_label"], rows["consensus"], rows["final_label"]
-    (r1, r2, r3), (l1, l2, l3) = raters.ids.T, raters.ratings.T
-    adjudicated = rows["adjudicator_label"] != b""
-    first_seen = np.zeros(len(rows), dtype=bool)
-    first_seen[np.unique(ids, return_index=True)[1]] = True
-    rules = [
-        (np.not_equal(raters.problems, None), lambda i: raters.problems[i]),
-        ((r1 == r2) | adjudicated & ((r3 == r1) | (r3 == r2)),
-         lambda i: "a rater id repeats: the stage-1 raters and the adjudicator must all differ"),
-        (np.logical_or.reduce([(c < 0) | (c > 1) for c in (true, consensus, final)]) | (raters.ratings == 2).any(1),
-         lambda i: "label outside {0, 1}"),
-        (consensus != (l1 == l2), lambda i: "consensus flag disagrees with the stage-1 ratings"),
-        ((consensus == 1) & (adjudicated | (final != l1)),
-         lambda i: "consensus sample must have no adjudicator and the agreed final label"),
-        ((consensus == 0) & (~adjudicated | (final != l3)),
-         lambda i: "disagreement sample must have the adjudicator's final label"),
-        (~((soft >= SOFT_LABEL_MIN) & (soft <= SOFT_LABEL_MAX)),
-         lambda i: f"soft_label {soft[i].item()!r} outside [{SOFT_LABEL_MIN}, {SOFT_LABEL_MAX}]"),
-        # branch-label draws are keyed by sample_id
-        (~first_seen, lambda i: f"duplicate sample_id {ids[i]}"),
-    ]
-    groups = [rules]
-    if complete:  # like a parse error, a broken rule anywhere outranks a non-finite feature
-        groups.append([(~np.isfinite(rows["features"]).all(axis=1), lambda i: "non-finite feature")])
-    for group in groups:
-        broken = np.logical_or.reduce([mask for mask, _ in group])
-        if broken.any():
-            row = int(broken.argmax())
-            return row, next(message(row) for mask, message in group if mask[row])
+    (r1, r2, l1, l2), (r3, l3), (true_label, consensus, final_label) = stage1, adjudicator, flags
+    adjudicated = l3 != -1
+    if r1 == r2 or (adjudicated and r3 in (r1, r2)):
+        return "a rater id repeats: the stage-1 raters and the adjudicator must all differ"
+    if 2 in (l1, l2, l3, true_label, consensus, final_label):
+        return "label outside {0, 1}"
+    if consensus != (l1 == l2):
+        return "consensus flag disagrees with the stage-1 ratings"
+    if consensus and (adjudicated or final_label != l1):
+        return "consensus sample must have no adjudicator and the agreed final label"
+    if not consensus and (not adjudicated or final_label != l3):
+        return "disagreement sample must have the adjudicator's final label"
     return None
 
 
-def _load_rows(path: Path, feature_dim: int, max_rows: int | None = None) -> np.ndarray:
-    """The rows after the header as one structured array; ValueError if one does not parse.
+def _soft_label_violation(soft_label: float) -> str | None:
+    """Why a soft label is out of range (NaN is), or None when it is not."""
+    if not SOFT_LABEL_MIN <= soft_label <= SOFT_LABEL_MAX:
+        return f"soft_label {soft_label!r} outside [{SOFT_LABEL_MIN}, {SOFT_LABEL_MAX}]"
+    return None
 
-    Latin-1 decodes every byte, so reading ahead of ``max_rows`` cannot fail.
+
+def _parse_record(record: list[str], d: int) -> tuple:
+    """One record's (features, true_label, sample_id, rater ids, ratings, soft_label), GradedDataset's order.
+
+    Raises ValueError naming the first rule of the contract or the protocol
+    that the record breaks.
     """
-    dtype = np.dtype([
-        ("sample_id", np.int64), ("features", np.float64, (feature_dim,)), ("true_label", np.int64),
-        ("rater_labels", f"S{_STAGE1_WIDTH}"), ("adjudicator_label", f"S{_ADJUDICATOR_WIDTH}"),
-        ("consensus", np.int64), ("final_label", np.int64), ("soft_label", np.float64),
-    ])
-    with warnings.catch_warnings():
-        # loadtxt warns of an empty read and of blank lines it skips; the reader finds both itself
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                          skiprows=1, max_rows=max_rows, ndmin=1, encoding="latin-1")
+    if len(record) != d + 7:
+        raise ValueError(f"expected {d + 7} columns, got {len(record)}")
+    odd = ",".join(record).encode("latin-1").translate(None, _CSV_BYTES)
+    if odd:
+        raise ValueError(f"byte {odd[0]:#04x} is not printable ASCII")
+    sample_id, *features, true_label, stage1, adjudicator, consensus, final_label, soft_label = record
+    separated = [field for field in record[: d + 2] + record[d + 4 :] if "_" in field]
+    if separated:
+        raise ValueError(f"could not convert {separated[0]!r}: numbers hold no _ separators")
+    sample_id, features, soft_label = _id(sample_id), [float(x) for x in features], float(soft_label)
+    stage1, adjudicator = _stage1_pairs(stage1), _adjudicator_pair(adjudicator)
+    flags = (_label(true_label), _label(consensus), _label(final_label))
+    problem = _protocol_violation(stage1, adjudicator, flags) or _soft_label_violation(soft_label)
+    if problem is not None:
+        raise ValueError(problem)
+    (r1, r2, l1, l2), (r3, l3) = stage1, adjudicator
+    return features, flags[0], sample_id, (r1, r2, r3), (l1, l2, l3), soft_label
+
+
+def _graded(*columns) -> GradedDataset:
+    """The dataset of its columns in field order, each made a C-contiguous array of the field's dtype."""
+    dtypes = (np.float64, np.int64, np.int64, np.int64, np.int8, np.float64)
+    return GradedDataset(*(np.ascontiguousarray(column, dtype=dtype) for column, dtype in zip(columns, dtypes)))
+
+
+def _read_records(path: Path, d: int) -> GradedDataset:
+    """The contract reader: the records after the header, read one by one with ``csv.reader``.
+
+    Raises DataError at ``path:line`` of the first record in file order that
+    ``_parse_record`` rejects or that repeats a sample_id; then, once every
+    record passed, at the first row with a non-finite feature. Raises
+    EmptyDatasetError when there is no record.
+    """
+    rows, lines, seen = [], [], set()
+    with open(path, newline="", encoding="latin-1") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        try:
+            for record in reader:
+                row = _parse_record(record, d)
+                if row[2] in seen:  # branch-label draws are keyed by sample_id
+                    raise ValueError(f"duplicate sample_id {row[2]}")
+                seen.add(row[2])
+                rows.append(row)
+                lines.append(reader.line_num)
+        except (ValueError, csv.Error) as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise EmptyDatasetError(f"{path}: dataset has a header but no rows")
+    dataset = _graded(*zip(*rows))
+    finite = np.isfinite(dataset.features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{lines[finite.argmin()]}: non-finite feature")
+    return dataset
 
 
 def _plain(path: Path) -> bool:
     """Whether the file holds only ``_PLAIN_BYTES`` and no empty line.
 
-    Then each line after the header is one row, which ``np.loadtxt`` splits
-    as ``csv.reader`` does and parses as Python's ``int`` and ``float`` do,
-    but for their ``_`` separators. Row i is on line i + 2.
+    Then each line after the header is one record, which ``np.loadtxt``
+    splits as ``csv.reader`` does.
     """
     last = b""
     with open(path, "rb") as fh:
@@ -586,69 +584,72 @@ def _plain(path: Path) -> bool:
     return True
 
 
-def _parse_prefix(path: Path, feature_dim: int, n: int | None) -> tuple[np.ndarray, str | None]:
-    """The first ``n`` rows (all when None), cut before the first ``np.loadtxt`` cannot parse, and why.
+def _parse_distinct(column: np.ndarray, parse) -> tuple[list, np.ndarray]:
+    """``parse`` of each distinct field of a rater column, and the index of each row's field among them."""
+    fields, inverse = np.unique(column, return_inverse=True)
+    return [parse(field.decode()) for field in fields.tolist()], inverse
 
-    That row is found by bisecting ``max_rows`` (no file has more rows than
-    bytes), trying first the rows next to the one loadtxt's message names,
-    which it counts from 0 or from 1 depending on the fault.
+
+def _plain_raters(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rater ids and ratings of ``_read_plain``'s rows; None if a distinct pattern breaks the protocol.
+
+    Raises ValueError for a rater field that does not parse.
     """
+    stage1, stage1_of = _parse_distinct(rows["rater_labels"], _stage1_pairs)
+    adjudicator, adjudicator_of = _parse_distinct(rows["adjudicator_label"], _adjudicator_pair)
+    flag_columns = [rows["true_label"], rows["consensus"], rows["final_label"]]
+    # one code per (stage-1 field, adjudicator field, flags) pattern, each flag 0, 1 or 2 as _label reads it
+    patterns = stage1_of * len(adjudicator) + adjudicator_of
+    for flag in flag_columns:
+        patterns = patterns * 3 + np.where((flag == 0) | (flag == 1), flag, 2)
+    for i in np.unique(patterns, return_index=True)[1].tolist():
+        flags = [_label(flag[i]) for flag in flag_columns]
+        if _protocol_violation(stage1[stage1_of[i]], adjudicator[adjudicator_of[i]], flags):
+            return None
+    stage1, adjudicator = np.array(stage1), np.array(adjudicator)
+    return (np.column_stack([stage1[stage1_of, :2], adjudicator[adjudicator_of, 0]]),
+            np.column_stack([stage1[stage1_of, 2:], adjudicator[adjudicator_of, 1]]).astype(np.int8))
+
+
+def _read_plain(path: Path, d: int) -> GradedDataset | None:
+    """What ``_read_records`` returns for a plain file (see ``_plain``), or None.
+
+    One ``np.loadtxt`` call parses the file, and ``_plain_raters`` checks the
+    protocol once per distinct pattern. It may only accept: it returns None
+    for a file that is not plain, that ``np.loadtxt`` does not parse or that
+    fails a check, without working out where or why.
+    """
+    if not _plain(path):
+        return None
+    dtype = np.dtype([  # a rater field one byte wider than the longest valid one reads as too long
+        ("sample_id", np.int64), ("features", np.float64, (d,)), ("true_label", np.int64),
+        ("rater_labels", f"S{_STAGE1_WIDTH + 1}"), ("adjudicator_label", f"S{_ADJUDICATOR_WIDTH + 1}"),
+        ("consensus", np.int64), ("final_label", np.int64), ("soft_label", np.float64),
+    ])
     try:
-        return _load_rows(path, feature_dim, n), None
-    except ValueError as exc:
-        failure = str(exc)
-    named = "".join(takewhile(str.isdigit, failure.rpartition(" at row ")[2]))
-    guesses = [int(named) + k for k in (0, 1, -1)] if named else []
-    rows, parsed, failing = _load_rows(path, feature_dim, 0), 0, path.stat().st_size if n is None else n
-    while failing - parsed > 1:
-        middle = guesses.pop(0) if guesses else (parsed + failing) // 2
-        if not parsed < middle < failing:
-            continue
-        try:
-            rows, parsed = _load_rows(path, feature_dim, middle), middle
-        except ValueError as exc:
-            failing, failure = middle, str(exc)
-    return rows, failure.split(" at row ")[0]
-
-
-def _walk(path: Path, feature_dim: int) -> tuple[list[int], tuple[int, str] | None]:
-    """The line of each row, walking the records after the header with ``csv.reader``.
-
-    The walk stops at the first record of the wrong width (a blank line has
-    none) or with a byte outside ``_CSV_BYTES``, and returns that record's
-    line and fault too.
-    """
-    width = feature_dim + 7
-    lines = []
-    with open(path, newline="", encoding="latin-1") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        try:
-            for record in reader:
-                if len(record) != width:
-                    return lines, (reader.line_num, f"expected {width} columns, got {len(record)}")
-                odd = ",".join(record).encode("latin-1").translate(None, _CSV_BYTES)
-                if odd:
-                    return lines, (reader.line_num, f"byte {odd[0]:#04x} is not printable ASCII")
-                lines.append(reader.line_num)
-        except csv.Error as exc:
-            return lines, (reader.line_num, str(exc))
-    return lines, None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns of a file without rows
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1,
+                              encoding="latin-1")
+        raters = _plain_raters(rows)
+    except (ValueError, Warning):
+        return None
+    soft_labels = rows["soft_label"]
+    if raters is None or _soft_label_violation(soft_labels.min()) or _soft_label_violation(soft_labels.max()):
+        return None
+    if not np.diff(np.sort(rows["sample_id"])).all() or not np.isfinite(rows["features"]).all():
+        return None  # a repeated sample_id or a non-finite feature
+    return _graded(rows["features"], rows["true_label"], rows["sample_id"], *raters, soft_labels)
 
 
 def read_dataset_csv(path) -> GradedDataset:
     """Read a dataset written by write_dataset_csv, validating every row.
 
-    Raises EmptyDatasetError for a file without samples and DataError naming
-    ``path:line`` of the first malformed row, or of the first repeated
-    sample_id, in file order; a non-finite feature is reported only when no
-    row is malformed.
-
-    One ``np.loadtxt`` call parses a plain file (see ``_plain``), where row i
-    is on line i + 2, and whole-column checks validate it. Any other file is
-    walked with ``csv.reader`` first, for the line of each row and the first
-    record ``np.loadtxt`` would split otherwise or parse more leniently than
-    ``int`` and ``float``; only the rows before it are parsed.
+    ``_read_records`` states the contract: it raises EmptyDatasetError for a
+    file without rows and DataError at ``path:line`` of the first bad record
+    in file order, a non-finite feature reported only after every record
+    passed. ``_read_plain`` reads the files the writer writes faster but may
+    only accept, so every file it does not return goes to ``_read_records``.
     """
     path = Path(path)
     with open(path, newline="", encoding="latin-1") as fh:
@@ -658,24 +659,5 @@ def read_dataset_csv(path) -> GradedDataset:
     d = len(header) - 7
     if d < 1 or header != _csv_header(d):
         raise DataError(f"{path}: unexpected CSV header")
-    lines, cut = (None, None) if _plain(path) else _walk(path, d)
-    rows, failure = _parse_prefix(path, d, None if lines is None else len(lines))
-    raters = _parse_raters(rows)
-    found = _first_violation(rows, raters, complete=failure is None and cut is None)
-    if found is None and failure is not None:
-        found = len(rows), failure
-    if found is not None:
-        row, reason = found
-        raise DataError(f"{path}:{row + 2 if lines is None else lines[row]}: {reason}")
-    if cut is not None:
-        raise DataError(f"{path}:{cut[0]}: {cut[1]}")
-    if len(rows) == 0:
-        raise EmptyDatasetError(f"{path}: dataset has a header but no rows")
-    return GradedDataset(
-        features=np.ascontiguousarray(rows["features"]),
-        true_labels=rows["true_label"].copy(),
-        sample_ids=rows["sample_id"].copy(),
-        rater_ids=raters.ids,
-        ratings=raters.ratings.astype(np.int8),
-        soft_labels=rows["soft_label"].copy(),
-    )
+    dataset = _read_plain(path, d)
+    return _read_records(path, d) if dataset is None else dataset

@@ -86,6 +86,22 @@ def test_gain_needs_nine_tenths_of_pairs_and_a_gap_beyond_the_parents_iqr(tmp_pa
     assert table_rows(capsys.readouterr().out, "w")["run_s"] == (f"{won}/10", gain)
 
 
+@pytest.mark.parametrize("parent_run_s, change_run_s, change_rate, verdicts", [
+    ([1.9, 2.1] * 5, [2.4] * 10, [8.0] * 10, ("ok", "ok")),  # 20% worse on both, inside the 0.24 bound
+    ([1.9, 2.1] * 5, [2.6] * 10, [7.0] * 10, ("worse", "worse")),  # 30% worse on both
+    ([1.9, 2.1] * 5, [1.0] * 10, [13.0] * 10, ("ok", "ok")),  # better on both
+    ([1.0, 3.0] * 5, [2.0] * 10, [10.0] * 10, ("unresolved", "ok")),  # parent IQR is its median
+])
+def test_bound_check_judges_the_change_median_against_the_parent_median(
+        tmp_path, capsys, parent_run_s, change_run_s, change_rate, verdicts):
+    canned = {"parent": {"w": [result(run_s=v, train_samples_per_s=10.0) for v in parent_run_s]},
+              "change": {"w": [result(run_s=v, train_samples_per_s=r) for v, r in zip(change_run_s, change_rate)]}}
+    parent, change = checkouts(tmp_path, canned)
+    bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "10"])
+    lines = capsys.readouterr().out.split("\nworkload w ")[1].splitlines()[2:]
+    assert tuple(line.split()[-3] for line in lines) == verdicts
+
+
 def test_a_failed_run_is_a_loss_for_its_side(tmp_path, capsys):
     canned = {"parent": {"w": [result(run_s=2.0), result(correct=False, run_s=0.5), result(run_s=2.0)]},
               "change": {"w": [result(correct=False, run_s=0.5), result(run_s=1.0), result(run_s=1.0)]}}

@@ -250,6 +250,17 @@ class TestTrain:
         names = {t["name"] for t in checkpoint["tensors"]}
         assert "sen.head.W" not in names
 
+    def test_val_split_of_another_width_fails_naming_it_before_any_output(self, tmp_path, small_run):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.csv").write_text((small_run / "data" / "train.csv").read_text())
+        narrow = [line.split(",") for line in (small_run / "data" / "val.csv").read_text().splitlines()]
+        (data / "val.csv").write_text("".join(",".join(fields[:6] + fields[7:]) + "\n" for fields in narrow))
+        result = run_cli("train", "--data", data, "--out", tmp_path / "out")
+        assert result.returncode == 1
+        assert f"{data / 'val.csv'}: dataset has 5 features, train.csv has 6" in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_missing_data_dir_fails_with_runtime_error(self, tmp_path, config_file):
         result = run_cli("train", "--config", config_file,
                          "--data", tmp_path / "nope", "--out", tmp_path / "r")
@@ -322,7 +333,7 @@ class TestEval:
                          "--checkpoint", trained / "checkpoint.json",
                          "--data", wide / "test.csv", "--out", tmp_path / "m")
         assert result.returncode == 1
-        assert "features" in result.stderr
+        assert f"{wide / 'test.csv'}: checkpoint expects 6 features, dataset has 9" in result.stderr
 
 
 @pytest.fixture(scope="module")

@@ -568,7 +568,10 @@ CORRUPT_FILES = {
     "quote_left_open": _edit_row(4, set_field("f_0", '"1.0')),
     "text_after_a_closing_quote": _edit_row(4, set_field("f_0", '"1.0"x')),
     "label_beyond_int64": _edit_row(4, set_field("true_label", str(2**64))),
-    "adjudicator_label_minus_one": _edit_row(4, overrule_adjudicator),
+    "true_label_minus_one": _edit_row(4, set_field("true_label", "-1")),
+    "final_label_not_the_adjudicators_in_row_4": _edit_row(4, overrule_adjudicator),
+    "adjudicator_label_minus_one": _both(_edit_row(4, overrule_adjudicator),
+                                         _edit_row(4, set_field("adjudicator_label", "3:-1"))),
 }
 
 # Inputs the oracle accepts and the reader rejects: numpy's number grammar has
@@ -616,21 +619,40 @@ class TestReaderAgainstOracle:
         assert isinstance(_oracle_verdict(written), oracles.CsvRejected)
         _assert_reads_as_the_oracle(written)
 
-    def test_corrupt_files_without_loadtxt_row_numbers(self, written, monkeypatch):
-        """Bisection alone finds each row, should loadtxt's messages stop naming one."""
-        load = simulate._load_rows
-
-        def unnamed(*args):
-            try:
-                return load(*args)
-            except ValueError as exc:
-                raise ValueError(str(exc).split(" at row ")[0]) from None
-
-        monkeypatch.setattr(simulate, "_load_rows", unnamed)
+    def test_record_reader_alone_matches_the_oracle(self, written, monkeypatch):
+        """With the loadtxt path taking no file, ``_read_records`` decides every file by itself."""
+        monkeypatch.setattr(simulate, "_read_plain", lambda path, d: None)
         text = written.read_bytes().decode()
-        for corruption in CORRUPT_FILES.values():
-            written.write_bytes(corruption(text).encode())
+        for edit in [*VALID_VARIANTS.values(), *CORRUPT_FILES.values()]:
+            written.write_bytes(edit(text).encode())
             _assert_reads_as_the_oracle(written)
+        for edit in ONLY_THE_ORACLE_ACCEPTS.values():
+            written.write_bytes(edit(text).encode())
+            with pytest.raises(DataError, match=r"data\.csv:4: "):
+                read_dataset_csv(written)
+
+    def test_written_files_take_the_loadtxt_path(self, tmp_path, monkeypatch):
+        def unexpected(path, d):
+            raise AssertionError(f"{path} went to the record reader")
+
+        monkeypatch.setattr(simulate, "_read_records", unexpected)
+        path = tmp_path / "data.csv"
+        ds = _with_extremes(_toy_dataset(CSV_CHUNK_ROWS + 1))
+        write_dataset_csv(ds, path)
+        assert read_dataset_csv(path).sample_ids.tolist() == ds.sample_ids.tolist()
+
+    def test_adjudicator_label_minus_one_is_outside_the_label_domain(self, written):
+        written.write_bytes(CORRUPT_FILES["adjudicator_label_minus_one"](written.read_bytes().decode()).encode())
+        with pytest.raises(DataError, match=r"data\.csv:6: label outside \{0, 1\}$"):
+            read_dataset_csv(written)
+
+    def test_a_negative_flag_is_not_coded_as_a_valid_one(self, tmp_path):
+        """Row 2's flags and adjudicator field would code like row 1's valid pattern were -3 not read as 2."""
+        path = tmp_path / "data.csv"
+        header = b"sample_id,f_0,true_label,rater_labels,adjudicator_label,consensus,final_label,soft_label"
+        path.write_bytes(header + b"\r\n1,0.5,0,1:0;2:0,,1,0,0.5\r\n2,0.5,-3,1:0;2:0,3:1,1,0,0.5\r\n")
+        assert _oracle_verdict(path).where == f"{path}:3"
+        _assert_reads_as_the_oracle(path)
 
     @pytest.mark.parametrize("text", ["", "sample_id,f_0\r\n", "\r\nsample_id\r\n"])
     def test_files_without_rows_or_header(self, tmp_path, text):

@@ -16,7 +16,12 @@ script prints each side's median and quartiles, the pairs the change won
 (ties count for neither), and whether a gain may be claimed: the change won
 at least nine tenths of the pairs and the medians differ by more than the
 parent's interquartile range. A run with failed passes, or one that does not
-report the metric, counts as a loss for its side. Standard library only.
+report the metric, counts as a loss for its side. It also prints whether the
+change's median stays within the metric's ``bound``: ``ok`` when it is worse
+than the parent's median, in the metric's ``better`` direction, by at most
+``bound`` times the parent's median, ``worse`` when by more, and
+``unresolved`` when the parent's own IQR exceeds ``bound`` times its median.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -68,10 +73,20 @@ def compare(parent: list, change: list, better: str):
     return won, stats, won >= 0.9 * len(parent) and gap > stats[0][2] - stats[0][0]
 
 
+def within_bound(stats, better: str, bound: float) -> str:
+    """"ok", "worse" or "unresolved" for each side's quartiles ``stats``, as the module docstring says."""
+    (q1, median, q3), change = stats[0], stats[1][1]
+    if not median or not (q3 - q1) / abs(median) <= bound:
+        return "unresolved"
+    sign = 1 if better == "higher" else -1
+    return "ok" if sign * (change - median) / abs(median) >= -bound else "worse"
+
+
 def print_table(workload: str, metrics: list[dict], results: dict, seed: int, seconds: float) -> None:
     pairs = len(results["parent"])
     print(f"\nworkload {workload}  seed {seed}  seconds {seconds:g}  pairs {pairs}")
-    print(f"{'metric':<22}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}{'won':>8}  gain")
+    print(f"{'metric':<22}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}{'bound':>12}"
+          f"{'won':>8}  gain")
     for m in metrics:
         values = [[value(r, m["name"]) for r in results[side]] for side in SIDES]
         if not any(r["metrics"].get(m["name"]) for side in SIDES for r in results[side]):
@@ -79,7 +94,8 @@ def print_table(workload: str, metrics: list[dict], results: dict, seed: int, se
             continue
         won, stats, claim = compare(*values, m["better"])
         cells = "".join(f"{' / '.join(f'{v:.5g}' for v in s):>36}" for s in stats)
-        print(f"{m['name']:<22}{cells}{f'{won}/{pairs}':>8}  {'yes' if claim else 'no'}")
+        print(f"{m['name']:<22}{cells}{within_bound(stats, m['better'], m['bound']):>12}"
+              f"{f'{won}/{pairs}':>8}  {'yes' if claim else 'no'}")
 
 
 def main(argv=None) -> int:
