@@ -51,6 +51,7 @@ from .simulate import (
     grade_dataset,
     read_dataset_csv,
     split_dataset,
+    split_sizes,
     write_dataset_csv,
 )
 from .train import ARM_FLAGS, ARM_ORDER, TrainConfig, fit
@@ -103,6 +104,10 @@ class ExperimentConfig:
         if not (0.0 <= self.threshold <= 1.0):
             raise ParameterError(f"threshold must lie in [0, 1], got {self.threshold}")
         check_generation(self.n_samples, self.feature_dim, self.class_balance, self.difficulty_mix)
+        sizes = split_sizes(self.n_samples, ratios)
+        if 0 in sizes:
+            raise ParameterError(f"n_samples = {self.n_samples} leaves a split empty at ratios {ratios}: "
+                                 f"train/val/test sizes {sizes}")
         self.panel()
         self.train_config()
         self.model_config()
@@ -141,19 +146,17 @@ def _coerce(key: str, raw: str):
     if kind is None:
         raise ParameterError(f"unknown config key {key!r}")
     try:
-        value = tuple(int(x) for x in raw.split(",")) if kind == tuple[int, ...] else kind(raw)
+        return tuple(int(x) for x in raw.split(",")) if kind == tuple[int, ...] else kind(raw)
     except ValueError as exc:
         raise ParameterError(f"config key {key}: cannot parse {raw!r}") from exc
-    if kind is float and not math.isfinite(value):
-        raise ParameterError(f"config key {key}: {raw!r} is not a finite number")
-    return value
 
 
-def parse_config_file(path) -> list[tuple[int, str, object]]:
-    """(line number, key, value) of each setting in a flat ``key = value`` file, in file order.
+def parse_config_file(path) -> list[tuple[int, str, str]]:
+    """(line number, key, raw value) of each setting in a flat ``key = value`` file, in file order.
 
-    Blank lines and # comments are skipped. Errors name the file and line.
-    Every float must be finite, and no key may repeat.
+    Blank lines and # comments are skipped. A line that is not ``key = value``
+    or repeats a key is an error naming the file and line; the values are
+    left to ``resolve_config``.
     """
     settings = []
     text = Path(path).read_text()
@@ -166,24 +169,22 @@ def parse_config_file(path) -> list[tuple[int, str, object]]:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if any(key == seen for _, seen, _ in settings):
             raise ParameterError(f"{path}:{lineno}: duplicate key {key}")
-        try:
-            settings.append((lineno, key, _coerce(key, raw)))
-        except ParameterError as exc:
-            raise ParameterError(f"{path}:{lineno}: {exc}") from exc
+        settings.append((lineno, key, raw))
     return settings
 
 
 def resolve_config(config_path, overrides: dict) -> ExperimentConfig:
     """defaults <- config file <- CLI overrides (None entries skipped).
 
-    A rejected setting names the first config-file line it depends on: the
-    first line whose removal changes or clears the error.
+    Every config-file value is parsed, even one a flag overrides. A rejected
+    value names the first config-file line it depends on: the first line
+    whose removal changes or clears the error.
     """
     lines = parse_config_file(config_path) if config_path is not None else []
     overrides = {k: v for k, v in overrides.items() if v is not None}
 
     def build(skip=None):
-        values = {key: value for lineno, key, value in lines if lineno != skip}
+        values = {key: _coerce(key, raw) for lineno, key, raw in lines if lineno != skip}
         try:
             return ExperimentConfig(**{**values, **overrides})
         except TypeError as exc:
@@ -356,12 +357,13 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
             try:
                 _, _, report = run_experiment(run_cfg)
                 fusion_all = report.metrics["fusion"]["all"]
-                for metric in METRIC_NAMES:
-                    per_seed[metric].append(fusion_all[metric])
-            except Exception as exc:  # arm keeps going; grid marks the failure
+            except Exception as exc:  # arm keeps going; grid marks the failure and nulls its metrics
                 import traceback  # only on this failure path, so start-up stays lean
 
                 errors.append({"seed": seed, "message": str(exc), "traceback": traceback.format_exc()})
+                fusion_all = dict.fromkeys(METRIC_NAMES)
+            for metric in METRIC_NAMES:
+                per_seed[metric].append(fusion_all[metric])
         failed = bool(errors)
         any_failed = any_failed or failed
         arms[arm] = {"seeds": seeds, "per_seed": per_seed, "errors": errors, "failed": failed}
@@ -428,12 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    """The flags whose dest names an ExperimentConfig field, where given."""
-    return {
-        f.name: getattr(args, f.name)
-        for f in fields(ExperimentConfig)
-        if getattr(args, f.name, None) is not None
-    }
+    """Each ExperimentConfig field's flag value; None where the command lacks the flag or it is unset."""
+    return {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
 
 
 def main(argv=None) -> int:

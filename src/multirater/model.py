@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
 from numbers import Integral
 from types import MappingProxyType
 
@@ -101,7 +100,6 @@ def _layer_shapes(config: ModelConfig, multi_branch: bool) -> dict[str, tuple[in
     return shapes
 
 
-@lru_cache(maxsize=16)
 def _flat_layout(config: ModelConfig, multi_branch: bool):
     """(size, ((name, start, stop, shape), ...)): each layer's ``.W`` then its ``.b``, packed."""
     layout = []
@@ -282,17 +280,27 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise DataError(f"unsupported checkpoint format {doc.get('format_version')!r}")
+        version = doc.get("format_version")
+        if not _is_int(version) or version != CHECKPOINT_FORMAT_VERSION:
+            raise DataError(f"unsupported checkpoint format {version!r}")
         m = doc["model"]
         config = ModelConfig(**{f.name: m[f.name] for f in fields(ModelConfig)})
         multi_branch = m["multi_branch"]
         if not isinstance(multi_branch, bool):
             raise DataError(f"multi_branch must be a JSON boolean, got {multi_branch!r}")
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise DataError(f"metadata must be a JSON object, got {metadata!r}")
+        try:
+            json.dumps(metadata, allow_nan=False)
+        except ValueError as exc:  # a NaN or infinity anywhere inside
+            raise DataError(f"metadata: {exc}") from exc
         tensors = {
             entry["name"]: np.array(entry["data"], dtype=float).reshape(entry["shape"])
             for entry in doc["tensors"]
         }
+        if len(tensors) != len(doc["tensors"]):
+            raise DataError("a tensor name repeats")
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no key {exc}") from exc
     # ValueError includes malformed JSON, DataError and ParameterError.
@@ -308,4 +316,4 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         if name not in tensors or tensors[name].shape != view.shape:
             raise DataError(f"{path}: tensor {name} missing or mis-shaped")
         view[...] = tensors[name]
-    return params, doc.get("metadata", {})
+    return params, metadata

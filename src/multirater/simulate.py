@@ -296,6 +296,12 @@ def _largest_remainder(shares: list[Fraction]) -> list[int]:
     return counts
 
 
+def split_sizes(n: int, ratios) -> list[int]:
+    """Each split's size: the largest-remainder rounding of ratio * n, the ratios taken exactly."""
+    exact = [Fraction(r) for r in ratios]
+    return _largest_remainder([r / sum(exact) * n for r in exact])
+
+
 def _controlled_rounding(sizes: list[int], ratios: list[Fraction]) -> list[list[int]]:
     """Round the shares ratio_j * size_k of a strata x splits table (controlled rounding).
 
@@ -322,7 +328,7 @@ def _controlled_rounding(sizes: list[int], ratios: list[Fraction]) -> list[list[
     shares = [[q * size for q in ratios] for size in sizes]
     floors = [[math.floor(e) for e in row] for row in shares]
     splits = range(len(ratios))
-    totals = _largest_remainder([q * sum(sizes) for q in ratios])
+    totals = split_sizes(sum(sizes), ratios)
     need = [totals[j] - sum(row[j] for row in floors) for j in splits]
     options = [
         combinations([j for j in splits if row[j] != low[j]], size - sum(low))
@@ -343,12 +349,13 @@ def split_dataset(
 ) -> tuple[GradedDataset, GradedDataset, GradedDataset]:
     """Stratified train/val/test split.
 
-    The split sizes are the largest-remainder rounding of ratio * n (ties
-    resolved toward the earlier split), so they sum to n exactly. Strata are
-    the four (final_label, consensus) cells; each stratum's count in each
-    split is the floor or the ceiling of ratio * stratum size, so within one
-    sample of its share (see ``_controlled_rounding``). Each stratum is
-    shuffled by a permutation seeded with ``seed`` before it is cut.
+    The split sizes are ``split_sizes(n, ratios)``, the largest-remainder
+    rounding of ratio * n (ties resolved toward the earlier split), so they
+    sum to n exactly. Strata are the four (final_label, consensus) cells;
+    each stratum's count in each split is the floor or the ceiling of
+    ratio * stratum size, so within one sample of its share (see
+    ``_controlled_rounding``). Each stratum is shuffled by a permutation
+    seeded with ``seed`` before it is cut.
     """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or not all(r >= 0 for r in ratios):

@@ -32,7 +32,7 @@ Ablation arms (``TrainConfig.ablation``), each a row of switches in ``ARM_FLAGS`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,6 +94,8 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class TrainState:
+    """What ``train_step`` reads and writes; ``fit`` keeps the selected parameters and the log."""
+
     params: ModelParams
     m: np.ndarray  # Adam moments, aligned with params.flat
     v: np.ndarray
@@ -101,9 +103,6 @@ class TrainState:
     scratch: tuple[np.ndarray, np.ndarray]  # Adam's work buffers, aligned with params.flat
     t: int = 0
     epoch: int = 0
-    best_params: ModelParams | None = None
-    best_val_auc: float = float("-inf")
-    log: list[dict] = field(default_factory=list)
 
 
 def init_state(model_config: ModelConfig, train_config: TrainConfig) -> TrainState:
@@ -276,7 +275,7 @@ def fit(
     targets = fit_targets(train, train_config)
     val_labels = val.final_labels
     shuffle_rng = seeded_rng(train_config.seed, STREAM_SHUFFLE)
-    state.best_params = state.params.copy()
+    best_params, best_val_auc, log = state.params.copy(), float("-inf"), []
     n = len(train)
 
     for epoch in range(train_config.max_epochs):
@@ -290,15 +289,15 @@ def fit(
                 for key in sums:
                     sums[key] += scalars[key] * idx.size
         except TrainingDivergedError as exc:
-            state.log.append({"epoch": epoch, "step": state.t, "diverged": str(exc)})
+            log.append({"epoch": epoch, "step": state.t, "diverged": str(exc)})
             if on_epoch is not None:
-                on_epoch(state.log[-1])
+                on_epoch(log[-1])
             break
         val_auc, undefined = _validation_auc(state.params, val.features, val_labels)
-        if val_auc is not None and val_auc >= state.best_val_auc:
-            state.best_val_auc = val_auc
-            state.best_params.flat[...] = state.params.flat
-            state.best_params.version += 1
+        if val_auc is not None and val_auc >= best_val_auc:
+            best_val_auc = val_auc
+            best_params.flat[...] = state.params.flat
+            best_params.version += 1
         record = {
             "epoch": epoch,
             "lr": learning_rate(train_config, epoch),
@@ -307,7 +306,7 @@ def fit(
         }
         if undefined is not None:
             record["val_auc_undefined"] = undefined
-        state.log.append(record)
+        log.append(record)
         if on_epoch is not None:
             on_epoch(record)
-    return state.best_params, state.log
+    return best_params, log

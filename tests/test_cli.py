@@ -103,6 +103,18 @@ class TestGenerate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["n_samples"] == 100
 
+    @pytest.mark.parametrize("command", ["generate", "ablation"])
+    def test_a_size_that_leaves_a_split_empty_is_a_usage_error(self, tmp_path, command):
+        result = run_cli(command, "--n", 3, "--out", tmp_path / "x")
+        assert result.returncode == 2
+        assert "n_samples = 3 leaves a split empty" in result.stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_smallest_size_with_every_split_filled(self, tmp_path):
+        assert run_cli("generate", "--n", 4, "--out", tmp_path / "x").returncode == 0
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["sizes"] == {"train": 2, "val": 1, "test": 1}
+
     def test_unknown_config_key_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense_key = 3\n")
@@ -137,6 +149,20 @@ class TestConfigFile:
         with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}:2: lr must be finite and > 0"):
             resolve_config(path, {})
 
+    def test_file_value_a_flag_overrides_is_still_parsed(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_samples = abc\n")
+        result = run_cli("generate", "--config", cfg, "--n", 5, "--out", tmp_path / "x")
+        assert result.returncode == 2
+        assert f"{cfg}:1: config key n_samples: cannot parse 'abc'" in result.stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_first_of_two_bad_lines_is_named(self, tmp_path):
+        path = tmp_path / "two.cfg"
+        path.write_text("seed = 3\nlr = abc\nnonsense = 1\n")
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}:2: config key lr: cannot parse 'abc'$"):
+            resolve_config(path, {})
+
     def test_error_from_a_flag_names_no_line(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("seed = 3\nmargin = 2\n")
@@ -148,7 +174,7 @@ class TestConfigFile:
         [
             ("nonsense_key = 3", "unknown config key 'nonsense_key'"),
             ("lr = abc", "config key lr: cannot parse 'abc'"),
-            ("alpha = -inf", "config key alpha: '-inf' is not a finite number"),
+            ("alpha = -inf", "alpha must be a finite number, got -inf"),
             ("seed = 4", "duplicate key seed"),
             ("seed 4", "expected 'key = value', got 'seed 4'"),
             ("margin = 0", "margin must be finite and > 0, got 0.0"),
@@ -348,6 +374,18 @@ def small_run(tmp_path_factory):
     return root
 
 
+def test_eval_rejects_non_finite_checkpoint_metadata_before_any_output(tmp_path, small_run):
+    checkpoint = tmp_path / "checkpoint.json"
+    doc = json.loads((small_run / "run" / "checkpoint.json").read_text())
+    doc["metadata"]["note"] = math.nan
+    checkpoint.write_text(json.dumps(doc))
+    result = run_cli("eval", "--checkpoint", checkpoint, "--data", small_run / "data" / "test.csv",
+                     "--out", tmp_path / "e")
+    assert result.returncode == 1
+    assert f"error: {checkpoint}: metadata: " in result.stderr
+    assert not (tmp_path / "e").exists()
+
+
 class TestEvalRejectsBrokenRows:
     @pytest.mark.parametrize("breakage", sorted(BROKEN_ROWS))
     def test_exit_1_naming_path_and_line(self, tmp_path, small_run, breakage):
@@ -402,6 +440,21 @@ class TestAblation:
             assert row["median"]["auc"] is None
             assert row["mean"]["acc"] == 0.5
         assert table.splitlines()[2].rstrip().endswith("-")
+
+    def test_a_failed_seed_keeps_per_seed_aligned_with_seeds(self, tmp_path, monkeypatch):
+        def run_experiment(cfg):
+            if cfg.ablation == "full" and cfg.seed == 5:
+                raise RuntimeError("boom")
+            fusion_all = dict.fromkeys(("acc", "sen", "spec", "f1", "auc"), cfg.seed / 10)
+            return None, [], SimpleNamespace(metrics={"fusion": {"all": fusion_all}})
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        cfg = resolve_config(None, {"n_samples": 50, "max_epochs": 1, "seed": 4})
+        assert cli.cmd_ablation(cfg, tmp_path, n_seeds=3) == 1
+        row = strict_json((tmp_path / "ablation_grid.json").read_text())["arms"]["full"]
+        assert row["seeds"] == [4, 5, 6]
+        assert row["per_seed"] == {m: [0.4, None, 0.6] for m in ("acc", "sen", "spec", "f1", "auc")}
+        assert [e["seed"] for e in row["errors"]] == [5]
 
     def test_failures_keep_their_tracebacks(self, tmp_path, monkeypatch):
         def run_experiment(cfg):

@@ -262,6 +262,10 @@ MALFORMED_CHECKPOINTS = {
     "int_multi_branch": _edited(lambda doc: doc["model"].update(multi_branch=1)),
     "float_seed": _edited(lambda doc: doc["model"].update(seed=1.5)),
     "bool_seed": _edited(lambda doc: doc["model"].update(seed=True)),
+    "nan_in_metadata": _edited(lambda doc: doc["metadata"].update(note=float("nan"))),
+    "list_metadata": _edited(lambda doc: doc.update(metadata=[1])),
+    "bool_format_version": _edited(lambda doc: doc.update(format_version=True)),
+    "repeated_tensor": _edited(lambda doc: doc["tensors"].append(doc["tensors"][0])),
 }
 
 

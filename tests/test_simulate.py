@@ -249,6 +249,14 @@ class TestSplitDataset:
         train, val, test = split_dataset(ds, (0.6, 0.15, 0.25), seed=9)
         assert (len(train), len(val), len(test)) == (600, 150, 250)
 
+    @pytest.mark.parametrize("n", [3, 4, 12, 977])
+    @pytest.mark.parametrize("ratios", [(0.6, 0.15, 0.25), (0.65, 0.1, 0.25), (1 / 3, 1 / 3, 1 / 3)])
+    def test_split_sizes_are_the_sizes_split_dataset_cuts(self, n, ratios):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small n leaves strata empty
+            parts = split_dataset(_toy_dataset(n), ratios, seed=3)
+        assert simulate.split_sizes(n, ratios) == [len(part) for part in parts]
+
     def test_degenerate_split_puts_everything_in_train(self):
         ds = _toy_dataset(200)
         train, val, test = split_dataset(ds, (1.0, 0.0, 0.0), seed=9)
