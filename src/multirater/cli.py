@@ -54,7 +54,7 @@ from .simulate import (
     split_sizes,
     write_dataset_csv,
 )
-from .train import ARM_FLAGS, ARM_ORDER, TrainConfig, fit
+from .train import ARM_FLAGS, TrainConfig, fit
 
 _DEFAULT_PANEL = default_panel()
 _DEFAULT_MODEL = ModelConfig(DEFAULT_FEATURE_DIM)
@@ -159,7 +159,10 @@ def parse_config_file(path) -> list[tuple[int, str, str]]:
     left to ``resolve_config``.
     """
     settings = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -248,7 +251,7 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> int:
         "proportions": {key: count / total for key, count in counts.items()},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
-    print(f"wrote {', '.join(sorted(p.name for p in out_dir.iterdir()))} to {out_dir}")
+    print(f"wrote {', '.join(sorted(['manifest.json', *(f'{name}.csv' for name in parts)]))} to {out_dir}")
     return 0
 
 
@@ -348,7 +351,7 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     arms = {}
     any_failed = False
-    for arm in ARM_ORDER:
+    for arm in ARM_FLAGS:
         per_seed = {metric: [] for metric in METRIC_NAMES}
         errors = []
         seeds = [cfg.seed + k for k in range(n_seeds)]
@@ -373,7 +376,7 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
         "seed": cfg.seed,
         "n_seeds": n_seeds,
         "config": cfg.to_dict(),
-        "row_order": list(ARM_ORDER),
+        "row_order": list(ARM_FLAGS),
         "arms": arms,
     }
     (out_dir / "ablation_grid.json").write_text(json.dumps(grid, indent=2, allow_nan=False) + "\n")
@@ -429,16 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    """Each ExperimentConfig field's flag value; None where the command lacks the flag or it is unset."""
-    return {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args.config, _overrides_from_args(args))
+        # each field's flag value; None where the command lacks the flag or it is unset
+        cfg = resolve_config(args.config, {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)})
     except (ParameterError, OSError) as exc:
         parser.error(str(exc))
     try:

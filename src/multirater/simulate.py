@@ -411,8 +411,6 @@ _ADJUDICATOR_WIDTH = 22
 _CSV_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\v\f\r"
 _PLAIN_BYTES = _CSV_BYTES.replace(b'"', b"")
 _EMPTY_LINE = (b"\n\n", b"\r\r", b"\n\r")
-# Bytes read per step of the scan for a plain file.
-_SCAN_BYTES = 1 << 20
 
 
 def _csv_header(feature_dim: int) -> list[str]:
@@ -578,17 +576,11 @@ def _plain(path: Path) -> bool:
     """Whether the file holds only ``_PLAIN_BYTES`` and no empty line.
 
     Then each line after the header is one record, which ``np.loadtxt``
-    splits as ``csv.reader`` does.
+    splits as ``csv.reader`` does. The file's bytes are freed on return,
+    before ``np.loadtxt`` reads it again.
     """
-    last = b""
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_SCAN_BYTES), b""):
-            if chunk.translate(None, _PLAIN_BYTES) or any(pair in chunk for pair in _EMPTY_LINE):
-                return False
-            if last + chunk[:1] in _EMPTY_LINE:  # a line end on either side of the chunk boundary
-                return False
-            last = chunk[-1:]
-    return True
+    data = path.read_bytes()
+    return not data.translate(None, _PLAIN_BYTES) and not any(pair in data for pair in _EMPTY_LINE)
 
 
 def _parse_distinct(column: np.ndarray, parse) -> tuple[list, np.ndarray]:

@@ -48,6 +48,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# The ablation arms' switches, in the ablation grid's row order.
 ARM_FLAGS = {
     "baseline": dict(multi_branch=False, consensus_loss=False, uncertainty_weighting=False),
     "multibr": dict(multi_branch=True, consensus_loss=False, uncertainty_weighting=False),
@@ -55,8 +56,6 @@ ARM_FLAGS = {
     "uncerty": dict(multi_branch=True, consensus_loss=False, uncertainty_weighting=True),
     "full": dict(multi_branch=True, consensus_loss=True, uncertainty_weighting=True),
 }
-# Fixed row order of the ablation grid.
-ARM_ORDER = tuple(ARM_FLAGS)
 
 
 @dataclass(frozen=True)
@@ -126,14 +125,15 @@ class FitTargets:
 def fit_targets(train: GradedDataset, config: TrainConfig) -> FitTargets:
     """The targets ``train_step`` gathers from, for every row of ``train``.
 
-    The multi-branch arms train the fusion output on ``soft_targets`` and draw
-    branch labels with ``positive_probabilities``; the single-head baseline
-    trains it on the one-hot final labels and draws none.
+    The multi-branch arms train the fusion output on (1 - y, y) for each
+    ``soft_label`` y and draw branch labels with ``positive_probabilities``;
+    the single-head baseline trains it on the one-hot final labels and draws none.
     """
     if not ARM_FLAGS[config.ablation]["multi_branch"]:
         return FitTargets(np.eye(2)[train.final_labels], train.consensus_flags)
     positive = tuple(positive_probabilities(train.ratings, branch) for branch in Branch)
-    return FitTargets(soft_targets(train, compute_rater_weights(train)), train.consensus_flags, positive)
+    y = soft_label(train, compute_rater_weights(train))
+    return FitTargets(np.stack([1.0 - y, y], axis=1), train.consensus_flags, positive)
 
 
 def _losses_and_grads(probs: dict[str, np.ndarray], sen_idx: np.ndarray | None, spec_idx: np.ndarray | None,
@@ -191,12 +191,6 @@ def _adam_update(state: TrainState, g: np.ndarray, lr: float) -> None:
     step /= denom
     state.params.flat -= step
     state.params.version += 1
-
-
-def soft_targets(dataset: GradedDataset, weights: dict[int, float]) -> np.ndarray:
-    """(n, 2) fusion targets: the two-class distribution (1 - y, y) of each ``soft_label`` y."""
-    y = soft_label(dataset, weights)
-    return np.stack([1.0 - y, y], axis=1)
 
 
 def train_step(

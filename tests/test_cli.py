@@ -83,6 +83,15 @@ class TestGenerate:
         assert sum(manifest["counts"]["overall"].values()) == 240
         assert manifest["sizes"] == {"train": 144, "val": 36, "test": 60}
 
+    def test_names_only_the_files_it_wrote(self, tmp_path):
+        out = tmp_path / "x"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        result = run_cli("generate", "--n", 20, "--out", out)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"wrote manifest.json, test.csv, train.csv, val.csv to {out}\n"
+        assert (out / "notes.txt").read_text() == "kept\n"
+
     def test_zero_samples_is_a_usage_error(self, tmp_path):
         result = run_cli("generate", "--n", 0, "--out", tmp_path / "x")
         assert result.returncode == 2
@@ -141,6 +150,15 @@ class TestConfigFile:
         result = run_cli("generate", "--config", cfg, "--out", tmp_path / "x")
         assert result.returncode == 2
         assert f"{cfg}:1: " in result.stderr and line.split()[0] in result.stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_config_that_is_not_utf8_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"lr = \xff\n")
+        result = run_cli("generate", "--config", cfg, "--out", tmp_path / "x")
+        assert result.returncode == 2
+        assert f"{cfg}: not UTF-8 text: " in result.stderr
+        assert "Traceback" not in result.stderr
         assert not (tmp_path / "x").exists()
 
     def test_value_error_names_the_line_it_depends_on(self, tmp_path):

@@ -17,8 +17,19 @@ from multirater.labels import (
     soft_label,
 )
 from multirater.rng import STREAM_BRANCH_LABEL
-from multirater.simulate import GradedDataset, default_panel, generate_dataset, grade_dataset
-from multirater.train import soft_targets
+from multirater.simulate import (
+    SOFT_LABEL_MAX,
+    SOFT_LABEL_MIN,
+    GradedDataset,
+    GradingPanel,
+    RaterProfile,
+    default_panel,
+    generate_dataset,
+    grade_dataset,
+    read_dataset_csv,
+    write_dataset_csv,
+)
+from multirater.train import TrainConfig, fit_targets
 
 import oracles
 
@@ -110,7 +121,8 @@ class TestSoftLabel:
         adj = None if l1 == l2 else l2
         ds = make_dataset([(l1, l2, adj)])
         weights = {1: w1, 2: w2, 3: w3}
-        dist = soft_targets(ds, weights)[0]
+        y = soft_label(ds, weights)[0]
+        dist = np.array([1.0 - y, y])
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         assert 0.01 <= dist[1] <= 0.99
         assert dist[1] == oracles.soft_label_scalar(ds.records[0], weights)
@@ -128,6 +140,27 @@ class TestSoftLabel:
         attach_soft_labels(ds, w)
         np.testing.assert_array_equal(ds.soft_labels, soft_label(ds, w))
         assert [rec.soft_label for rec in ds.records] == [oracles.soft_label_scalar(rec, w) for rec in ds.records]
+
+    def test_stage1_rater_id_minus_one_is_not_an_unrated_slot(self, tmp_path):
+        """-1 marks an unrated slot in ``rater_ids``, but the CSV contract lets a rater carry that id too."""
+        panel = default_panel()
+        panel = GradingPanel((RaterProfile(-1, 0.905, 0.895), panel.stage1[1]), panel.adjudicator)
+        ds = grade_dataset(generate_dataset(300, seed=4), panel, seed=4)
+        attach_soft_labels(ds, compute_rater_weights(ds))
+        write_dataset_csv(ds, tmp_path / "data.csv")
+        back = read_dataset_csv(tmp_path / "data.csv")
+        np.testing.assert_array_equal(back.rater_ids, ds.rater_ids)
+
+        w = compute_rater_weights(back)
+        assert sorted(w) == [-1, 2, 3]
+        assert w[-1] == (back.ratings[:, 0] == back.final_labels).sum() / len(back)  # it rates every row
+        # where no adjudicator rated (its slot id is -1 as well) the agreed rating alone sets the clipped label
+        soft, unrated = soft_label(back, w), back.ratings[:, 2] < 0
+        assert unrated.any() and not unrated.all()
+        np.testing.assert_array_equal(soft[unrated], np.where(back.ratings[unrated, 0] == 1, SOFT_LABEL_MAX,
+                                                              SOFT_LABEL_MIN))
+        assert soft.tolist() == [oracles.soft_label_scalar(rec, w) for rec in back.records]
+        np.testing.assert_array_equal(fit_targets(back, TrainConfig()).softs[:, 1], back.soft_labels)
 
 
 class TestLabelPools:

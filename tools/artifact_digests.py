@@ -6,8 +6,9 @@ Usage::
 
 OUT must not exist yet. The set is ``generate --n 800 --seed 3``, then
 ``train --epochs 4 --seed 3`` and ``eval --seed 3`` (on the test split) for
-each ablation arm, then ``ablation --seeds 2 --n 400 --epochs 2 --seed 3``:
-31 files in all. Every run uses the package in this checkout's ``src`` and
+each ablation arm in ``multirater.train.ARM_FLAGS``, then
+``ablation --seeds 2 --n 400 --epochs 2 --seed 3``: 31 files in all. Every
+run uses the package in this checkout's ``src`` and
 ``OPENBLAS_NUM_THREADS=1``, so that BLAS blocking cannot move the last bits.
 The output is one ``sha256  path`` line per file, sorted by path, with paths
 relative to OUT; two checkouts with equal outputs print equal lines.
@@ -26,8 +27,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-ARMS = ("baseline", "multibr", "conloss", "uncerty", "full")
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from multirater.train import ARM_FLAGS  # noqa: E402  (the arms of this checkout, not an installed copy)
 
 
 def _run(*args: str) -> None:
@@ -47,7 +50,7 @@ def main(argv: list[str]) -> int:
         return 2
     data = out / "data"
     _run("generate", "--out", str(data), "--n", "800", "--seed", "3")
-    for arm in ARMS:
+    for arm in ARM_FLAGS:
         train = out / f"train-{arm}"
         _run("train", "--data", str(data), "--out", str(train), "--ablation", arm,
              "--epochs", "4", "--seed", "3")
