@@ -23,7 +23,7 @@ from .labels import (
     soft_label,
 )
 from .losses import fusion_loss
-from .metrics import ConfusionMetrics, EvalReport, confusion_metrics, evaluate, roc_auc
+from .metrics import EvalReport, confusion_metrics, evaluate, roc_auc
 from .model import (
     ModelConfig,
     ModelParams,

@@ -10,8 +10,9 @@ Subcommands (each also takes ``[--config PATH] [--seed INT]``)::
 Settings resolve in three layers: built-in defaults, then a flat key=value
 config file (``--config``), then command-line flags. A bad setting is a usage
 error, reported before any file is written. Every output artifact
-embeds the resolved settings and seed; no artifact contains paths or
-timestamps, so a rerun with the same seed is byte-identical.
+embeds the resolved settings and seed and no timestamps, so a rerun with
+the same seed is byte-identical. Only a failed ablation seed's
+``errors[].traceback`` holds paths: those of the source files.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (a bad setting or
 argument, or a dataset file without samples).
@@ -29,7 +30,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DataError, EmptyDatasetError, ParameterError
+from .errors import DataError, EmptyDatasetError, ParameterError, TrainingDivergedError
 from .labels import attach_soft_labels, compute_rater_weights
 from .metrics import METRIC_NAMES, EvalReport, evaluate
 from .model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
@@ -154,13 +155,13 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path) -> list[tuple[int, str, str]]:
     """(line number, key, raw value) of each setting in a flat ``key = value`` file, in file order.
 
-    Blank lines and # comments are skipped. A line that is not ``key = value``
-    or repeats a key is an error naming the file and line; the values are
-    left to ``resolve_config``.
+    The file is UTF-8, with or without a BOM. Blank lines and # comments are
+    skipped. A line that is not ``key = value`` or repeats a key is an error
+    naming the file and line; the values are left to ``resolve_config``.
     """
     settings = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -358,7 +359,9 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
         for seed in seeds:
             run_cfg = replace(cfg, seed=seed, ablation=arm)
             try:
-                _, _, report = run_experiment(run_cfg)
+                _, log, report = run_experiment(run_cfg)
+                if log and "diverged" in log[-1]:
+                    raise TrainingDivergedError(f"training diverged: {log[-1]['diverged']}")
                 fusion_all = report.metrics["fusion"]["all"]
             except Exception as exc:  # arm keeps going; grid marks the failure and nulls its metrics
                 import traceback  # only on this failure path, so start-up stays lean

@@ -16,21 +16,13 @@ REPORT_BRANCHES = ("sen", "spec", "fusion")
 METRIC_NAMES = ("acc", "sen", "spec", "f1", "auc")
 
 
-@dataclass(frozen=True)
-class ConfusionMetrics:
-    """Threshold metrics; zero-denominator metrics are 0.0 and flagged."""
+def confusion_metrics(predictions, labels) -> tuple[dict[str, float], frozenset[str]]:
+    """``({acc, sen, spec, f1}, zero)`` from binary predictions; ``zero`` names those whose denominator is 0.
 
-    acc: float
-    sen: float
-    spec: float
-    f1: float
-    undefined: frozenset[str]
-
-
-def confusion_metrics(predictions, labels) -> ConfusionMetrics:
-    """Accuracy, sensitivity, specificity and F1 from binary predictions."""
-    preds = np.asarray(predictions, dtype=int)
-    labs = np.asarray(labels, dtype=int)
+    Those read 0.0. The inputs must hold 0/1 values or bools as given; nothing is cast first.
+    """
+    preds = np.asarray(predictions)
+    labs = np.asarray(labels)
     if preds.shape != labs.shape or preds.ndim != 1 or preds.size < 1:
         raise ParameterError(f"predictions/labels must be equal-length 1-d, got {preds.shape} vs {labs.shape}")
     if np.any((preds != 0) & (preds != 1)) or np.any((labs != 0) & (labs != 1)):
@@ -40,20 +32,10 @@ def confusion_metrics(predictions, labels) -> ConfusionMetrics:
     tn = int(np.sum((preds == 0) & (labs == 0)))
     fp = int(np.sum((preds == 1) & (labs == 0)))
     fn = int(np.sum((preds == 0) & (labs == 1)))
-
-    undefined = set()
-
-    def ratio(num, den, name):
-        if den == 0:
-            undefined.add(name)
-            return 0.0
-        return num / den
-
-    acc = (tp + tn) / preds.size
-    sen = ratio(tp, tp + fn, "sen")
-    spec = ratio(tn, tn + fp, "spec")
-    f1 = ratio(2 * tp, 2 * tp + fp + fn, "f1")
-    return ConfusionMetrics(acc=acc, sen=sen, spec=spec, f1=f1, undefined=frozenset(undefined))
+    fractions = {"acc": (tp + tn, preds.size), "sen": (tp, tp + fn), "spec": (tn, tn + fp),
+                 "f1": (2 * tp, 2 * tp + fp + fn)}
+    metrics = {name: num / den if den else 0.0 for name, (num, den) in fractions.items()}
+    return metrics, frozenset(name for name, (_, den) in fractions.items() if not den)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -172,7 +154,7 @@ def evaluate(params: ModelParams, dataset: GradedDataset, threshold: float = 0.5
     undefined: dict[str, dict[str, list[str]]] = {}
     for branch in REPORT_BRANCHES:
         scores = branch_probs[branch][:, 1]
-        preds = (scores >= threshold).astype(int)
+        preds = scores >= threshold
         metrics[branch] = {}
         undefined[branch] = {}
         for stratum, mask in masks.items():
@@ -180,15 +162,13 @@ def evaluate(params: ModelParams, dataset: GradedDataset, threshold: float = 0.5
                 metrics[branch][stratum] = dict.fromkeys(METRIC_NAMES)
                 undefined[branch][stratum] = []
                 continue
-            cm = confusion_metrics(preds[mask], finals[mask])
+            threshold_metrics, zero = confusion_metrics(preds[mask], finals[mask])
             try:
                 auc = roc_auc(scores[mask], finals[mask])
             except UndefinedMetricError:
                 auc = None
-            metrics[branch][stratum] = {
-                "acc": cm.acc, "sen": cm.sen, "spec": cm.spec, "f1": cm.f1, "auc": auc,
-            }
-            undefined[branch][stratum] = sorted(cm.undefined)
+            metrics[branch][stratum] = {**threshold_metrics, "auc": auc}
+            undefined[branch][stratum] = sorted(zero)
     return EvalReport(
         counts=counts,
         mean_uncertainty=mean_u,

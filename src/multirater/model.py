@@ -113,22 +113,12 @@ def _flat_layout(config: ModelConfig, multi_branch: bool):
 
 
 def init_params(config: ModelConfig, multi_branch: bool = True) -> ModelParams:
-    """Symmetric uniform fan-in initialization; all biases zero.
-
-    ``rng.random`` fills each layer's weight view in place, layer by layer in
-    parameter order, and a layer with bound b = 1 / sqrt(fan_in) maps each
-    draw r to -b + (b - -b) * r. That is the stream and the arithmetic of one
-    ``rng.uniform(-b, b)`` call per layer, so the weights equal theirs bit
-    for bit, without a temporary per layer.
-    """
+    """Symmetric uniform fan-in initialization, U(-b, b) with b = 1 / sqrt(fan_in); all biases zero."""
     rng = seeded_rng(config.seed, STREAM_INIT)
     params = ModelParams(config, multi_branch)
     for name, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
         bound = 1.0 / math.sqrt(fan_in)
-        weight = params.tensors[f"{name}.W"]
-        rng.random(out=weight)
-        weight *= bound - -bound
-        weight += -bound
+        params.tensors[f"{name}.W"][...] = rng.uniform(-bound, bound, (fan_in, fan_out))
     return params
 
 

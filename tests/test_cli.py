@@ -161,6 +161,12 @@ class TestConfigFile:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "x").exists()
 
+    def test_config_with_a_utf8_byte_order_mark_is_read(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed = 4\n")
+        assert cli.parse_config_file(cfg) == [(1, "seed", "4")]
+        assert resolve_config(cfg, {}).seed == 4
+
     def test_value_error_names_the_line_it_depends_on(self, tmp_path):
         path = tmp_path / "two.cfg"
         path.write_text("margin = 0\nlr = -1\n")  # the trainer checks lr first
@@ -496,6 +502,23 @@ class TestAblation:
         assert "conloss     FAILED: seed 5: boom at seed 5" in table
         assert "Traceback" not in table
         assert all(not r["failed"] for arm, r in grid["arms"].items() if arm != "conloss")
+
+    def test_diverged_fits_fail_their_seeds(self, tmp_path):
+        """A fit that diverges at its first step keeps the initial parameters; they are not a result."""
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("lr = 1e308\n")
+        out = tmp_path / "grid"
+        result = run_cli("ablation", "--config", cfg, "--n", 200, "--seeds", 1, "--epochs", 1,
+                         "--seed", 1, "--out", out)
+        assert result.returncode == 1, result.stderr
+        grid = strict_json((out / "ablation_grid.json").read_text())
+        table = (out / "ablation_grid.txt").read_text()
+        for arm, row in grid["arms"].items():
+            assert row["failed"] and [e["seed"] for e in row["errors"]] == [1]
+            assert row["errors"][0]["message"].startswith("training diverged: non-finite loss at epoch 0, step 1")
+            assert "TrainingDivergedError: training diverged" in row["errors"][0]["traceback"]
+            assert row["per_seed"] == {m: [None] for m in ("acc", "sen", "spec", "f1", "auc")}
+            assert f"{arm:<10}  FAILED: seed 1: training diverged" in table
 
 
 class TestStrictJson:

@@ -28,48 +28,62 @@ RNG = np.random.default_rng(101)
 class TestConfusionMetrics:
     def test_perfect_classifier(self):
         labels = [0, 1, 1, 0, 1]
-        m = confusion_metrics(labels, labels)
-        assert (m.acc, m.sen, m.spec, m.f1) == (1.0, 1.0, 1.0, 1.0)
-        assert not m.undefined
+        m, zero = confusion_metrics(labels, labels)
+        assert (m["acc"], m["sen"], m["spec"], m["f1"]) == (1.0, 1.0, 1.0, 1.0)
+        assert not zero
 
     def test_always_positive_on_balanced_data(self):
         labels = [0, 1] * 10
-        m = confusion_metrics([1] * 20, labels)
-        assert m.sen == 1.0
-        assert m.spec == 0.0
-        assert m.acc == 0.5
+        m, _ = confusion_metrics([1] * 20, labels)
+        assert m["sen"] == 1.0
+        assert m["spec"] == 0.0
+        assert m["acc"] == 0.5
 
     def test_hand_tally(self):
         # TP=3, FP=1, FN=1, TN=5
         preds = [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
         labels = [1, 1, 1, 0, 1, 0, 0, 0, 0, 0]
-        m = confusion_metrics(preds, labels)
-        assert m.sen == pytest.approx(0.75)
-        assert m.spec == pytest.approx(5.0 / 6.0)
-        assert m.f1 == pytest.approx(0.75)
-        assert m.acc == pytest.approx(0.8)
+        m, _ = confusion_metrics(preds, labels)
+        assert m["sen"] == pytest.approx(0.75)
+        assert m["spec"] == pytest.approx(5.0 / 6.0)
+        assert m["f1"] == pytest.approx(0.75)
+        assert m["acc"] == pytest.approx(0.8)
 
     def test_zero_denominators_flagged(self):
-        m = confusion_metrics([0, 0], [0, 0])
-        assert m.sen == 0.0 and m.f1 == 0.0
-        assert m.undefined == {"sen", "f1"}
-        assert m.spec == 1.0
+        m, zero = confusion_metrics([0, 0], [0, 0])
+        assert m["sen"] == 0.0 and m["f1"] == 0.0
+        assert zero == {"sen", "f1"}
+        assert m["spec"] == 1.0
 
     def test_matches_tally_oracle_on_random_instances(self):
         for _ in range(1000):
             n = int(RNG.integers(1, 51))
             preds = RNG.integers(0, 2, size=n).tolist()
             labels = RNG.integers(0, 2, size=n).tolist()
-            m = confusion_metrics(preds, labels)
+            m, zero = confusion_metrics(preds, labels)
             acc, sen, spec, f1, undefined = oracles.confusion_tally(preds, labels)
-            assert (m.acc, m.sen, m.spec, m.f1) == (acc, sen, spec, f1)
-            assert m.undefined == frozenset(undefined)
+            assert list(m.items()) == [("acc", acc), ("sen", sen), ("spec", spec), ("f1", f1)]
+            assert zero == frozenset(undefined)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             confusion_metrics([0, 1], [0, 1, 1])
         with pytest.raises(ParameterError):
             confusion_metrics([0, 2], [0, 1])
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.0, 0.9], [0, 1, 0.7], ["1", "0", "1"], [0, 1, float("nan")]])
+    def test_non_binary_values_rejected_before_any_cast(self, bad):
+        """0.5 and 0.7 would truncate to 0, and "1" would parse, under an int cast."""
+        with pytest.raises(ParameterError, match="binary"):
+            confusion_metrics(bad, [0, 1, 0])
+        with pytest.raises(ParameterError, match="binary"):
+            confusion_metrics([0, 1, 0], bad)
+
+    def test_bools_and_binary_floats_accepted(self):
+        labels = [1, 0, 1, 1]
+        want = confusion_metrics([1, 0, 0, 1], labels)
+        assert confusion_metrics(np.array([True, False, False, True]), labels) == want
+        assert confusion_metrics([1.0, 0.0, 0.0, 1.0], np.array(labels, dtype=float)) == want
 
 
 class TestRocAuc:
@@ -188,9 +202,9 @@ class TestEvaluate:
         report = evaluate(params, ds)
         probs, _ = forward_batch(params, ds.features)
         preds = (probs["fusion"][:, 1] >= 0.5).astype(int)
-        m = confusion_metrics(preds, ds.final_labels)
-        assert report.metrics["fusion"]["all"]["acc"] == m.acc
-        assert report.metrics["fusion"]["all"]["sen"] == m.sen
+        m, _ = confusion_metrics(preds, ds.final_labels)
+        assert report.metrics["fusion"]["all"]["acc"] == m["acc"]
+        assert report.metrics["fusion"]["all"]["sen"] == m["sen"]
         assert report.metrics["fusion"]["all"]["auc"] == pytest.approx(
             roc_auc(probs["fusion"][:, 1], ds.final_labels), abs=1e-12
         )
