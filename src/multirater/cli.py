@@ -24,13 +24,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DataError, EmptyDatasetError, ParameterError, TrainingDivergedError
+from .errors import DataError, EmptyDatasetError, ParameterError, TrainingDivergedError, UndefinedMetricError
 from .labels import attach_soft_labels, compute_rater_weights
 from .metrics import METRIC_NAMES, EvalReport, evaluate
 from .model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
@@ -55,7 +55,7 @@ from .simulate import (
     split_sizes,
     write_dataset_csv,
 )
-from .train import ARM_FLAGS, TrainConfig, fit
+from .train import ARM_FLAGS, TrainConfig, fit, kept_initial_params
 
 _DEFAULT_PANEL = default_panel()
 _DEFAULT_MODEL = ModelConfig(DEFAULT_FEATURE_DIM)
@@ -132,11 +132,7 @@ class ExperimentConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return {key: list(value) if isinstance(value, tuple) else value for key, value in asdict(self).items()}
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -282,7 +278,7 @@ def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
     epochs = [record for record in log if "diverged" not in record]
     if len(epochs) < len(log):
         print(f"warning: training diverged: {log[-1]['diverged']}", file=sys.stderr)
-    if all(record["val_auc"] is None for record in epochs):
+    if kept_initial_params(log):
         print("warning: no epoch had a defined validation AUC, so the checkpoint holds "
               "the initial parameters", file=sys.stderr)
     print(f"trained {len(epochs)} epochs; wrote checkpoint.json, train_log.jsonl to {out_dir}")
@@ -350,18 +346,19 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
     if n_seeds < 1:
         raise ParameterError(f"--seeds must be >= 1, got {n_seeds}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    seeds = [cfg.seed + k for k in range(n_seeds)]
     arms = {}
-    any_failed = False
     for arm in ARM_FLAGS:
         per_seed = {metric: [] for metric in METRIC_NAMES}
         errors = []
-        seeds = [cfg.seed + k for k in range(n_seeds)]
         for seed in seeds:
-            run_cfg = replace(cfg, seed=seed, ablation=arm)
             try:
-                _, log, report = run_experiment(run_cfg)
+                _, log, report = run_experiment(replace(cfg, seed=seed, ablation=arm))
                 if log and "diverged" in log[-1]:
                     raise TrainingDivergedError(f"training diverged: {log[-1]['diverged']}")
+                if kept_initial_params(log):
+                    raise UndefinedMetricError("no epoch had a defined validation AUC, "
+                                               "so the fit kept the initial parameters")
                 fusion_all = report.metrics["fusion"]["all"]
             except Exception as exc:  # arm keeps going; grid marks the failure and nulls its metrics
                 import traceback  # only on this failure path, so start-up stays lean
@@ -370,10 +367,8 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
                 fusion_all = dict.fromkeys(METRIC_NAMES)
             for metric in METRIC_NAMES:
                 per_seed[metric].append(fusion_all[metric])
-        failed = bool(errors)
-        any_failed = any_failed or failed
-        arms[arm] = {"seeds": seeds, "per_seed": per_seed, "errors": errors, "failed": failed}
-        if not failed:
+        arms[arm] = {"seeds": seeds, "per_seed": per_seed, "errors": errors, "failed": bool(errors)}
+        if not errors:
             arms[arm].update(_arm_summary(per_seed))
     grid = {
         "seed": cfg.seed,
@@ -386,7 +381,7 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
     table = _format_grid_table(grid)
     (out_dir / "ablation_grid.txt").write_text(table)
     print(table, end="")
-    return 1 if any_failed else 0
+    return 1 if any(row["failed"] for row in arms.values()) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def _is_int(value) -> bool:
 class ModelParams:
     """All parameters in one flat float64 buffer, plus topology; mutated in place by training.
 
-    ``flat`` holds every tensor back to back in ``_layer_shapes`` order, each
+    ``flat`` holds every tensor back to back in ``_flat_layout`` order, each
     layer's weight before its bias. ``tensors`` is a read-only mapping from
     each tensor's name to a view into ``flat`` with the tensor's shape: write
     through a view (``tensors[name][...] = x``), or update ``flat`` as a whole,
@@ -88,23 +88,16 @@ def _branches(multi_branch: bool) -> tuple[str, ...]:
     return ("sen", "spec", "fusion") if multi_branch else ("fusion",)
 
 
-def _layer_shapes(config: ModelConfig, multi_branch: bool) -> dict[str, tuple[int, int]]:
-    """(fan_in, fan_out) of every dense layer, in parameter order."""
-    t1, t2, t3 = config.trunk_dims
-    bd = config.branch_dim
-    shapes = {"trunk.0": (config.input_dim, t1), "trunk.1": (t1, t2), "trunk.2": (t2, t3)}
-    branches = _branches(multi_branch)
-    for name in branches:
-        shapes[f"{name}.feat"] = (t3, bd)
-        shapes[f"{name}.head"] = (len(branches) * bd if name == branches[-1] else bd, 2)
-    return shapes
-
-
 def _flat_layout(config: ModelConfig, multi_branch: bool):
-    """(size, ((name, start, stop, shape), ...)): each layer's ``.W`` then its ``.b``, packed."""
-    layout = []
-    start = 0
-    for layer, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
+    """(size, ((name, start, stop, shape), ...)): each layer's ``.W``, (fan_in, fan_out), then ``.b``, packed."""
+    (t1, t2, t3), bd = config.trunk_dims, config.branch_dim
+    branches = _branches(multi_branch)
+    layers = [("trunk.0", config.input_dim, t1), ("trunk.1", t1, t2), ("trunk.2", t2, t3)]
+    for name in branches:
+        head_in = len(branches) * bd if name == branches[-1] else bd
+        layers += [(f"{name}.feat", t3, bd), (f"{name}.head", head_in, 2)]
+    layout, start = [], 0
+    for layer, fan_in, fan_out in layers:
         for name, shape in ((f"{layer}.W", (fan_in, fan_out)), (f"{layer}.b", (fan_out,))):
             stop = start + math.prod(shape)
             layout.append((name, start, stop, shape))
@@ -116,9 +109,10 @@ def init_params(config: ModelConfig, multi_branch: bool = True) -> ModelParams:
     """Symmetric uniform fan-in initialization, U(-b, b) with b = 1 / sqrt(fan_in); all biases zero."""
     rng = seeded_rng(config.seed, STREAM_INIT)
     params = ModelParams(config, multi_branch)
-    for name, (fan_in, fan_out) in _layer_shapes(config, multi_branch).items():
-        bound = 1.0 / math.sqrt(fan_in)
-        params.tensors[f"{name}.W"][...] = rng.uniform(-bound, bound, (fan_in, fan_out))
+    for name, view in params.tensors.items():
+        if name.endswith(".W"):  # a weight's rows are its fan-in
+            bound = 1.0 / math.sqrt(view.shape[0])
+            view[...] = rng.uniform(-bound, bound, view.shape)
     return params
 
 
@@ -181,34 +175,30 @@ def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - inner)
 
 
-def backward(
-    params: ModelParams, cache: ForwardCache, grads: dict[str, np.ndarray], out: ModelParams | None = None
-) -> ModelParams:
-    """Map probability-space gradients onto all parameters.
+def backward(cache: ForwardCache, grads: dict[str, np.ndarray], out: ModelParams) -> ModelParams:
+    """Map probability-space gradients onto all parameters of ``cache.params``, into ``out``.
 
     ``grads`` maps branch names to dL/dy arrays of shape (n, 2), keyed like
     ``forward_batch``'s outputs; a missing branch means zero gradient.
-    Returns the gradient as a ``ModelParams`` laid out like ``params``:
-    ``flat`` is the whole gradient and ``tensors[name]`` each tensor's part.
-    With ``out`` (a ``ModelParams`` of the same topology) every entry of
-    ``out`` is overwritten and ``out`` is returned; without it a new one is.
+    ``out`` is a ``ModelParams`` of the cached network's topology. Every
+    entry of it is overwritten and it is returned: ``flat`` is the whole
+    gradient and ``tensors[name]`` each tensor's part.
     Raises ContractError for a key that names no branch of the network, for
-    an ``out`` of another topology, or when the cache does not match the
-    current parameter values.
+    an ``out`` of another topology, or when the parameters changed since
+    ``forward_batch``.
     """
-    if cache.params is not params or cache.version != params.version:
+    params = cache.params
+    if cache.version != params.version:
         raise ContractError("stale forward cache: parameters changed since forward_batch()")
     unknown = sorted(set(grads) - set(cache.probs))
     if unknown:
         raise ContractError(f"gradients for {unknown}, but the network's branches are {list(cache.probs)}")
+    if (out.config, out.multi_branch) != (params.config, params.multi_branch):
+        raise ContractError("gradient buffer is laid out for another network")
 
     def head_dz(name):  # dL/dlogits of the branch's head
         return _softmax_backward(cache.probs[name], np.asarray(grads.get(name, 0.0), dtype=float))
 
-    if out is None:
-        out = ModelParams(params.config, params.multi_branch)
-    elif (out.config, out.multi_branch) != (params.config, params.multi_branch):
-        raise ContractError("gradient buffer is laid out for another network")
     t, g, bd, h3 = params.tensors, out.tensors, params.config.branch_dim, cache.trunk[2]
 
     def dense(layer, layer_in, dz):  # fill the layer's weight and bias gradients

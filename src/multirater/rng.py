@@ -15,6 +15,8 @@ Two routes share one key convention, a tuple of integers whose negative or
   sample_id).
 """
 
+from __future__ import annotations
+
 from functools import lru_cache
 
 import numpy as np

@@ -410,7 +410,6 @@ _ADJUDICATOR_WIDTH = 22
 # and no empty line either.
 _CSV_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\v\f\r"
 _PLAIN_BYTES = _CSV_BYTES.replace(b'"', b"")
-_EMPTY_LINE = (b"\n\n", b"\r\r", b"\n\r")
 
 
 def _csv_header(feature_dim: int) -> list[str]:
@@ -573,14 +572,20 @@ def _read_records(path: Path, d: int) -> GradedDataset:
 
 
 def _plain(path: Path) -> bool:
-    """Whether the file holds only ``_PLAIN_BYTES`` and no empty line.
+    """Whether the file holds only ``_PLAIN_BYTES``, no empty line and a line after the header.
 
     Then each line after the header is one record, which ``np.loadtxt``
-    splits as ``csv.reader`` does. The file's bytes are freed on return,
-    before ``np.loadtxt`` reads it again.
+    splits as ``csv.reader`` does. The file is read one binary line at a
+    time, each ending just after a ``\\n``, so an empty line is a line that
+    starts with ``\\n`` or ``\\r`` or one that holds ``\\r\\r``.
     """
-    data = path.read_bytes()
-    return not data.translate(None, _PLAIN_BYTES) and not any(pair in data for pair in _EMPTY_LINE)
+    lines = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.translate(None, _PLAIN_BYTES) or line.startswith((b"\n", b"\r")) or b"\r\r" in line:
+                return False
+            lines += 1
+    return lines > 1
 
 
 def _parse_distinct(column: np.ndarray, parse) -> tuple[list, np.ndarray]:
@@ -626,12 +631,10 @@ def _read_plain(path: Path, d: int) -> GradedDataset | None:
         ("consensus", np.int64), ("final_label", np.int64), ("soft_label", np.float64),
     ])
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt warns of a file without rows
-            rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1,
-                              encoding="latin-1")
+        rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1,
+                          encoding="latin-1")
         raters = _plain_raters(rows)
-    except (ValueError, Warning):
+    except ValueError:
         return None
     soft_labels = rows["soft_label"]
     if raters is None or _soft_label_violation(soft_labels.min()) or _soft_label_violation(soft_labels.max()):

@@ -223,7 +223,7 @@ def train_step(
         raise TrainingDivergedError(
             f"non-finite loss at epoch {state.epoch}, step {state.t}: {scalars}"
         )
-    backward(state.params, cache, prob_grads, out=state.grad)
+    backward(cache, prob_grads, out=state.grad)
     _adam_update(state, state.grad.flat, learning_rate(config, state.epoch))
     return scalars
 
@@ -235,6 +235,11 @@ def _validation_auc(params: ModelParams, features: np.ndarray, labels: np.ndarra
         return roc_auc(probs["fusion"][:, 1], labels), None
     except UndefinedMetricError as exc:
         return None, str(exc)
+
+
+def kept_initial_params(log: list[dict]) -> bool:
+    """Whether the ``fit`` that wrote ``log`` kept its initial parameters: no epoch had a defined val AUC."""
+    return all(record.get("val_auc") is None for record in log)
 
 
 def fit(
@@ -272,35 +277,37 @@ def fit(
     best_params, best_val_auc, log = state.params.copy(), float("-inf"), []
     n = len(train)
 
-    for epoch in range(train_config.max_epochs):
-        state.epoch = epoch
-        order = shuffle_rng.permutation(n)
-        sums = dict.fromkeys(("loss_sen", "loss_spec", "loss_fusion", "loss_consensus"), 0.0)
-        try:
-            for start in range(0, n, train_config.batch_size):
-                idx = order[start : start + train_config.batch_size]
-                scalars = train_step(state, train, idx, targets, train_config)
-                for key in sums:
-                    sums[key] += scalars[key] * idx.size
-        except TrainingDivergedError as exc:
-            log.append({"epoch": epoch, "step": state.t, "diverged": str(exc)})
+    # A diverging step overflows; its non-finite loss, not numpy's warnings, reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_config.max_epochs):
+            state.epoch = epoch
+            order = shuffle_rng.permutation(n)
+            sums = dict.fromkeys(("loss_sen", "loss_spec", "loss_fusion", "loss_consensus"), 0.0)
+            try:
+                for start in range(0, n, train_config.batch_size):
+                    idx = order[start : start + train_config.batch_size]
+                    scalars = train_step(state, train, idx, targets, train_config)
+                    for key in sums:
+                        sums[key] += scalars[key] * idx.size
+            except TrainingDivergedError as exc:
+                log.append({"epoch": epoch, "step": state.t, "diverged": str(exc)})
+                if on_epoch is not None:
+                    on_epoch(log[-1])
+                break
+            val_auc, undefined = _validation_auc(state.params, val.features, val_labels)
+            if val_auc is not None and val_auc >= best_val_auc:
+                best_val_auc = val_auc
+                best_params.flat[...] = state.params.flat
+                best_params.version += 1
+            record = {
+                "epoch": epoch,
+                "lr": learning_rate(train_config, epoch),
+                **{key: sums[key] / n for key in sums},
+                "val_auc": val_auc,
+            }
+            if undefined is not None:
+                record["val_auc_undefined"] = undefined
+            log.append(record)
             if on_epoch is not None:
-                on_epoch(log[-1])
-            break
-        val_auc, undefined = _validation_auc(state.params, val.features, val_labels)
-        if val_auc is not None and val_auc >= best_val_auc:
-            best_val_auc = val_auc
-            best_params.flat[...] = state.params.flat
-            best_params.version += 1
-        record = {
-            "epoch": epoch,
-            "lr": learning_rate(train_config, epoch),
-            **{key: sums[key] / n for key in sums},
-            "val_auc": val_auc,
-        }
-        if undefined is not None:
-            record["val_auc_undefined"] = undefined
-        log.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
+                on_epoch(record)
     return best_params, log

@@ -34,6 +34,10 @@ test_ratio = 0.25
 """
 
 
+# The log of a fit whose one epoch had a defined validation AUC, so it returned trained parameters.
+TRAINED_LOG = [{"epoch": 0, "val_auc": 0.75}]
+
+
 def strict_json(text):
     """Parse ``text`` as JSON that holds no NaN or Infinity."""
 
@@ -454,7 +458,7 @@ class TestAblation:
         def run_experiment(cfg):
             auc = None if cfg.seed == 5 else 0.75
             fusion_all = {"acc": 0.5, "sen": 0.5, "spec": 0.5, "f1": 0.5, "auc": auc}
-            return None, [], SimpleNamespace(metrics={"fusion": {"all": fusion_all}})
+            return None, TRAINED_LOG, SimpleNamespace(metrics={"fusion": {"all": fusion_all}})
 
         code, grid, table = self._grid(tmp_path, monkeypatch, run_experiment)
         assert code == 0
@@ -470,7 +474,7 @@ class TestAblation:
             if cfg.ablation == "full" and cfg.seed == 5:
                 raise RuntimeError("boom")
             fusion_all = dict.fromkeys(("acc", "sen", "spec", "f1", "auc"), cfg.seed / 10)
-            return None, [], SimpleNamespace(metrics={"fusion": {"all": fusion_all}})
+            return None, TRAINED_LOG, SimpleNamespace(metrics={"fusion": {"all": fusion_all}})
 
         monkeypatch.setattr(cli, "run_experiment", run_experiment)
         cfg = resolve_config(None, {"n_samples": 50, "max_epochs": 1, "seed": 4})
@@ -485,7 +489,7 @@ class TestAblation:
             if cfg.ablation == "conloss" and cfg.seed == 5:
                 raise_deep_inside(cfg.seed)
             fusion_all = dict.fromkeys(("acc", "sen", "spec", "f1", "auc"), 0.5)
-            return None, [], SimpleNamespace(metrics={"fusion": {"all": fusion_all}})
+            return None, TRAINED_LOG, SimpleNamespace(metrics={"fusion": {"all": fusion_all}})
 
         def raise_deep_inside(seed):
             raise RuntimeError(f"boom at seed {seed}")
@@ -519,6 +523,24 @@ class TestAblation:
             assert "TrainingDivergedError: training diverged" in row["errors"][0]["traceback"]
             assert row["per_seed"] == {m: [None] for m in ("acc", "sen", "spec", "f1", "auc")}
             assert f"{arm:<10}  FAILED: seed 1: training diverged" in table
+        assert result.stderr == ""  # only the typed message, in the grid, and no numpy RuntimeWarning
+
+    def test_one_class_validation_fails_every_seed(self, tmp_path, one_sample_val):
+        """No epoch has a defined validation AUC, so each fit keeps its initial parameters; they are not a result."""
+        out = tmp_path / "grid"
+        result = run_cli("ablation", "--config", one_sample_val, "--n", 12, "--seeds", 1, "--epochs", 2,
+                         "--seed", 2, "--out", out)
+        assert result.returncode == 1, result.stderr
+        grid = strict_json((out / "ablation_grid.json").read_text())
+        table = (out / "ablation_grid.txt").read_text()
+        for arm, row in grid["arms"].items():
+            assert row["failed"] and [e["seed"] for e in row["errors"]] == [2]
+            assert row["errors"][0]["message"] == ("no epoch had a defined validation AUC, "
+                                                   "so the fit kept the initial parameters")
+            assert "UndefinedMetricError: no epoch had a defined validation AUC" in row["errors"][0]["traceback"]
+            assert row["per_seed"] == {m: [None] for m in ("acc", "sen", "spec", "f1", "auc")}
+            assert "mean" not in row
+            assert f"{arm:<10}  FAILED: seed 2: no epoch had a defined validation AUC" in table
 
 
 class TestStrictJson:

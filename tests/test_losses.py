@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirater.errors import ContractError, ParameterError
+from multirater.labels import Branch, positive_probabilities
 from multirater.losses import consensus_terms, cross_entropy, fusion_loss, uncertainties
 from multirater.train import TrainConfig
 
@@ -130,6 +131,28 @@ class TestUncertainty:
             assert uncertainty_one(y1, y2) == pytest.approx(
                 oracles.uncertainty_scalar(y1.tolist(), y2.tolist()), abs=1e-9
             )
+
+    def test_branch_targets_cap_the_fusion_weights(self):
+        """The analytic ceiling of the uncertainty weighting, at the branches' closed-form targets.
+
+        The four disagreement patterns give (sen, spec) positive probabilities
+        (0.8, 0.5) or (0.5, 0.2): u = 0.5 * (1 - 0.5 / sqrt(0.34)) and a branch
+        separation ||d|| = 0.3 * sqrt(2), below the default margin. The two
+        consensus patterns give u = 0 and ||d|| = 0. So branches that fit their
+        targets weight the fusion KL by 1 + u within [1, 1.0712535], which is
+        why the ``uncerty`` arm equals ``multibr`` in the reference grid.
+        """
+        ratings = np.array([(1, 0, 1), (1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 1, -1), (0, 0, -1)])
+        sen, spec = (np.column_stack([1 - p, p]) for p in (positive_probabilities(ratings, b) for b in Branch))
+        u = uncertainties(sen, spec)
+        dist = np.linalg.norm(sen - spec, axis=1)
+        ceiling = 0.5 * (1.0 - 0.5 / math.sqrt(0.34))
+        np.testing.assert_allclose(u, [ceiling] * 4 + [0.0] * 2, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(dist, [0.3 * math.sqrt(2.0)] * 4 + [0.0] * 2, rtol=1e-12, atol=1e-15)
+        assert ceiling == pytest.approx(0.0712535, abs=5e-8)
+        assert 0.3 * math.sqrt(2.0) == pytest.approx(0.424264, abs=5e-7)
+        assert dist.max() < TrainConfig().margin
+        assert 1.0 <= (1.0 + u).min() and (1.0 + u).max() <= 1.0712535 + 5e-8
 
     @given(simplex_points, simplex_points)
     @settings(max_examples=300, deadline=None)

@@ -37,6 +37,11 @@ def toy_params(seed=123, multi_branch=True, jitter=None):
     return params
 
 
+def nan_buffer(params):
+    """A gradient buffer laid out like ``params``, NaN wherever backward leaves an entry unwritten."""
+    return ModelParams(params.config, params.multi_branch, np.full(params.flat.size, np.nan))
+
+
 def total_loss(params, x, sen_labels, spec_labels, softs, a, u_weights):
     """Full objective from the scalar oracles (all terms active).
 
@@ -158,7 +163,7 @@ class TestBackward:
         # the uncertainty weights are detached constants
         u_weights = uncertainties(probs["sen"], probs["spec"]) if multi_branch else np.zeros(20)
         prob_grads = assemble_prob_grads(probs, sen, spec, softs, a, u_weights)
-        grads = backward(params, cache, prob_grads)
+        grads = backward(cache, prob_grads, out=nan_buffer(params))
         assert list(grads.tensors) == list(params.tensors)
 
         h = 1e-5
@@ -185,21 +190,21 @@ class TestBackward:
         rng = np.random.default_rng(6)
         probs, cache = forward_batch(params, rng.standard_normal((7, 5)))
         prob_grads = {name: rng.standard_normal(p.shape) for name, p in probs.items()}
-        fresh = backward(params, cache, prob_grads)
+        fresh = backward(cache, prob_grads, out=ModelParams(params.config, params.multi_branch))
         out = ModelParams(params.config, params.multi_branch, np.full(params.flat.size, np.nan))
-        assert backward(params, cache, prob_grads, out=out) is out
+        assert backward(cache, prob_grads, out=out) is out
         assert out.flat.tobytes() == fresh.flat.tobytes()
 
     def test_buffer_of_another_network_is_rejected(self):
         params = toy_params()
         _, cache = forward_batch(params, RNG.standard_normal((2, 5)))
         with pytest.raises(ContractError, match="another network"):
-            backward(params, cache, {}, out=toy_params(multi_branch=False))
+            backward(cache, {}, out=toy_params(multi_branch=False))
 
     def test_zero_upstream_gradients_give_zero_parameter_gradients(self):
         params = toy_params()
         _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
-        grads = backward(params, cache, {})
+        grads = backward(cache, {}, out=nan_buffer(params))
         np.testing.assert_array_equal(grads.flat, 0.0)
 
     def test_fusion_gradient_reaches_sen_features_but_not_sen_head(self):
@@ -207,7 +212,7 @@ class TestBackward:
         _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
         # asymmetric probe: a constant vector would vanish in the softmax jacobian
         probe = np.tile([1.0, -1.0], (4, 1))
-        grads = backward(params, cache, {"fusion": probe})
+        grads = backward(cache, {"fusion": probe}, out=nan_buffer(params))
         np.testing.assert_array_equal(grads.tensors["sen.head.W"], 0.0)
         np.testing.assert_array_equal(grads.tensors["sen.head.b"], 0.0)
         assert np.abs(grads.tensors["sen.feat.W"]).max() > 1e-6  # concat features carry gradient
@@ -216,7 +221,7 @@ class TestBackward:
         params = toy_params(jitter=9)
         _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
         probe = np.tile([1.0, -1.0], (4, 1))
-        grads = backward(params, cache, {"sen": probe})
+        grads = backward(cache, {"sen": probe}, out=nan_buffer(params))
         np.testing.assert_array_equal(grads.tensors["fusion.head.W"], 0.0)
         assert np.abs(grads.tensors["trunk.0.W"]).max() > 1e-6
 
@@ -225,19 +230,19 @@ class TestBackward:
         probs, cache = forward_batch(params, RNG.standard_normal((2, 5)))
         params.version += 1  # simulate an optimizer update
         with pytest.raises(ContractError, match="stale"):
-            backward(params, cache, {"fusion": np.ones_like(probs["fusion"])})
+            backward(cache, {"fusion": np.ones_like(probs["fusion"])}, out=nan_buffer(params))
 
     def test_single_branch_rejects_sen_gradients(self):
         params = toy_params(multi_branch=False)
         _, cache = forward_batch(params, RNG.standard_normal((2, 5)))
         with pytest.raises(ContractError, match=r"gradients for \['sen'\].*branches are \['fusion'\]"):
-            backward(params, cache, {"sen": np.zeros((2, 2))})
+            backward(cache, {"sen": np.zeros((2, 2))}, out=nan_buffer(params))
 
     def test_gradient_key_naming_no_branch_is_rejected(self):
         params = toy_params()
         probs, cache = forward_batch(params, RNG.standard_normal((2, 5)))
         with pytest.raises(ContractError, match=r"gradients for \['y_fusion'\]"):
-            backward(params, cache, {"y_fusion": np.ones_like(probs["fusion"])})
+            backward(cache, {"y_fusion": np.ones_like(probs["fusion"])}, out=nan_buffer(params))
 
 
 def _edited(change):

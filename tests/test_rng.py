@@ -1,5 +1,8 @@
 """Keyed randomness: the SplitMix64 mixer, key folding and the keyed uniform."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -58,3 +61,12 @@ class TestKeyedUniformMatchesTheScalarOracle:
     def test_negative_and_wide_parts_bit_for_bit(self, part):
         for key in ((part, 4, 0, 1, 7), (1, part, 2, 0, 7), (1, 4, part, part, 7), (1, 4, 0, 1, part)):
             assert keyed_uniform(*key) == oracles.keyed_uniform(*key)
+
+
+def test_config_resolution_leaves_numpy_random_unimported():
+    """``numpy.random`` takes about 11 ms to import; start-up up to a resolved config must not pay it."""
+    code = ("import sys, multirater; from multirater.cli import resolve_config; resolve_config(None, {}); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -671,6 +671,10 @@ class TestReaderAgainstOracle:
     def test_header_only(self, written):
         written.write_bytes(written.read_bytes().split(b"\r\n")[0] + b"\r\n")
         _assert_reads_as_the_oracle(written)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning escapes on the way to the error
+            with pytest.raises(EmptyDatasetError, match="no rows"):
+                read_dataset_csv(written)
         written.write_bytes(written.read_bytes() + b"\r\n")  # and a blank line
         _assert_reads_as_the_oracle(written)
 
@@ -683,7 +687,7 @@ class TestReaderAgainstOracle:
 
     @pytest.mark.parametrize("blank", ["\r\n", "\n", "\r"])
     def test_blank_line_found_across_every_scan_boundary(self, written, blank):
-        """The plain scan reads the whole file, so a blank line in any style falls back to the contract reader."""
+        """The plain scan reads every line, so a blank line in any style falls back to the contract reader."""
         lines = written.read_bytes().split(b"\r\n")
         lines[6] += blank.encode()
         written.write_bytes(b"\r\n".join(lines))
