@@ -71,7 +71,7 @@ def consensus_terms(p_sen: np.ndarray, p_spec: np.ndarray, a: np.ndarray, margin
     ||d|| = margin) and, by subgradient choice, at d = 0.
     """
     d = p_sen - p_spec
-    dist = np.linalg.norm(d, axis=1)
+    dist = np.sqrt((d * d).sum(axis=1))  # np.linalg.norm(d, axis=1), without its dispatch
     gap = margin - dist
     agree = a == 1
     loss = np.where(agree, 0.5 * dist**2, 0.5 * np.maximum(gap, 0.0) ** 2)
@@ -83,7 +83,7 @@ def consensus_terms(p_sen: np.ndarray, p_spec: np.ndarray, a: np.ndarray, margin
 def uncertainties(p_sen: np.ndarray, p_spec: np.ndarray) -> np.ndarray:
     """Per-sample 0.5 * (1 - cosine similarity), clipped to [0, 0.5]."""
     dots = (p_sen * p_spec).sum(axis=1)
-    norms = np.linalg.norm(p_sen, axis=1) * np.linalg.norm(p_spec, axis=1)
+    norms = np.sqrt((p_sen * p_sen).sum(axis=1)) * np.sqrt((p_spec * p_spec).sum(axis=1))
     return np.clip(0.5 * (1.0 - dots / norms), 0.0, 0.5)
 
 

@@ -2,12 +2,14 @@
 
 Topology: a shared tanh trunk feeds one tanh feature layer per branch.
 ``_branches`` lists the branches, fusion last: sen, spec and fusion, or
-fusion alone for the single-head baseline (``multi_branch=False``). Every
-branch's features land in their own column block of one ``(n, len * bd)``
-feature block, in that order. Each branch's head reads its own columns,
-except the fusion head, which reads the whole block. Gradients from the
-fusion head therefore flow back into every feature layer, and the trunk
-receives the sum of all branch contributions.
+fusion alone for the single-head baseline (``multi_branch=False``). The
+branches run stacked: one matmul computes every branch's features, each in
+its own column block of one ``(n, len * bd)`` feature block, in that order.
+Each branch's head reads its own columns, except the fusion head, which
+reads the whole block; one softmax covers the branch-major ``(len, n, 2)``
+head logits. Gradients from the fusion head therefore flow back into every
+feature layer, and the trunk receives the sum of all branch contributions,
+added branch by branch (a single fused product would round differently).
 
 ``forward_batch`` returns the softmax outputs keyed by branch name, and
 ``backward`` takes the gradients keyed the same way; the baseline has the
@@ -55,11 +57,17 @@ def _is_int(value) -> bool:
 class ModelParams:
     """All parameters in one flat float64 buffer, plus topology; mutated in place by training.
 
-    ``flat`` holds every tensor back to back in ``_flat_layout`` order, each
-    layer's weight before its bias. ``tensors`` is a read-only mapping from
-    each tensor's name to a view into ``flat`` with the tensor's shape: write
-    through a view (``tensors[name][...] = x``), or update ``flat`` as a whole,
-    as Adam does; rebinding a name raises ``TypeError``.
+    ``flat`` holds, back to back: each trunk layer's weight then bias; the
+    fused feature weight ``feat_W``, (t3, len * bd) with one column block per
+    branch in ``_branches`` order, and its bias ``feat_b``; each branch's head
+    weight in branch order; and ``head_b``, the (len, 2) block of head biases,
+    one row per branch. ``tensors`` is a read-only mapping from each tensor's
+    name, per layer in layer order, to a view into ``flat`` with the tensor's
+    shape: ``{branch}.feat.W`` is a column block of ``feat_W`` (so not
+    contiguous), ``{branch}.feat.b`` a slice of ``feat_b`` and
+    ``{branch}.head.b`` a row of ``head_b``. Write through a view
+    (``tensors[name][...] = x``), or update ``flat`` as a whole, as Adam
+    does; rebinding a name raises ``TypeError``.
 
     ``version`` increments on every in-place update so that backward() can
     detect a stale ``forward_batch`` cache.
@@ -72,9 +80,14 @@ class ModelParams:
         self.flat = np.zeros(size) if flat is None else flat
         if self.flat.shape != (size,) or self.flat.dtype != np.float64:
             raise ParameterError(f"flat buffer must be float64 of shape ({size},), got {self.flat.shape}")
-        self.tensors = MappingProxyType(
-            {name: self.flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
-        )
+        arrays = {name: self.flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
+        self.feat_W, self.feat_b, self.head_b = arrays["feat.W"], arrays["feat.b"], arrays["head.b"]
+        tensors = {name: view for name, view in arrays.items() if name.startswith("trunk.")}
+        for k, name in enumerate(_branches(multi_branch)):
+            cols = slice(k * config.branch_dim, (k + 1) * config.branch_dim)
+            tensors.update({f"{name}.feat.W": self.feat_W[:, cols], f"{name}.feat.b": self.feat_b[cols],
+                            f"{name}.head.W": arrays[f"{name}.head.W"], f"{name}.head.b": self.head_b[k]})
+        self.tensors = MappingProxyType(tensors)
         self.version = 0
 
     def copy(self) -> "ModelParams":
@@ -89,19 +102,20 @@ def _branches(multi_branch: bool) -> tuple[str, ...]:
 
 
 def _flat_layout(config: ModelConfig, multi_branch: bool):
-    """(size, ((name, start, stop, shape), ...)): each layer's ``.W``, (fan_in, fan_out), then ``.b``, packed."""
-    (t1, t2, t3), bd = config.trunk_dims, config.branch_dim
+    """(size, ((name, start, stop, shape), ...)): the arrays ``flat`` packs, in ``ModelParams`` order."""
+    dims, bd = (config.input_dim, *config.trunk_dims), config.branch_dim
     branches = _branches(multi_branch)
-    layers = [("trunk.0", config.input_dim, t1), ("trunk.1", t1, t2), ("trunk.2", t2, t3)]
-    for name in branches:
-        head_in = len(branches) * bd if name == branches[-1] else bd
-        layers += [(f"{name}.feat", t3, bd), (f"{name}.head", head_in, 2)]
+    width = len(branches) * bd
+    shapes = [(f"trunk.{i}.{kind}", shape) for i in range(3)
+              for kind, shape in (("W", dims[i : i + 2]), ("b", dims[i + 1 : i + 2]))]
+    shapes += [("feat.W", (dims[3], width)), ("feat.b", (width,))]
+    shapes += [(f"{name}.head.W", (width if name == branches[-1] else bd, 2)) for name in branches]
+    shapes.append(("head.b", (len(branches), 2)))
     layout, start = [], 0
-    for layer, fan_in, fan_out in layers:
-        for name, shape in ((f"{layer}.W", (fan_in, fan_out)), (f"{layer}.b", (fan_out,))):
-            stop = start + math.prod(shape)
-            layout.append((name, start, stop, shape))
-            start = stop
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        layout.append((name, start, stop, shape))
+        start = stop
     return start, tuple(layout)
 
 
@@ -116,17 +130,6 @@ def init_params(config: ModelConfig, multi_branch: bool = True) -> ModelParams:
     return params
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _branch_columns(block: np.ndarray, bd: int) -> list[np.ndarray]:
-    """Views of each branch's column block of a feature block (or of its gradient), in branch order."""
-    return [block[:, k : k + bd] for k in range(0, block.shape[1], bd)]
-
-
 @dataclass
 class ForwardCache:
     params: ModelParams
@@ -134,7 +137,7 @@ class ForwardCache:
     x: np.ndarray
     trunk: list[np.ndarray]  # post-tanh activations per trunk layer
     block: np.ndarray  # (n, len(branches) * bd) post-tanh features, one column block per branch
-    probs: dict[str, np.ndarray]  # branch name -> softmax outputs
+    probs: np.ndarray  # (len(branches), n, 2) softmax outputs, in branch order
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[dict[str, np.ndarray], ForwardCache]:
@@ -155,24 +158,22 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[dict[str, np.ndar
         h = np.tanh(h @ t[f"trunk.{i}.W"] + t[f"trunk.{i}.b"])
         trunk.append(h)
 
+    block = h @ params.feat_W
+    block += params.feat_b
+    np.tanh(block, out=block)
     branches = _branches(params.multi_branch)
     bd = params.config.branch_dim
-    block = np.empty((x.shape[0], len(branches) * bd))
-    cols = _branch_columns(block, bd)
-    for name, col in zip(branches, cols):
-        np.tanh(h @ t[f"{name}.feat.W"] + t[f"{name}.feat.b"], out=col)
     # Each head reads its own branch's columns, except the fusion head (last), which reads them all.
-    probs = {
-        name: _softmax(head_in @ t[f"{name}.head.W"] + t[f"{name}.head.b"])
-        for name, head_in in zip(branches, cols[:-1] + [block])
-    }
-    return probs, ForwardCache(params=params, version=params.version, x=x, trunk=trunk, block=block, probs=probs)
-
-
-def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    # dL/dz for z the logits of softmax y, given dL/dy.
-    inner = (y * dy).sum(axis=1, keepdims=True)
-    return y * (dy - inner)
+    logits = np.empty((len(branches), x.shape[0], 2))
+    for k, name in enumerate(branches[:-1]):
+        np.matmul(block[:, k * bd : (k + 1) * bd], t[f"{name}.head.W"], out=logits[k])
+    np.matmul(block, t[f"{branches[-1]}.head.W"], out=logits[-1])
+    logits += params.head_b[:, None, :]
+    logits -= logits.max(axis=2, keepdims=True)  # softmax over each row, in place
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=2, keepdims=True)
+    cache = ForwardCache(params=params, version=params.version, x=x, trunk=trunk, block=block, probs=logits)
+    return dict(zip(branches, logits)), cache
 
 
 def backward(cache: ForwardCache, grads: dict[str, np.ndarray], out: ModelParams) -> ModelParams:
@@ -184,47 +185,45 @@ def backward(cache: ForwardCache, grads: dict[str, np.ndarray], out: ModelParams
     entry of it is overwritten and it is returned: ``flat`` is the whole
     gradient and ``tensors[name]`` each tensor's part.
     Raises ContractError for a key that names no branch of the network, for
-    an ``out`` of another topology, or when the parameters changed since
-    ``forward_batch``.
+    a gradient that is not (n, 2), for an ``out`` of another topology, or
+    when the parameters changed since ``forward_batch``.
     """
-    params = cache.params
+    params, y = cache.params, cache.probs
     if cache.version != params.version:
         raise ContractError("stale forward cache: parameters changed since forward_batch()")
-    unknown = sorted(set(grads) - set(cache.probs))
+    branches = _branches(params.multi_branch)
+    unknown = sorted(set(grads) - set(branches))
     if unknown:
-        raise ContractError(f"gradients for {unknown}, but the network's branches are {list(cache.probs)}")
+        raise ContractError(f"gradients for {unknown}, but the network's branches are {list(branches)}")
     if (out.config, out.multi_branch) != (params.config, params.multi_branch):
         raise ContractError("gradient buffer is laid out for another network")
-
-    def head_dz(name):  # dL/dlogits of the branch's head
-        return _softmax_backward(cache.probs[name], np.asarray(grads.get(name, 0.0), dtype=float))
+    dy = np.zeros_like(y)  # a missing branch's stays zero
+    for name, grad in grads.items():
+        if np.shape(grad) != y.shape[1:]:
+            raise ContractError(f"gradient for {name} has shape {np.shape(grad)}, expected {y.shape[1:]}")
+        dy[branches.index(name)] = grad
 
     t, g, bd, h3 = params.tensors, out.tensors, params.config.branch_dim, cache.trunk[2]
-
-    def dense(layer, layer_in, dz):  # fill the layer's weight and bias gradients
-        np.matmul(layer_in.T, dz, out=g[f"{layer}.W"])
-        dz.sum(axis=0, out=g[f"{layer}.b"])
-
-    branches = _branches(params.multi_branch)
-    fusion = branches[-1]
-
-    dz = head_dz(fusion)
-    dense(f"{fusion}.head", cache.block, dz)
-    dconcat = dz @ t[f"{fusion}.head.W"].T  # one column block per branch
-
+    # softmax backward: dL/dlogits of every head
+    dz = y * (dy - (y * dy).sum(axis=2, keepdims=True))
+    dz.sum(axis=1, out=out.head_b)
+    np.matmul(cache.block.T, dz[-1], out=g[f"{branches[-1]}.head.W"])
+    dfeat = dz[-1] @ t[f"{branches[-1]}.head.W"].T  # one column block per branch
+    for k, name in enumerate(branches[:-1]):  # each branch's own head also reads its features
+        cols = slice(k * bd, (k + 1) * bd)
+        np.matmul(cache.block[:, cols].T, dz[k], out=g[f"{name}.head.W"])
+        dfeat[:, cols] += dz[k] @ t[f"{name}.head.W"].T
+    dfeat *= 1.0 - cache.block**2
+    np.matmul(h3.T, dfeat, out=out.feat_W)
+    dfeat.sum(axis=0, out=out.feat_b)
     dh = np.zeros_like(h3)
-    for name, feat, dfeat in zip(branches, _branch_columns(cache.block, bd), _branch_columns(dconcat, bd)):
-        if name != fusion:  # the branch's own head also reads its features
-            dz = head_dz(name)
-            dense(f"{name}.head", feat, dz)
-            dfeat = dz @ t[f"{name}.head.W"].T + dfeat
-        dz = dfeat * (1.0 - feat**2)
-        dense(f"{name}.feat", h3, dz)
-        dh += dz @ t[f"{name}.feat.W"].T
+    for k, name in enumerate(branches):  # one product per branch: a single fused one moves the bits
+        dh += dfeat[:, k * bd : (k + 1) * bd] @ t[f"{name}.feat.W"].T
 
     for i in (2, 1, 0):
         dz = dh * (1.0 - cache.trunk[i] ** 2)
-        dense(f"trunk.{i}", cache.x if i == 0 else cache.trunk[i - 1], dz)
+        np.matmul((cache.x if i == 0 else cache.trunk[i - 1]).T, dz, out=g[f"trunk.{i}.W"])
+        dz.sum(axis=0, out=g[f"trunk.{i}.b"])
         if i > 0:
             dh = dz @ t[f"trunk.{i}.W"].T
     return out

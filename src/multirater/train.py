@@ -155,9 +155,9 @@ def _losses_and_grads(probs: dict[str, np.ndarray], sen_idx: np.ndarray | None, 
         ce_spec, d_spec = cross_entropy(probs["spec"], spec_idx)
         con, g_con_sen = consensus_terms(probs["sen"], probs["spec"], a, config.margin)
         alpha = config.alpha if arm["consensus_loss"] else 0.0
-        scalars["loss_sen"] = float((ce_sen + alpha * con).mean())
-        scalars["loss_spec"] = float((ce_spec + alpha * con).mean())
-        scalars["loss_consensus"] = float(con.mean())
+        scalars["loss_sen"] = float((ce_sen + alpha * con).sum() / n)
+        scalars["loss_spec"] = float((ce_spec + alpha * con).sum() / n)
+        scalars["loss_consensus"] = float(con.sum() / n)
         grads["sen"] = (d_sen + 2.0 * alpha * g_con_sen) / n
         grads["spec"] = (d_spec - 2.0 * alpha * g_con_sen) / n
     scalars["total"] = scalars["loss_sen"] + scalars["loss_spec"] + fus

@@ -1,12 +1,17 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here is deliberately written with plain Python floats and loops,
-no numpy and no imports from the package, so that each check really is a
-second route to the same quantity.
+Everything here imports nothing from the package, so that each check really
+is a second route to the same quantity. The scalar oracles use plain Python
+floats and loops. The network oracle (``per_branch_forward`` and
+``per_branch_backward``) is numpy: it runs the branches one at a time on
+contiguous copies of every tensor, the same arithmetic in the same order as
+the stacked network, which must match it bit for bit.
 """
 
 import csv
 import math
+
+import numpy as np
 
 LOG_CLAMP = 1e-12
 
@@ -358,3 +363,73 @@ def read_dataset_csv(path):
         if not all(math.isfinite(x) for x in feats):
             raise CsvRejected(f"{path}:{line}", "non-finite feature")
     return columns
+
+
+def _softmax_rows(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _branch_names(params):
+    return [name[: -len(".head.W")] for name in params.tensors if name.endswith(".head.W")]
+
+
+def per_branch_forward(params, x):
+    """The network one branch at a time: (probs keyed by branch, cache for ``per_branch_backward``).
+
+    Each branch's features land in their own column block of one feature
+    block; each head reads its own columns, the fusion head (last) all of them.
+    """
+    t = {name: np.ascontiguousarray(view) for name, view in params.tensors.items()}
+    branches, bd = _branch_names(params), params.config.branch_dim
+    h = np.asarray(x, dtype=float)
+    trunk = []
+    for i in range(3):
+        h = np.tanh(h @ t[f"trunk.{i}.W"] + t[f"trunk.{i}.b"])
+        trunk.append(h)
+    block = np.empty((h.shape[0], len(branches) * bd))
+    cols = [block[:, k : k + bd] for k in range(0, block.shape[1], bd)]
+    for name, col in zip(branches, cols):
+        np.tanh(h @ t[f"{name}.feat.W"] + t[f"{name}.feat.b"], out=col)
+    probs = {
+        name: _softmax_rows(head_in @ t[f"{name}.head.W"] + t[f"{name}.head.b"])
+        for name, head_in in zip(branches, cols[:-1] + [block])
+    }
+    return probs, (np.asarray(x, dtype=float), trunk, block, probs)
+
+
+def per_branch_backward(params, cache, grads, out):
+    """Fill ``out.tensors`` with the gradient of ``per_branch_forward``'s outputs; a missing branch is zero."""
+    x, trunk, block, probs = cache
+    t = {name: np.ascontiguousarray(view) for name, view in params.tensors.items()}
+    g, branches, bd, h3 = out.tensors, _branch_names(params), params.config.branch_dim, trunk[2]
+
+    def head_dz(name):
+        y, dy = probs[name], np.asarray(grads.get(name, 0.0), dtype=float)
+        return y * (dy - (y * dy).sum(axis=1, keepdims=True))
+
+    def dense(layer, layer_in, dz):
+        g[f"{layer}.W"][...] = layer_in.T @ dz
+        g[f"{layer}.b"][...] = dz.sum(axis=0)
+
+    fusion = branches[-1]
+    dz = head_dz(fusion)
+    dense(f"{fusion}.head", block, dz)
+    dconcat = dz @ t[f"{fusion}.head.W"].T
+    dh = np.zeros_like(h3)
+    for k, name in enumerate(branches):
+        feat, dfeat = block[:, k * bd : (k + 1) * bd], dconcat[:, k * bd : (k + 1) * bd]
+        if name != fusion:
+            dz = head_dz(name)
+            dense(f"{name}.head", feat, dz)
+            dfeat = dz @ t[f"{name}.head.W"].T + dfeat
+        dz = dfeat * (1.0 - feat**2)
+        dense(f"{name}.feat", h3, dz)
+        dh += dz @ t[f"{name}.feat.W"].T
+    for i in (2, 1, 0):
+        dz = dh * (1.0 - trunk[i] ** 2)
+        dense(f"trunk.{i}", x if i == 0 else trunk[i - 1], dz)
+        if i > 0:
+            dh = dz @ t[f"trunk.{i}.W"].T
+    return out

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -47,11 +48,13 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
+    """Run the CLI; ``env`` holds variables to set on top of this process's environment."""
     return subprocess.run(
         [sys.executable, "-m", "multirater", *map(str, args)],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -614,6 +617,25 @@ class TestPipelineDeterminism:
         assert digests[0].keys() == digests[1].keys()
         for key in digests[0]:
             assert digests[0][key] == digests[1][key], f"artifact differs: {key}"
+
+    def test_blas_threads_do_not_move_outputs(self, tmp_path):
+        """generate, train and eval write the same bytes with one and with two OpenBLAS threads."""
+        written = []
+        for threads in ("1", "2"):
+            root = tmp_path / f"threads-{threads}"
+            data, run = root / "data", root / "run"
+            for args in (("generate", "--n", 400, "--seed", 3, "--out", data),
+                         ("train", "--epochs", 2, "--seed", 3, "--data", data, "--out", run),
+                         ("eval", "--seed", 3, "--checkpoint", run / "checkpoint.json",
+                          "--data", data / "test.csv", "--out", root / "eval")):
+                result = run_cli(*args, env={"OPENBLAS_NUM_THREADS": threads})
+                assert result.returncode == 0, result.stderr
+            written.append({
+                path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()
+            })
+        assert written[0].keys() == written[1].keys()
+        for key in written[0]:
+            assert written[0][key] == written[1][key], f"artifact differs: {key}"
 
 
 class TestUsage:

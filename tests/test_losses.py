@@ -161,6 +161,52 @@ class TestUncertainty:
         assert 0.0 <= u <= 0.5
 
 
+def norm_consensus_terms(p_sen, p_spec, a, margin):
+    """``consensus_terms`` with the distance taken by ``np.linalg.norm``."""
+    d = p_sen - p_spec
+    dist = np.linalg.norm(d, axis=1)
+    gap = margin - dist
+    agree = a == 1
+    loss = np.where(agree, 0.5 * dist**2, 0.5 * np.maximum(gap, 0.0) ** 2)
+    safe_dist = np.maximum(dist, 1e-300)
+    scale = np.where(agree, 1.0, np.where((gap > 0) & (dist > 0), -gap / safe_dist, 0.0))
+    return loss, scale[:, None] * d
+
+
+def norm_uncertainties(p_sen, p_spec):
+    """``uncertainties`` with the norms taken by ``np.linalg.norm``."""
+    dots = (p_sen * p_spec).sum(axis=1)
+    norms = np.linalg.norm(p_sen, axis=1) * np.linalg.norm(p_spec, axis=1)
+    return np.clip(0.5 * (1.0 - dots / norms), 0.0, 0.5)
+
+
+def _rows(kind, rng, n=200):
+    """(p_sen, p_spec) pairs of probability rows: random, one-hot, or equal (d = 0)."""
+    if kind == "one_hot":
+        return np.eye(2)[rng.integers(0, 2, n)], np.eye(2)[rng.integers(0, 2, n)]
+    p_sen = np.stack([random_prob(rng) for _ in range(n)])
+    return (p_sen, p_sen.copy()) if kind == "equal" else (p_sen, np.stack([random_prob(rng) for _ in range(n)]))
+
+
+class TestNormForms:
+    """The losses' norms equal ``np.linalg.norm``'s bit for bit, so no loss or gradient moves."""
+
+    @pytest.mark.parametrize("kind", ["random", "one_hot", "equal"])
+    @pytest.mark.parametrize("margin", [1.0, 0.3])
+    def test_consensus_terms_equal_the_norm_form(self, kind, margin):
+        rng = np.random.default_rng(31)
+        p_sen, p_spec = _rows(kind, rng)
+        a = rng.integers(0, 2, p_sen.shape[0])
+        got, want = consensus_terms(p_sen, p_spec, a, margin), norm_consensus_terms(p_sen, p_spec, a, margin)
+        for got_part, want_part in zip(got, want):  # the losses, then the gradients
+            assert got_part.tobytes() == want_part.tobytes()
+
+    @pytest.mark.parametrize("kind", ["random", "one_hot", "equal"])
+    def test_uncertainties_equal_the_norm_form(self, kind):
+        p_sen, p_spec = _rows(kind, np.random.default_rng(32))
+        assert uncertainties(p_sen, p_spec).tobytes() == norm_uncertainties(p_sen, p_spec).tobytes()
+
+
 class TestBranchLoss:
     def test_perfect_prediction_vanishes(self):
         pred = np.array([1e-12, 1.0 - 1e-12])

@@ -169,16 +169,15 @@ class TestBackward:
         h = 1e-5
         worst = 0.0
         for name, tensor in params.tensors.items():
-            flat = tensor.ravel()
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + h
+            for k in np.ndindex(tensor.shape):  # a view may not be contiguous, so not through ravel()
+                orig = tensor[k]
+                tensor[k] = orig + h
                 up = total_loss(params, x, sen, spec, softs, a, u_weights)
-                flat[k] = orig - h
+                tensor[k] = orig - h
                 down = total_loss(params, x, sen, spec, softs, a, u_weights)
-                flat[k] = orig
+                tensor[k] = orig
                 fd = (up - down) / (2 * h)
-                got = grads.tensors[name].ravel()[k]
+                got = grads.tensors[name][k]
                 rel = abs(got - fd) / max(abs(fd), 1e-6)
                 worst = max(worst, rel)
         assert worst < 1e-4, f"worst relative gradient error {worst}"
@@ -238,11 +237,45 @@ class TestBackward:
         with pytest.raises(ContractError, match=r"gradients for \['sen'\].*branches are \['fusion'\]"):
             backward(cache, {"sen": np.zeros((2, 2))}, out=nan_buffer(params))
 
+    @pytest.mark.parametrize("branch", ["spec", "fusion"])
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 2)])
+    def test_mis_shaped_gradient_is_rejected(self, branch, shape):
+        """A (2,) or (1, 2) gradient would broadcast over the batch of 4 rows; none is (4, 2)."""
+        params = toy_params()
+        _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
+        expected = re.escape(f"gradient for {branch} has shape {shape}, expected (4, 2)")
+        with pytest.raises(ContractError, match=expected):
+            backward(cache, {branch: np.ones(shape)}, out=nan_buffer(params))
+
     def test_gradient_key_naming_no_branch_is_rejected(self):
         params = toy_params()
         probs, cache = forward_batch(params, RNG.standard_normal((2, 5)))
         with pytest.raises(ContractError, match=r"gradients for \['y_fusion'\]"):
             backward(cache, {"y_fusion": np.ones_like(probs["fusion"])}, out=nan_buffer(params))
+
+
+class TestStackedAgainstPerBranchOracle:
+    @pytest.mark.parametrize("multi_branch", [True, False])
+    @pytest.mark.parametrize("n", [1, 7, 32, 948])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_outputs_and_gradients_equal_the_oracle_bit_for_bit(self, multi_branch, n, seed):
+        """Default widths; n = 948 is the default validation split. Tensors are compared through ``tensors``."""
+        rng = np.random.default_rng(seed)
+        params = init_params(ModelConfig(16, seed=seed), multi_branch)
+        params.flat += 0.1 * rng.standard_normal(params.flat.size)  # nonzero biases too
+        x = rng.standard_normal((n, 16))
+        probs, cache = forward_batch(params, x)
+        want_probs, want_cache = oracles.per_branch_forward(params, x)
+        assert list(probs) == list(want_probs)
+        for name in probs:
+            np.testing.assert_array_equal(probs[name], want_probs[name], err_msg=name)
+        every = {name: rng.standard_normal((n, 2)) for name in probs}
+        for grads in (every, {"fusion": every["fusion"]}):
+            got = backward(cache, grads, out=nan_buffer(params))
+            want = ModelParams(params.config, multi_branch)
+            oracles.per_branch_backward(params, want_cache, grads, want)
+            for name in params.tensors:
+                np.testing.assert_array_equal(got.tensors[name], want.tensors[name], err_msg=name)
 
 
 def _edited(change):
@@ -359,12 +392,14 @@ class TestCheckpoint:
 
 class TestFlatBuffer:
     def _assert_views_of_flat(self, params):
-        offset = 0
+        """Every view shares memory with ``flat``, and together the views cover each element exactly once."""
+        saved = params.flat.copy()
+        params.flat[...] = np.arange(params.flat.size)
         for name, view in params.tensors.items():
             assert np.shares_memory(view, params.flat), name
-            np.testing.assert_array_equal(view.ravel(), params.flat[offset : offset + view.size])
-            offset += view.size
-        assert offset == params.flat.size
+        covered = np.concatenate([view.ravel() for view in params.tensors.values()])
+        np.testing.assert_array_equal(np.sort(covered), params.flat)
+        params.flat[...] = saved
 
     @pytest.mark.parametrize("multi_branch", [True, False])
     def test_every_view_shares_memory_with_flat(self, tmp_path, multi_branch):

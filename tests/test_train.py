@@ -9,7 +9,7 @@ import pytest
 
 from multirater.errors import ParameterError, TrainingDivergedError
 from multirater.labels import Branch, sample_branch_label
-from multirater.model import ModelConfig, forward_batch, init_params
+from multirater.model import ModelConfig, ModelParams, forward_batch, init_params
 from multirater.rng import STREAM_SHUFFLE, seeded_rng
 from multirater.simulate import (
     GradingPanel,
@@ -188,10 +188,9 @@ class TestAdam:
         state.v[...] = 0.01 * np.abs(rng.standard_normal(state.v.shape))
         state.t = 3
         params = {k: p.copy() for k, p in state.params.tensors.items()}
-        bounds = np.cumsum([0] + [p.size for p in params.values()])
 
         def per_tensor(flat):
-            return {k: flat[a:b].reshape(p.shape).copy() for (k, p), a, b in zip(params.items(), bounds, bounds[1:])}
+            return {k: p.copy() for k, p in ModelParams(TOY_MODEL, True, flat).tensors.items()}
 
         m, v = per_tensor(state.m), per_tensor(state.v)
         for t, lr in ((4, 3e-4), (5, 1e-4)):
