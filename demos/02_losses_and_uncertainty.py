@@ -59,7 +59,7 @@ dataset = GradedDataset(features=np.zeros((1, 1)), true_labels=np.zeros(1, dtype
 weights = {1: 0.8, 2: 0.9, 3: 1.0}
 y = soft_label(dataset, weights)[0]
 print(f"ratings (1, 0, 0) with weights (0.8, 0.9, 1.0) -> soft label {y:.4f}")
-p_sen, p_spec = (positive_probabilities(dataset.ratings, branch)[0] for branch in Branch)
+p_sen, p_spec = positive_probabilities(dataset.ratings)[:, 0]
 print(f"sensitivity P(label=1): {p_sen:.4f}  (positives counted twice: 2/4)")
 print(f"specificity P(label=1): {p_spec:.4f}  (negatives counted twice: 1/5)")
 draws = [sample_branch_label(p_sen, 0, Branch.SEN, seed=1, epoch=e) for e in range(10000)]

@@ -14,7 +14,7 @@ Rater weights, soft labels and branch probabilities are computed a whole
 column at a time, once per fit. A uniform draw from the ratings with the
 favoured class counted twice has a closed form: with p positive and q
 negative ratings, P(sen = 1) = 2p / (2p + q) and P(spec = 1) = p / (p + 2q);
-``positive_probabilities`` gives it for every row. Branch labels are redrawn
+``positive_probabilities`` gives both for every row. Branch labels are redrawn
 every epoch, one sample per ``sample_branch_label`` call, which compares the
 sample's probability with ``rng.keyed_uniform`` keyed by (seed, epoch,
 branch, sample_id). A label is therefore a pure function of those four
@@ -77,26 +77,26 @@ def soft_label(dataset: GradedDataset, weights: dict[int, float]) -> np.ndarray:
                    SOFT_LABEL_MIN, SOFT_LABEL_MAX)
 
 
-def positive_probabilities(ratings: np.ndarray, branch: Branch) -> np.ndarray:
-    """(n,) P(label = 1) of the branch's draw for each row of an (n, 3) ratings matrix.
+def positive_probabilities(ratings: np.ndarray) -> np.ndarray:
+    """(2, n) P(label = 1) of each branch's draw, row ``Branch.SEN`` then ``Branch.SPEC``.
 
-    With p positive and q negative ratings in a row (-1 entries count as
-    neither), counting the favoured class twice gives SEN 2p ones among
-    2p + q ratings and SPEC p ones among p + 2q.
+    For each row of an (n, 3) ratings matrix with p positive and q negative
+    ratings (-1 entries count as neither), counting the favoured class twice
+    gives SEN 2p ones among 2p + q ratings and SPEC p ones among p + 2q.
     """
     p = (ratings == 1).sum(axis=1)
     q = (ratings == 0).sum(axis=1)
-    return 2 * p / (2 * p + q) if branch is Branch.SEN else p / (p + 2 * q)
+    return np.stack([2 * p / (2 * p + q), p / (p + 2 * q)])
 
 
 def sample_branch_label(prob: float, sample_id: int, branch: Branch, seed: int, epoch: int = 0) -> int:
     """The branch's label for one sample; deterministic per (seed, epoch, branch, sample).
 
-    ``prob`` is the sample's ``positive_probabilities`` entry for ``branch``.
+    ``prob`` is the sample's entry in the ``branch`` row of ``positive_probabilities``.
     The draw is 1 when a uniform keyed by (seed, epoch, branch, sample_id)
     falls below it.
     """
-    return int(keyed_uniform(seed, STREAM_BRANCH_LABEL, epoch, branch, sample_id) < prob)
+    return 1 if keyed_uniform(seed, STREAM_BRANCH_LABEL, epoch, branch, sample_id) < prob else 0
 
 
 def attach_soft_labels(dataset: GradedDataset, weights: dict[int, float]) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property, lru_cache
 from numbers import Integral
 from types import MappingProxyType
 
@@ -67,7 +68,13 @@ class ModelParams:
     contiguous), ``{branch}.feat.b`` a slice of ``feat_b`` and
     ``{branch}.head.b`` a row of ``head_b``. Write through a view
     (``tensors[name][...] = x``), or update ``flat`` as a whole, as Adam
-    does; rebinding a name raises ``TypeError``.
+    does; rebinding a name raises ``TypeError``. The mapping is built on
+    first use: a fit's gradient buffer and best-parameter copy never need it.
+
+    ``forward_batch`` and ``backward`` read the same views through tuples
+    resolved once here, in ``branches`` order: ``trunk`` holds each trunk
+    layer's ``(W, b)``, ``feats`` each branch's feature weight block, ``cols``
+    its column slice of the feature block, and ``heads`` its head weight.
 
     ``version`` increments on every in-place update so that backward() can
     detect a stale ``forward_batch`` cache.
@@ -80,15 +87,25 @@ class ModelParams:
         self.flat = np.zeros(size) if flat is None else flat
         if self.flat.shape != (size,) or self.flat.dtype != np.float64:
             raise ParameterError(f"flat buffer must be float64 of shape ({size},), got {self.flat.shape}")
-        arrays = {name: self.flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
-        self.feat_W, self.feat_b, self.head_b = arrays["feat.W"], arrays["feat.b"], arrays["head.b"]
-        tensors = {name: view for name, view in arrays.items() if name.startswith("trunk.")}
-        for k, name in enumerate(_branches(multi_branch)):
-            cols = slice(k * config.branch_dim, (k + 1) * config.branch_dim)
-            tensors.update({f"{name}.feat.W": self.feat_W[:, cols], f"{name}.feat.b": self.feat_b[cols],
-                            f"{name}.head.W": arrays[f"{name}.head.W"], f"{name}.head.b": self.head_b[k]})
-        self.tensors = MappingProxyType(tensors)
+        views = [self.flat[start:stop].reshape(shape) for _, start, stop, shape in layout]
+        # In _flat_layout's order: three trunk (W, b) pairs, feat_W, feat_b, the head weights, head_b.
+        self.trunk = ((views[0], views[1]), (views[2], views[3]), (views[4], views[5]))
+        self.feat_W, self.feat_b, self.heads, self.head_b = views[6], views[7], tuple(views[8:-1]), views[-1]
+        self.branches = _branches(multi_branch)
+        bd = config.branch_dim
+        self.cols = tuple([slice(k * bd, (k + 1) * bd) for k in range(len(self.branches))])
+        self.feats = tuple([self.feat_W[:, cols] for cols in self.cols])
         self.version = 0
+
+    @cached_property
+    def tensors(self) -> MappingProxyType:
+        tensors = {}
+        for i, (W, b) in enumerate(self.trunk):
+            tensors.update({f"trunk.{i}.W": W, f"trunk.{i}.b": b})
+        for k, name in enumerate(self.branches):
+            tensors.update({f"{name}.feat.W": self.feats[k], f"{name}.feat.b": self.feat_b[self.cols[k]],
+                            f"{name}.head.W": self.heads[k], f"{name}.head.b": self.head_b[k]})
+        return MappingProxyType(tensors)
 
     def copy(self) -> "ModelParams":
         dup = ModelParams(self.config, self.multi_branch, self.flat.copy())
@@ -101,8 +118,12 @@ def _branches(multi_branch: bool) -> tuple[str, ...]:
     return ("sen", "spec", "fusion") if multi_branch else ("fusion",)
 
 
+@lru_cache(maxsize=16)
 def _flat_layout(config: ModelConfig, multi_branch: bool):
-    """(size, ((name, start, stop, shape), ...)): the arrays ``flat`` packs, in ``ModelParams`` order."""
+    """(size, ((name, start, stop, shape), ...)): the arrays ``flat`` packs, in ``ModelParams`` order.
+
+    Cached: a fit builds several ``ModelParams`` of one topology.
+    """
     dims, bd = (config.input_dim, *config.trunk_dims), config.branch_dim
     branches = _branches(multi_branch)
     width = len(branches) * bd
@@ -120,13 +141,24 @@ def _flat_layout(config: ModelConfig, multi_branch: bool):
 
 
 def init_params(config: ModelConfig, multi_branch: bool = True) -> ModelParams:
-    """Symmetric uniform fan-in initialization, U(-b, b) with b = 1 / sqrt(fan_in); all biases zero."""
+    """Symmetric uniform fan-in initialization, U(-b, b) with b = 1 / sqrt(fan_in); all biases zero.
+
+    The weights take their values in ``tensors`` order (trunk layers, then
+    each branch's feature and head weights) from one ``rng.random`` draw.
+    ``rng.uniform(-b, b)`` computes ``-b + (b - -b) * random()``, so scaling
+    each weight's share of the draw that way gives the same values as one
+    ``rng.uniform`` call per weight.
+    """
     rng = seeded_rng(config.seed, STREAM_INIT)
     params = ModelParams(config, multi_branch)
-    for name, view in params.tensors.items():
-        if name.endswith(".W"):  # a weight's rows are its fan-in
-            bound = 1.0 / math.sqrt(view.shape[0])
-            view[...] = rng.uniform(-bound, bound, view.shape)
+    weights = [W for W, _ in params.trunk] + [W for pair in zip(params.feats, params.heads) for W in pair]
+    draws = rng.random(sum(W.size for W in weights))
+    start = 0
+    for W in weights:
+        bound = 1.0 / math.sqrt(W.shape[0])  # a weight's rows are its fan-in
+        np.multiply(draws[start : start + W.size].reshape(W.shape), bound - -bound, out=W)
+        W += -bound
+        start += W.size
     return params
 
 
@@ -151,29 +183,31 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[dict[str, np.ndar
         raise ParameterError(
             f"expected input of shape (n, {params.config.input_dim}), got {x.shape}"
         )
-    t = params.tensors
     trunk = []
     h = x
-    for i in range(3):
-        h = np.tanh(h @ t[f"trunk.{i}.W"] + t[f"trunk.{i}.b"])
+    for W, b in params.trunk:  # tanh(h @ W + b), with the sum and tanh in place
+        h = h @ W
+        h += b
+        np.tanh(h, out=h)
         trunk.append(h)
 
     block = h @ params.feat_W
     block += params.feat_b
     np.tanh(block, out=block)
-    branches = _branches(params.multi_branch)
-    bd = params.config.branch_dim
+    heads = params.heads
     # Each head reads its own branch's columns, except the fusion head (last), which reads them all.
-    logits = np.empty((len(branches), x.shape[0], 2))
-    for k, name in enumerate(branches[:-1]):
-        np.matmul(block[:, k * bd : (k + 1) * bd], t[f"{name}.head.W"], out=logits[k])
-    np.matmul(block, t[f"{branches[-1]}.head.W"], out=logits[-1])
+    logits = np.empty((len(heads), x.shape[0], 2))
+    for k in range(len(heads) - 1):
+        np.matmul(block[:, params.cols[k]], heads[k], out=logits[k])
+    np.matmul(block, heads[-1], out=logits[-1])
     logits += params.head_b[:, None, :]
-    logits -= logits.max(axis=2, keepdims=True)  # softmax over each row, in place
+    # Softmax over each row, in place. A row's max and sum, taken as one elementwise op over its two
+    # columns, round as the reductions do at a fraction of their cost.
+    logits -= np.maximum(logits[..., :1], logits[..., 1:])
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=2, keepdims=True)
+    logits /= logits[..., :1] + logits[..., 1:]
     cache = ForwardCache(params=params, version=params.version, x=x, trunk=trunk, block=block, probs=logits)
-    return dict(zip(branches, logits)), cache
+    return dict(zip(params.branches, logits)), cache
 
 
 def backward(cache: ForwardCache, grads: dict[str, np.ndarray], out: ModelParams) -> ModelParams:
@@ -191,42 +225,52 @@ def backward(cache: ForwardCache, grads: dict[str, np.ndarray], out: ModelParams
     params, y = cache.params, cache.probs
     if cache.version != params.version:
         raise ContractError("stale forward cache: parameters changed since forward_batch()")
-    branches = _branches(params.multi_branch)
-    unknown = sorted(set(grads) - set(branches))
-    if unknown:
-        raise ContractError(f"gradients for {unknown}, but the network's branches are {list(branches)}")
-    if (out.config, out.multi_branch) != (params.config, params.multi_branch):
+    branches = params.branches
+    for name in grads:
+        if name not in branches:
+            unknown = sorted(set(grads) - set(branches))
+            raise ContractError(f"gradients for {unknown}, but the network's branches are {list(branches)}")
+    if out.config != params.config or out.multi_branch != params.multi_branch:
         raise ContractError("gradient buffer is laid out for another network")
-    dy = np.zeros_like(y)  # a missing branch's stays zero
+    dy = np.zeros(y.shape)  # a missing branch's stays zero
     for name, grad in grads.items():
         if np.shape(grad) != y.shape[1:]:
             raise ContractError(f"gradient for {name} has shape {np.shape(grad)}, expected {y.shape[1:]}")
         dy[branches.index(name)] = grad
 
-    t, g, bd, h3 = params.tensors, out.tensors, params.config.branch_dim, cache.trunk[2]
+    block, cols, heads = cache.block, params.cols, params.heads
     # softmax backward: dL/dlogits of every head
-    dz = y * (dy - (y * dy).sum(axis=2, keepdims=True))
-    dz.sum(axis=1, out=out.head_b)
-    np.matmul(cache.block.T, dz[-1], out=g[f"{branches[-1]}.head.W"])
-    dfeat = dz[-1] @ t[f"{branches[-1]}.head.W"].T  # one column block per branch
-    for k, name in enumerate(branches[:-1]):  # each branch's own head also reads its features
-        cols = slice(k * bd, (k + 1) * bd)
-        np.matmul(cache.block[:, cols].T, dz[k], out=g[f"{name}.head.W"])
-        dfeat[:, cols] += dz[k] @ t[f"{name}.head.W"].T
-    dfeat *= 1.0 - cache.block**2
+    ydy = y * dy
+    dz = y * (dy - (ydy[..., :1] + ydy[..., 1:]))
+    np.add.reduce(dz, axis=1, out=out.head_b)
+    np.matmul(block.T, dz[-1], out=out.heads[-1])
+    dfeat = dz[-1] @ heads[-1].T  # one column block per branch
+    for k in range(len(branches) - 1):  # each branch's own head also reads its features
+        np.matmul(block[:, cols[k]].T, dz[k], out=out.heads[k])
+        dfeat[:, cols[k]] += dz[k] @ heads[k].T
+    dfeat *= _tanh_slope(block)
+    h3 = cache.trunk[2]
     np.matmul(h3.T, dfeat, out=out.feat_W)
-    dfeat.sum(axis=0, out=out.feat_b)
-    dh = np.zeros_like(h3)
-    for k, name in enumerate(branches):  # one product per branch: a single fused one moves the bits
-        dh += dfeat[:, k * bd : (k + 1) * bd] @ t[f"{name}.feat.W"].T
+    np.add.reduce(dfeat, axis=0, out=out.feat_b)
+    dh = np.zeros(h3.shape)
+    for k, W in enumerate(params.feats):  # one product per branch: a single fused one moves the bits
+        dh += dfeat[:, cols[k]] @ W.T
 
     for i in (2, 1, 0):
-        dz = dh * (1.0 - cache.trunk[i] ** 2)
-        np.matmul((cache.x if i == 0 else cache.trunk[i - 1]).T, dz, out=g[f"trunk.{i}.W"])
-        dz.sum(axis=0, out=g[f"trunk.{i}.b"])
+        dz = _tanh_slope(cache.trunk[i])
+        dz *= dh
+        W_grad, b_grad = out.trunk[i]
+        np.matmul((cache.x if i == 0 else cache.trunk[i - 1]).T, dz, out=W_grad)
+        np.add.reduce(dz, axis=0, out=b_grad)
         if i > 0:
-            dh = dz @ t[f"trunk.{i}.W"].T
+            dh = dz @ params.trunk[i][0].T
     return out
+
+
+def _tanh_slope(a: np.ndarray) -> np.ndarray:
+    """1 - a**2, the derivative of tanh at the layer whose output is ``a``, in one new array."""
+    slope = np.square(a)
+    return np.subtract(1.0, slope, out=slope)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ of the training split), consensus flag and two branch probabilities, and
 ``init_state`` allocates the gradient buffer and Adam's work buffers.
 ``train_step`` gathers its batch's rows from the training arrays and those
 targets. It redraws the branch labels through ``labels.sample_branch_label``,
-one call per sample and branch, a keyed closed-form draw: a sample's labels
-depend on (seed, epoch, sample) alone, not on the batch it lands in.
+one call per sample and branch (``_branch_labels``), a keyed closed-form
+draw: a sample's labels depend on (seed, epoch, sample) alone, not on the
+batch it lands in.
 ``backward`` fills the state's gradient buffer, laid out like the
 parameters, and Adam steps on the two flat buffers in place.
 
@@ -108,7 +109,7 @@ def init_state(model_config: ModelConfig, train_config: TrainConfig) -> TrainSta
     params = init_params(model_config, multi_branch=ARM_FLAGS[train_config.ablation]["multi_branch"])
     flat = params.flat
     # backward overwrites every gradient entry, so the buffer needs no zero fill.
-    return TrainState(params=params, m=np.zeros_like(flat), v=np.zeros_like(flat),
+    return TrainState(params=params, m=np.zeros(flat.size), v=np.zeros(flat.size),
                       grad=ModelParams(params.config, params.multi_branch, np.empty_like(flat)),
                       scratch=(np.empty_like(flat), np.empty_like(flat)))
 
@@ -119,7 +120,7 @@ class FitTargets:
 
     softs: np.ndarray  # (n, 2) fusion targets
     consensus: np.ndarray  # (n,) consensus flags
-    positive: tuple[np.ndarray, ...] = ()  # (n,) P(label = 1) per Branch; empty for the baseline
+    positive: np.ndarray | None = None  # (2, n) P(label = 1), one row per Branch; None for the baseline
 
 
 def fit_targets(train: GradedDataset, config: TrainConfig) -> FitTargets:
@@ -131,35 +132,48 @@ def fit_targets(train: GradedDataset, config: TrainConfig) -> FitTargets:
     """
     if not ARM_FLAGS[config.ablation]["multi_branch"]:
         return FitTargets(np.eye(2)[train.final_labels], train.consensus_flags)
-    positive = tuple(positive_probabilities(train.ratings, branch) for branch in Branch)
     y = soft_label(train, compute_rater_weights(train))
-    return FitTargets(np.stack([1.0 - y, y], axis=1), train.consensus_flags, positive)
+    return FitTargets(np.stack([1.0 - y, y], axis=1), train.consensus_flags,
+                      positive_probabilities(train.ratings))
 
 
-def _losses_and_grads(probs: dict[str, np.ndarray], sen_idx: np.ndarray | None, spec_idx: np.ndarray | None,
-                      softs: np.ndarray, a: np.ndarray, config: TrainConfig):
-    """Batch objective scalars and probability-space gradients, both keyed like ``probs``.
+def _branch_labels(data: GradedDataset, idx: np.ndarray, targets: FitTargets, seed: int,
+                   epoch: int) -> np.ndarray:
+    """The (2, len(idx)) sen and spec labels of the rows ``idx``: one ``sample_branch_label`` call each."""
+    ids = data.sample_ids[idx].tolist()
+    return np.array([[sample_branch_label(p, i, branch, seed, epoch) for p, i in zip(probs, ids)]
+                     for branch, probs in zip((Branch.SEN, Branch.SPEC), targets.positive[:, idx].tolist())])
 
-    Every arm trains the fusion output on ``softs``; the multi-branch arms add
-    the sen/spec cross entropy and the consensus term.
+
+def _losses_and_grads(y: np.ndarray, labels: np.ndarray | None, softs: np.ndarray, a: np.ndarray,
+                      config: TrainConfig):
+    """Batch objective scalars and probability-space gradients keyed like ``forward_batch``'s outputs.
+
+    ``y`` is the forward cache's (B, n, 2) branch-major softmax block, fusion
+    last, and ``labels`` the (2, n) sen and spec labels, None for the
+    baseline. Every arm trains the fusion output on ``softs``; the
+    multi-branch arms add the sen/spec cross entropy, taken over both
+    branches' rows at once, and the consensus term.
     """
     n = a.size
     arm = ARM_FLAGS[config.ablation]
-    u = uncertainties(probs["sen"], probs["spec"]) if arm["uncertainty_weighting"] else np.zeros(n)
-    fus, d_fus = fusion_loss(probs["fusion"], softs, u)
+    u = uncertainties(y[0], y[1]) if arm["uncertainty_weighting"] else np.zeros(n)
+    fus, d_fus = fusion_loss(y[-1], softs, u)
     scalars = dict(loss_sen=0.0, loss_spec=0.0, loss_consensus=0.0, loss_fusion=fus)
     grads = {"fusion": d_fus}
 
     if arm["multi_branch"]:
-        ce_sen, d_sen = cross_entropy(probs["sen"], sen_idx)
-        ce_spec, d_spec = cross_entropy(probs["spec"], spec_idx)
-        con, g_con_sen = consensus_terms(probs["sen"], probs["spec"], a, config.margin)
+        ce, d_branch = cross_entropy(y[:2], labels)
+        con, g_con_sen = consensus_terms(y[0], y[1], a, config.margin)
         alpha = config.alpha if arm["consensus_loss"] else 0.0
-        scalars["loss_sen"] = float((ce_sen + alpha * con).sum() / n)
-        scalars["loss_spec"] = float((ce_spec + alpha * con).sum() / n)
-        scalars["loss_consensus"] = float(con.sum() / n)
-        grads["sen"] = (d_sen + 2.0 * alpha * g_con_sen) / n
-        grads["spec"] = (d_spec - 2.0 * alpha * g_con_sen) / n
+        loss_sen, loss_spec = np.add.reduce(ce + alpha * con, axis=1) / n
+        scalars["loss_sen"], scalars["loss_spec"] = float(loss_sen), float(loss_spec)
+        scalars["loss_consensus"] = float(np.add.reduce(con) / n)
+        g_con_sen *= 2.0 * alpha
+        d_branch[0] += g_con_sen
+        d_branch[1] -= g_con_sen
+        d_branch /= n
+        grads["sen"], grads["spec"] = d_branch
     scalars["total"] = scalars["loss_sen"] + scalars["loss_spec"] + fus
     return scalars, grads
 
@@ -170,7 +184,9 @@ def _adam_update(state: TrainState, g: np.ndarray, lr: float) -> None:
     The same operations in the same order as
     m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g;
     flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with every temporary
-    written to ``state.scratch``.
+    written to ``state.scratch``. From t = 356 on, bc1 = 1 - b1**t rounds to
+    exactly 1.0, and m / 1.0 is m bit for bit, so that division is skipped.
+    (bc2 first rounds to 1.0 at t = 37,412; its division always runs.)
     """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
@@ -183,8 +199,11 @@ def _adam_update(state: TrainState, g: np.ndarray, lr: float) -> None:
     step *= g
     state.v *= ADAM_BETA2
     state.v += step
-    np.divide(state.m, bc1, out=step)
-    step *= lr
+    if bc1 == 1.0:
+        np.multiply(state.m, lr, out=step)
+    else:
+        np.divide(state.m, bc1, out=step)
+        step *= lr
     np.divide(state.v, bc2, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
@@ -207,18 +226,13 @@ def train_step(
     """
     if len(idx) < 1:
         raise ParameterError("batch must be non-empty")
-    sen_idx = spec_idx = None  # the baseline draws no branch labels
+    labels = None  # the baseline draws no branch labels
     if ARM_FLAGS[config.ablation]["multi_branch"]:
-        ids = data.sample_ids[idx].tolist()
-        sen_idx, spec_idx = (
-            np.array([sample_branch_label(p, i, branch, config.seed, state.epoch)
-                      for p, i in zip(prob[idx].tolist(), ids)])
-            for branch, prob in zip(Branch, targets.positive)
-        )
+        labels = _branch_labels(data, idx, targets, config.seed, state.epoch)
 
-    probs, cache = forward_batch(state.params, data.features[idx])
-    scalars, prob_grads = _losses_and_grads(probs, sen_idx, spec_idx, targets.softs[idx],
-                                            targets.consensus[idx], config)
+    _, cache = forward_batch(state.params, data.features[idx])
+    scalars, prob_grads = _losses_and_grads(cache.probs, labels, targets.softs[idx], targets.consensus[idx],
+                                            config)
     if not math.isfinite(scalars["total"]):
         raise TrainingDivergedError(
             f"non-finite loss at epoch {state.epoch}, step {state.t}: {scalars}"

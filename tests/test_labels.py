@@ -50,7 +50,7 @@ def make_dataset(rows, sample_ids=None):
 
 def draw(ds, branch, seed, epoch=0):
     """Every row's branch label, one call per sample as ``train_step`` makes them."""
-    rows = zip(positive_probabilities(ds.ratings, branch).tolist(), ds.sample_ids.tolist())
+    rows = zip(positive_probabilities(ds.ratings)[branch].tolist(), ds.sample_ids.tolist())
     return np.array([sample_branch_label(p, i, branch, seed, epoch) for p, i in rows])
 
 
@@ -167,13 +167,13 @@ class TestLabelPools:
     def test_sen_pool_duplicates_positives(self):
         # raw labels {1, 0, 0}: SEN pool {1, 1, 0, 0}, SPEC pool {1, 0, 0, 0, 0}
         ratings = make_dataset([(1, 0, 0)]).ratings
-        assert positive_probabilities(ratings, Branch.SEN).tolist() == [2 / 4]
-        assert positive_probabilities(ratings, Branch.SPEC).tolist() == [1 / 5]
+        assert positive_probabilities(ratings)[Branch.SEN].tolist() == [2 / 4]
+        assert positive_probabilities(ratings)[Branch.SPEC].tolist() == [1 / 5]
 
     def test_two_rater_sen_pool(self):
         # raw labels {1, 0, 1}: SEN pool has four 1s and one 0; {1, 1} gives {1, 1, 1, 1} and {0, 0} gives {0, 0}
         ratings = make_dataset([(1, 0, 1), (1, 1, None), (0, 0, None)]).ratings
-        assert positive_probabilities(ratings, Branch.SEN).tolist() == [4 / 5, 1.0, 0.0]
+        assert positive_probabilities(ratings)[Branch.SEN].tolist() == [4 / 5, 1.0, 0.0]
 
     def test_consensus_record_samples_are_constant(self):
         ds = make_dataset([(1, 1, None)] * 20)
@@ -227,7 +227,7 @@ class TestClosedFormDraw:
         k = ALL_PATTERNS.index(ratings)
         for branch in Branch:
             want = pool_probability(ds.records[k], branch)
-            assert positive_probabilities(ds.ratings, branch)[k] == want
+            assert positive_probabilities(ds.ratings)[branch, k] == want
             assert oracles.positive_probability(ds.ratings[k].tolist(), branch) == want
 
     def test_draw_is_the_keyed_uniform_below_the_probability(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirater.errors import ContractError, ParameterError
-from multirater.labels import Branch, positive_probabilities
+from multirater.labels import positive_probabilities
 from multirater.losses import consensus_terms, cross_entropy, fusion_loss, uncertainties
 from multirater.train import TrainConfig
 
@@ -143,7 +143,7 @@ class TestUncertainty:
         why the ``uncerty`` arm equals ``multibr`` in the reference grid.
         """
         ratings = np.array([(1, 0, 1), (1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 1, -1), (0, 0, -1)])
-        sen, spec = (np.column_stack([1 - p, p]) for p in (positive_probabilities(ratings, b) for b in Branch))
+        sen, spec = (np.column_stack([1 - p, p]) for p in positive_probabilities(ratings))
         u = uncertainties(sen, spec)
         dist = np.linalg.norm(sen - spec, axis=1)
         ceiling = 0.5 * (1.0 - 0.5 / math.sqrt(0.34))

@@ -1,5 +1,6 @@
 """Trainer: schedule arithmetic, determinism, loss descent, ablation equivalences."""
 
+import hashlib
 import json
 import warnings
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from multirater.cli import ExperimentConfig, build_datasets
 from multirater.errors import ParameterError, TrainingDivergedError
 from multirater.labels import Branch, sample_branch_label
 from multirater.model import ModelConfig, ModelParams, forward_batch, init_params
@@ -98,14 +100,14 @@ class TestTrainStep:
         flags = ARM_FLAGS[arm]
         batch = train.subset(np.arange(16))
         state = init_state(TOY_MODEL, cfg)
-        probs, _ = forward_batch(state.params, batch.features)
+        probs, cache = forward_batch(state.params, batch.features)
         n = len(batch)
         eye = np.eye(2).tolist()
         a = np.array([r.consensus for r in batch.records])
 
         if not flags["multi_branch"]:  # the fusion KL to one-hot final labels is their cross entropy
             finals = [r.final_label for r in batch.records]
-            scalars, grads = _losses_and_grads(probs, None, None, np.eye(2)[finals], a, cfg)
+            scalars, grads = _losses_and_grads(cache.probs, None, np.eye(2)[finals], a, cfg)
             preds = probs["fusion"].tolist()
             want = [oracles.cross_entropy_scalar(preds[i], eye[finals[i]]) for i in range(n)]
             want_grad = [oracles.cross_entropy_grad_scalar(preds[i], eye[finals[i]]) for i in range(n)]
@@ -122,7 +124,7 @@ class TestTrainStep:
             for b in Branch
         )
         softs = fit_targets(train, cfg).softs[:n]  # batch holds train's first n rows
-        scalars, grads = _losses_and_grads(probs, sen_idx, spec_idx, softs, a, cfg)
+        scalars, grads = _losses_and_grads(cache.probs, np.array([sen_idx, spec_idx]), softs, a, cfg)
 
         y_sen, y_spec = probs["sen"].tolist(), probs["spec"].tolist()
         alpha = cfg.alpha if flags["consensus_loss"] else 0.0
@@ -206,6 +208,52 @@ class TestAdam:
                 params[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
                 np.testing.assert_array_equal(state.params.tensors[name], params[name])
             assert state.t == t
+
+    def test_skipped_bias_correction_division_is_exact(self):
+        """From t = 356 on, 1 - b1**t is 1.0 and the update skips m / bc1; steps 351..362 match the formula."""
+        assert 1.0 - ADAM_BETA1**355 != 1.0 == 1.0 - ADAM_BETA1**356
+        rng = np.random.default_rng(23)
+        state = init_state(TOY_MODEL, TrainConfig())
+        state.m[...] = 0.01 * rng.standard_normal(state.m.shape)
+        state.v[...] = 0.01 * np.abs(rng.standard_normal(state.v.shape))
+        state.t = 350
+        flat, m, v = state.params.flat.copy(), state.m.copy(), state.v.copy()
+        for t in range(351, 363):
+            g, lr = rng.standard_normal(flat.shape), 2e-4
+            _adam_update(state, g, lr)
+            bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            flat = flat - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            np.testing.assert_array_equal(state.params.flat, flat, err_msg=f"t = {t}")
+            assert state.t == t
+
+
+class TestLongFit:
+    # sha256 of ``params.flat.tobytes()`` and of the log as ``train_log.jsonl`` writes it, recorded at
+    # commit 70acbc7. Each fit takes 380 Adam steps, past t = 356, where the update starts skipping its
+    # division by 1 - b1**t; the 31 reference artifacts take at most 60 steps.
+    DIGESTS = {
+        "baseline": ("7e4aae0ba80224f1f4182e7e5a93e07088a9f96e218ba54f11487bb4806604d8",
+                     "ac5970c7d1d127f6a6d28afa59899c310048242b1a899bd81f161c65cd8661ce"),
+        "multibr": ("5659656bc1eddaf92562209ac5ac29b37405031cb3b8e1a0dfd4c1b47e5279b9",
+                    "57e88447c7fb7901be90f616de7d78486950315bf01efefcee1933a2617ccb8f"),
+        "conloss": ("2ee540226addd7e17b39b2f27289e6deabfe2a1efebe9564d87876d45644e2a7",
+                    "c4604a43fc882e44a2ae099d87d548f3dfe314a239b29eb2e4204b12ec286d7e"),
+        "uncerty": ("ec01c59fde1abcb6b91f9cd9102875b3596206802f5d4f4d5e4b5982b9e8d9b4",
+                    "e66998eef57dd07f7334e6020ffbfdd759f850f6cf2b5f8f8cb1b5ce2f9bb519"),
+        "full": ("0cf7e46f36fb926fd1f5f05369bfa4e704fdc97bb1961c84ee9cb1d6d9c98c67",
+                 "17496392db88a045c6341cb155230213f26bc2ac31870efc7730f975845d9716"),
+    }
+
+    @pytest.mark.parametrize("arm", list(ARM_FLAGS))
+    def test_ten_epoch_fit_at_2000_samples_is_byte_identical(self, arm):
+        cfg = ExperimentConfig(n_samples=2000, max_epochs=10, ablation=arm)
+        train, val, _ = build_datasets(cfg)
+        params, log = fit(train, val, cfg.model_config(), cfg.train_config())
+        text = "".join(json.dumps(record, allow_nan=False) + "\n" for record in log)
+        got = (hashlib.sha256(params.flat.tobytes()).hexdigest(), hashlib.sha256(text.encode()).hexdigest())
+        assert got == self.DIGESTS[arm]
 
 
 class TestFit:
