@@ -11,9 +11,9 @@ head logits. Gradients from the fusion head therefore flow back into every
 feature layer, and the trunk receives the sum of all branch contributions,
 added branch by branch (a single fused product would round differently).
 
-``forward_batch`` returns the softmax outputs keyed by branch name, and
-``backward`` takes the gradients keyed the same way; the baseline has the
-``"fusion"`` key only.
+``forward_batch`` returns the softmax outputs keyed by branch name (the
+baseline has the ``"fusion"`` key only) and keeps them as the cache's
+``probs`` block; ``backward`` takes the gradient as a block of that shape.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class ModelParams:
         self.flat = np.zeros(size) if flat is None else flat
         if self.flat.shape != (size,) or self.flat.dtype != np.float64:
             raise ParameterError(f"flat buffer must be float64 of shape ({size},), got {self.flat.shape}")
-        views = [self.flat[start:stop].reshape(shape) for _, start, stop, shape in layout]
+        views = [self.flat[start:stop].reshape(shape) for start, stop, shape in layout]
         # In _flat_layout's order: three trunk (W, b) pairs, feat_W, feat_b, the head weights, head_b.
         self.trunk = ((views[0], views[1]), (views[2], views[3]), (views[4], views[5]))
         self.feat_W, self.feat_b, self.heads, self.head_b = views[6], views[7], tuple(views[8:-1]), views[-1]
@@ -120,22 +120,21 @@ def _branches(multi_branch: bool) -> tuple[str, ...]:
 
 @lru_cache(maxsize=16)
 def _flat_layout(config: ModelConfig, multi_branch: bool):
-    """(size, ((name, start, stop, shape), ...)): the arrays ``flat`` packs, in ``ModelParams`` order.
+    """(size, ((start, stop, shape), ...)): the arrays ``flat`` packs, in ``ModelParams`` order.
 
     Cached: a fit builds several ``ModelParams`` of one topology.
     """
     dims, bd = (config.input_dim, *config.trunk_dims), config.branch_dim
-    branches = _branches(multi_branch)
-    width = len(branches) * bd
-    shapes = [(f"trunk.{i}.{kind}", shape) for i in range(3)
-              for kind, shape in (("W", dims[i : i + 2]), ("b", dims[i + 1 : i + 2]))]
-    shapes += [("feat.W", (dims[3], width)), ("feat.b", (width,))]
-    shapes += [(f"{name}.head.W", (width if name == branches[-1] else bd, 2)) for name in branches]
-    shapes.append(("head.b", (len(branches), 2)))
+    n_branches = len(_branches(multi_branch))
+    width = n_branches * bd
+    shapes = [shape for i in range(3) for shape in (dims[i : i + 2], dims[i + 1 : i + 2])]
+    shapes += [(dims[3], width), (width,)]
+    # The branch heads, the fusion head (it reads every branch's columns), then head_b.
+    shapes += [(bd, 2)] * (n_branches - 1) + [(width, 2), (n_branches, 2)]
     layout, start = [], 0
-    for name, shape in shapes:
+    for shape in shapes:
         stop = start + math.prod(shape)
-        layout.append((name, start, stop, shape))
+        layout.append((start, stop, shape))
         start = stop
     return start, tuple(layout)
 
@@ -210,33 +209,24 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[dict[str, np.ndar
     return dict(zip(params.branches, logits)), cache
 
 
-def backward(cache: ForwardCache, grads: dict[str, np.ndarray], out: ModelParams) -> ModelParams:
+def backward(cache: ForwardCache, dy: np.ndarray, out: ModelParams) -> ModelParams:
     """Map probability-space gradients onto all parameters of ``cache.params``, into ``out``.
 
-    ``grads`` maps branch names to dL/dy arrays of shape (n, 2), keyed like
-    ``forward_batch``'s outputs; a missing branch means zero gradient.
+    ``dy`` is dL/dy for the cached softmax block: shaped like ``cache.probs``,
+    (len(branches), n, 2), one row per branch in ``branches`` order, fusion last.
     ``out`` is a ``ModelParams`` of the cached network's topology. Every
     entry of it is overwritten and it is returned: ``flat`` is the whole
     gradient and ``tensors[name]`` each tensor's part.
-    Raises ContractError for a key that names no branch of the network, for
-    a gradient that is not (n, 2), for an ``out`` of another topology, or
-    when the parameters changed since ``forward_batch``.
+    Raises ContractError for a ``dy`` of another shape, for an ``out`` of
+    another topology, or when the parameters changed since ``forward_batch``.
     """
     params, y = cache.params, cache.probs
     if cache.version != params.version:
         raise ContractError("stale forward cache: parameters changed since forward_batch()")
-    branches = params.branches
-    for name in grads:
-        if name not in branches:
-            unknown = sorted(set(grads) - set(branches))
-            raise ContractError(f"gradients for {unknown}, but the network's branches are {list(branches)}")
+    if np.shape(dy) != y.shape:
+        raise ContractError(f"gradient block has shape {np.shape(dy)}, expected {y.shape}")
     if out.config != params.config or out.multi_branch != params.multi_branch:
         raise ContractError("gradient buffer is laid out for another network")
-    dy = np.zeros(y.shape)  # a missing branch's stays zero
-    for name, grad in grads.items():
-        if np.shape(grad) != y.shape[1:]:
-            raise ContractError(f"gradient for {name} has shape {np.shape(grad)}, expected {y.shape[1:]}")
-        dy[branches.index(name)] = grad
 
     block, cols, heads = cache.block, params.cols, params.heads
     # softmax backward: dL/dlogits of every head
@@ -245,7 +235,7 @@ def backward(cache: ForwardCache, grads: dict[str, np.ndarray], out: ModelParams
     np.add.reduce(dz, axis=1, out=out.head_b)
     np.matmul(block.T, dz[-1], out=out.heads[-1])
     dfeat = dz[-1] @ heads[-1].T  # one column block per branch
-    for k in range(len(branches) - 1):  # each branch's own head also reads its features
+    for k in range(len(heads) - 1):  # each branch's own head also reads its features
         np.matmul(block[:, cols[k]].T, dz[k], out=out.heads[k])
         dfeat[:, cols[k]] += dz[k] @ heads[k].T
     dfeat *= _tanh_slope(block)
@@ -318,10 +308,13 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             json.dumps(metadata, allow_nan=False)
         except ValueError as exc:  # a NaN or infinity anywhere inside
             raise DataError(f"metadata: {exc}") from exc
-        tensors = {
-            entry["name"]: np.array(entry["data"], dtype=float).reshape(entry["shape"])
-            for entry in doc["tensors"]
-        }
+        tensors = {}
+        for entry in doc["tensors"]:
+            name, data = entry["name"], entry["data"]
+            # np.array(..., dtype=float) would cast numeric strings and booleans (bool subclasses int).
+            if not all(type(v) in (int, float) for v in data):
+                raise DataError(f"tensor {name} data must be a flat list of JSON numbers")
+            tensors[name] = np.array(data, dtype=float).reshape(entry["shape"])
         if len(tensors) != len(doc["tensors"]):
             raise DataError("a tensor name repeats")
     except KeyError as exc:

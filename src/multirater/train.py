@@ -17,8 +17,10 @@ targets. It redraws the branch labels through ``labels.sample_branch_label``,
 one call per sample and branch (``_branch_labels``), a keyed closed-form
 draw: a sample's labels depend on (seed, epoch, sample) alone, not on the
 batch it lands in.
-``backward`` fills the state's gradient buffer, laid out like the
-parameters, and Adam steps on the two flat buffers in place.
+The losses' probability-space gradient is one block shaped like the
+forward cache's ``probs``, one row per branch, fusion last; ``backward``
+maps it into the state's gradient buffer, laid out like the parameters,
+and Adam steps on the two flat buffers in place.
 
 Ablation arms (``TrainConfig.ablation``), each a row of switches in ``ARM_FLAGS``:
 
@@ -147,7 +149,7 @@ def _branch_labels(data: GradedDataset, idx: np.ndarray, targets: FitTargets, se
 
 def _losses_and_grads(y: np.ndarray, labels: np.ndarray | None, softs: np.ndarray, a: np.ndarray,
                       config: TrainConfig):
-    """Batch objective scalars and probability-space gradients keyed like ``forward_batch``'s outputs.
+    """Batch objective scalars and their probability-space gradient, a block shaped like ``y``.
 
     ``y`` is the forward cache's (B, n, 2) branch-major softmax block, fusion
     last, and ``labels`` the (2, n) sen and spec labels, None for the
@@ -160,7 +162,7 @@ def _losses_and_grads(y: np.ndarray, labels: np.ndarray | None, softs: np.ndarra
     u = uncertainties(y[0], y[1]) if arm["uncertainty_weighting"] else np.zeros(n)
     fus, d_fus = fusion_loss(y[-1], softs, u)
     scalars = dict(loss_sen=0.0, loss_spec=0.0, loss_consensus=0.0, loss_fusion=fus)
-    grads = {"fusion": d_fus}
+    dy = d_fus[None]
 
     if arm["multi_branch"]:
         ce, d_branch = cross_entropy(y[:2], labels)
@@ -173,9 +175,9 @@ def _losses_and_grads(y: np.ndarray, labels: np.ndarray | None, softs: np.ndarra
         d_branch[0] += g_con_sen
         d_branch[1] -= g_con_sen
         d_branch /= n
-        grads["sen"], grads["spec"] = d_branch
+        dy = np.concatenate((d_branch, dy))
     scalars["total"] = scalars["loss_sen"] + scalars["loss_spec"] + fus
-    return scalars, grads
+    return scalars, dy
 
 
 def _adam_update(state: TrainState, g: np.ndarray, lr: float) -> None:
@@ -231,13 +233,12 @@ def train_step(
         labels = _branch_labels(data, idx, targets, config.seed, state.epoch)
 
     _, cache = forward_batch(state.params, data.features[idx])
-    scalars, prob_grads = _losses_and_grads(cache.probs, labels, targets.softs[idx], targets.consensus[idx],
-                                            config)
+    scalars, dy = _losses_and_grads(cache.probs, labels, targets.softs[idx], targets.consensus[idx], config)
     if not math.isfinite(scalars["total"]):
         raise TrainingDivergedError(
             f"non-finite loss at epoch {state.epoch}, step {state.t}: {scalars}"
         )
-    backward(cache, prob_grads, out=state.grad)
+    backward(cache, dy, out=state.grad)
     _adam_update(state, state.grad.flat, learning_rate(config, state.epoch))
     return scalars
 

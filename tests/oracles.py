@@ -400,13 +400,13 @@ def per_branch_forward(params, x):
 
 
 def per_branch_backward(params, cache, grads, out):
-    """Fill ``out.tensors`` with the gradient of ``per_branch_forward``'s outputs; a missing branch is zero."""
+    """Fill ``out.tensors`` with the gradient of ``per_branch_forward``'s outputs, given per branch in ``grads``."""
     x, trunk, block, probs = cache
     t = {name: np.ascontiguousarray(view) for name, view in params.tensors.items()}
     g, branches, bd, h3 = out.tensors, _branch_names(params), params.config.branch_dim, trunk[2]
 
     def head_dz(name):
-        y, dy = probs[name], np.asarray(grads.get(name, 0.0), dtype=float)
+        y, dy = probs[name], np.asarray(grads[name], dtype=float)
         return y * (dy - (y * dy).sum(axis=1, keepdims=True))
 
     def dense(layer, layer_in, dz):

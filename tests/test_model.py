@@ -60,10 +60,10 @@ def total_loss(params, x, sen_labels, spec_labels, softs, a, u_weights):
 
 
 def assemble_prob_grads(probs, sen_labels, spec_labels, softs, a, u_weights):
-    """Probability-space gradients matching total_loss, keyed by the branches of ``probs``."""
+    """The probability-space gradient block matching total_loss: one row per branch of ``probs``, in order."""
     dy_fus = oracles.fusion_grad_scalar(probs["fusion"].tolist(), softs.tolist(), u_weights.tolist())
     if "sen" not in probs:
-        return {"fusion": np.array(dy_fus)}
+        return np.array(dy_fus)[None]
     n = probs["sen"].shape[0]
     dy_sen = np.zeros_like(probs["sen"])
     dy_spec = np.zeros_like(probs["spec"])
@@ -75,7 +75,7 @@ def assemble_prob_grads(probs, sen_labels, spec_labels, softs, a, u_weights):
         g_own, g_partner = oracles.branch_loss_grads_scalar(y_spec[i], spec_labels[i], y_sen[i], a[i])
         dy_spec[i] += np.array(g_own) / n
         dy_sen[i] += np.array(g_partner) / n
-    return {"sen": dy_sen, "spec": dy_spec, "fusion": np.array(dy_fus)}
+    return np.stack([dy_sen, dy_spec, np.array(dy_fus)])
 
 
 def random_batch(n, rng):
@@ -187,8 +187,8 @@ class TestBackward:
         """Every entry of ``out`` is overwritten: NaN left anywhere would show."""
         params = toy_params(multi_branch=multi_branch, jitter=6)
         rng = np.random.default_rng(6)
-        probs, cache = forward_batch(params, rng.standard_normal((7, 5)))
-        prob_grads = {name: rng.standard_normal(p.shape) for name, p in probs.items()}
+        _, cache = forward_batch(params, rng.standard_normal((7, 5)))
+        prob_grads = rng.standard_normal(cache.probs.shape)
         fresh = backward(cache, prob_grads, out=ModelParams(params.config, params.multi_branch))
         out = ModelParams(params.config, params.multi_branch, np.full(params.flat.size, np.nan))
         assert backward(cache, prob_grads, out=out) is out
@@ -198,20 +198,21 @@ class TestBackward:
         params = toy_params()
         _, cache = forward_batch(params, RNG.standard_normal((2, 5)))
         with pytest.raises(ContractError, match="another network"):
-            backward(cache, {}, out=toy_params(multi_branch=False))
+            backward(cache, np.zeros_like(cache.probs), out=toy_params(multi_branch=False))
 
     def test_zero_upstream_gradients_give_zero_parameter_gradients(self):
         params = toy_params()
         _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
-        grads = backward(cache, {}, out=nan_buffer(params))
+        grads = backward(cache, np.zeros_like(cache.probs), out=nan_buffer(params))
         np.testing.assert_array_equal(grads.flat, 0.0)
 
     def test_fusion_gradient_reaches_sen_features_but_not_sen_head(self):
         params = toy_params(jitter=9)
         _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
         # asymmetric probe: a constant vector would vanish in the softmax jacobian
-        probe = np.tile([1.0, -1.0], (4, 1))
-        grads = backward(cache, {"fusion": probe}, out=nan_buffer(params))
+        dy = np.zeros_like(cache.probs)
+        dy[-1] = np.tile([1.0, -1.0], (4, 1))
+        grads = backward(cache, dy, out=nan_buffer(params))
         np.testing.assert_array_equal(grads.tensors["sen.head.W"], 0.0)
         np.testing.assert_array_equal(grads.tensors["sen.head.b"], 0.0)
         assert np.abs(grads.tensors["sen.feat.W"]).max() > 1e-6  # concat features carry gradient
@@ -219,39 +220,35 @@ class TestBackward:
     def test_sen_gradient_does_not_touch_fusion_head(self):
         params = toy_params(jitter=9)
         _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
-        probe = np.tile([1.0, -1.0], (4, 1))
-        grads = backward(cache, {"sen": probe}, out=nan_buffer(params))
+        dy = np.zeros_like(cache.probs)
+        dy[0] = np.tile([1.0, -1.0], (4, 1))
+        grads = backward(cache, dy, out=nan_buffer(params))
         np.testing.assert_array_equal(grads.tensors["fusion.head.W"], 0.0)
         assert np.abs(grads.tensors["trunk.0.W"]).max() > 1e-6
 
     def test_stale_cache_rejected(self):
         params = toy_params()
-        probs, cache = forward_batch(params, RNG.standard_normal((2, 5)))
+        _, cache = forward_batch(params, RNG.standard_normal((2, 5)))
         params.version += 1  # simulate an optimizer update
         with pytest.raises(ContractError, match="stale"):
-            backward(cache, {"fusion": np.ones_like(probs["fusion"])}, out=nan_buffer(params))
+            backward(cache, np.ones_like(cache.probs), out=nan_buffer(params))
 
-    def test_single_branch_rejects_sen_gradients(self):
-        params = toy_params(multi_branch=False)
-        _, cache = forward_batch(params, RNG.standard_normal((2, 5)))
-        with pytest.raises(ContractError, match=r"gradients for \['sen'\].*branches are \['fusion'\]"):
-            backward(cache, {"sen": np.zeros((2, 2))}, out=nan_buffer(params))
-
-    @pytest.mark.parametrize("branch", ["spec", "fusion"])
-    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 2)])
-    def test_mis_shaped_gradient_is_rejected(self, branch, shape):
-        """A (2,) or (1, 2) gradient would broadcast over the batch of 4 rows; none is (4, 2)."""
-        params = toy_params()
+    @pytest.mark.parametrize(
+        "multi_branch, shape",
+        [
+            (True, (2, 4, 2)),  # a branch missing
+            (False, (3, 4, 2)),  # sen and spec rows for the single-head baseline
+            (True, (3, 3, 2)),  # rows of another batch
+            (True, (3, 4, 1)),  # one column per row
+            (True, (4, 2)),  # one branch's gradient, which would broadcast over the block
+        ],
+    )
+    def test_mis_shaped_gradient_is_rejected(self, multi_branch, shape):
+        params = toy_params(multi_branch=multi_branch)
         _, cache = forward_batch(params, RNG.standard_normal((4, 5)))
-        expected = re.escape(f"gradient for {branch} has shape {shape}, expected (4, 2)")
+        expected = re.escape(f"gradient block has shape {shape}, expected {(len(params.branches), 4, 2)}")
         with pytest.raises(ContractError, match=expected):
-            backward(cache, {branch: np.ones(shape)}, out=nan_buffer(params))
-
-    def test_gradient_key_naming_no_branch_is_rejected(self):
-        params = toy_params()
-        probs, cache = forward_batch(params, RNG.standard_normal((2, 5)))
-        with pytest.raises(ContractError, match=r"gradients for \['y_fusion'\]"):
-            backward(cache, {"y_fusion": np.ones_like(probs["fusion"])}, out=nan_buffer(params))
+            backward(cache, np.ones(shape), out=nan_buffer(params))
 
 
 class TestStackedAgainstPerBranchOracle:
@@ -269,11 +266,13 @@ class TestStackedAgainstPerBranchOracle:
         assert list(probs) == list(want_probs)
         for name in probs:
             np.testing.assert_array_equal(probs[name], want_probs[name], err_msg=name)
-        every = {name: rng.standard_normal((n, 2)) for name in probs}
-        for grads in (every, {"fusion": every["fusion"]}):
-            got = backward(cache, grads, out=nan_buffer(params))
+        every = rng.standard_normal(cache.probs.shape)
+        fusion_only = np.zeros_like(every)
+        fusion_only[-1] = every[-1]
+        for dy in (every, fusion_only):
+            got = backward(cache, dy, out=nan_buffer(params))
             want = ModelParams(params.config, multi_branch)
-            oracles.per_branch_backward(params, want_cache, grads, want)
+            oracles.per_branch_backward(params, want_cache, dict(zip(params.branches, dy)), want)
             for name in params.tensors:
                 np.testing.assert_array_equal(got.tensors[name], want.tensors[name], err_msg=name)
 
@@ -290,6 +289,9 @@ MALFORMED_CHECKPOINTS = {
     "mis_shaped_tensor": _edited(lambda doc: doc["tensors"][0].update(shape=[3])),
     "scalar_trunk_dims": _edited(lambda doc: doc["model"].update(trunk_dims=5)),
     "string_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, "x")),
+    "numeric_string_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, "0.25")),
+    "bool_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, True)),
+    "nested_list_in_data": _edited(lambda doc: doc["tensors"][0].update(data=[doc["tensors"][0]["data"]])),
     "truncated": lambda text: text[:95],
     "not_an_object": lambda text: "[]",
     "float_input_dim": _edited(lambda doc: doc["model"].update(input_dim=5.0)),

@@ -113,8 +113,8 @@ class TestTrainStep:
             want_grad = [oracles.cross_entropy_grad_scalar(preds[i], eye[finals[i]]) for i in range(n)]
             assert scalars["loss_fusion"] == pytest.approx(np.mean(want), abs=1e-12)
             assert scalars["total"] == scalars["loss_fusion"]
-            assert set(grads) == {"fusion"}
-            np.testing.assert_allclose(grads["fusion"], np.array(want_grad) / n, atol=1e-12)
+            assert grads.shape == (1, n, 2)
+            np.testing.assert_allclose(grads[-1], np.array(want_grad) / n, atol=1e-12)
             return
 
         rows = list(zip(batch.ratings.tolist(), batch.sample_ids.tolist()))
@@ -148,10 +148,10 @@ class TestTrainStep:
         assert scalars["loss_sen"] == pytest.approx(np.mean(sen_losses), abs=1e-12)
         assert scalars["loss_spec"] == pytest.approx(np.mean(spec_losses), abs=1e-12)
         assert scalars["loss_fusion"] == pytest.approx(oracles.fusion_loss_scalar(*fusion_args), abs=1e-12)
-        assert set(grads) == {"sen", "spec", "fusion"}
-        np.testing.assert_allclose(grads["sen"], want_sen, atol=1e-12)
-        np.testing.assert_allclose(grads["spec"], want_spec, atol=1e-12)
-        np.testing.assert_allclose(grads["fusion"], oracles.fusion_grad_scalar(*fusion_args), atol=1e-12)
+        assert grads.shape == (3, n, 2)
+        np.testing.assert_allclose(grads[0], want_sen, atol=1e-12)
+        np.testing.assert_allclose(grads[1], want_spec, atol=1e-12)
+        np.testing.assert_allclose(grads[-1], oracles.fusion_grad_scalar(*fusion_args), atol=1e-12)
 
     def test_loss_decreases_on_a_fixed_batch(self):
         """Ten repeated steps on one batch lower the total loss (>= 4 of 5 seeds)."""

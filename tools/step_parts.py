@@ -58,13 +58,13 @@ def parts(n: int, warm_up: int) -> dict:
     # A copy that the timed steps and Adam updates leave alone, so backward's cache never goes stale.
     params = state.params.copy()
     _, cache = train.forward_batch(params, x)
-    _, grads = train._losses_and_grads(cache.probs, labels, softs, consensus, config)
+    _, dy = train._losses_and_grads(cache.probs, labels, softs, consensus, config)
     lr = train.learning_rate(config, state.epoch)
     return {
         "draws": lambda: train._branch_labels(data, idx, targets, config.seed, state.epoch),
         "forward": lambda: train.forward_batch(params, x),
         "losses": lambda: train._losses_and_grads(cache.probs, labels, softs, consensus, config),
-        "backward": lambda: train.backward(cache, grads, out=state.grad),
+        "backward": lambda: train.backward(cache, dy, out=state.grad),
         "adam": lambda: train._adam_update(state, state.grad.flat, lr),
         "train_step": lambda: train.train_step(state, data, idx, targets, config),
     }
