@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from multirater import (
+from multirater.simulate import (
     category_counts,
     default_panel,
     generate_dataset,

@@ -8,15 +8,9 @@ the end shows that the analytic gradients track the numeric ones.
 
 import numpy as np
 
-from multirater import (
-    Branch,
-    GradedDataset,
-    fusion_loss,
-    positive_probabilities,
-    sample_branch_label,
-    soft_label,
-)
-from multirater.losses import consensus_terms, cross_entropy, uncertainties
+from multirater.labels import Branch, positive_probabilities, sample_branch_label, soft_label
+from multirater.losses import consensus_terms, cross_entropy, fusion_loss, uncertainties
+from multirater.simulate import GradedDataset
 
 
 def consensus(y_sen, y_spec, a, margin=1.0):

@@ -317,10 +317,13 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             tensors[name] = np.array(data, dtype=float).reshape(entry["shape"])
         if len(tensors) != len(doc["tensors"]):
             raise DataError("a tensor name repeats")
+        size, held = _flat_layout(config, multi_branch)[0], sum(arr.size for arr in tensors.values())
+        if size > held:  # checked before ModelParams allocates for the claimed widths
+            raise DataError(f"the model's {size} parameters exceed the {held} values the tensors hold")
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no key {exc}") from exc
-    # ValueError includes malformed JSON, DataError and ParameterError.
-    except (AttributeError, TypeError, ValueError) as exc:
+    # ValueError includes malformed JSON, DataError and ParameterError; OverflowError an int beyond float range.
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     params = ModelParams(config, multi_branch)
     for name, arr in tensors.items():

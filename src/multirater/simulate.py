@@ -395,10 +395,10 @@ def split_dataset(
 # \n or \r line ends, and fields quoted with ", which may then span lines.
 # There are no comments (# is an ordinary character) and no blank lines, and
 # every byte is printable ASCII, a tab or a line end. Numbers parse with int()
-# and float() but hold no _ separators. The rater fields hold id:label pairs
-# of int64 ids, at most 45 and 22 characters. _read_plain reads the files the
-# writer writes faster, and it may only accept: it returns what _read_records
-# would, or nothing.
+# and float(), and no field holds the _ separators they skip, the rater fields
+# included. The rater fields hold id:label pairs of int64 ids, at most 45 and
+# 22 characters. _read_plain reads the files the writer writes faster, and it
+# may only accept: it returns what _read_records would, or nothing.
 # ---------------------------------------------------------------------------
 
 # Rows formatted and written per write call.
@@ -462,11 +462,18 @@ def _label(text) -> int:
     return value if value in (0, 1) else 2
 
 
+def _unseparated(text: str) -> str:
+    """``text``; ValueError if it holds a _, the separator int() and float() skip and the contract rules out."""
+    if "_" in text:
+        raise ValueError(f"could not convert {text!r}: numbers hold no _ separators")
+    return text
+
+
 def _stage1_pairs(text: str) -> tuple[int, int, int, int]:
     """(r1, r2, l1, l2) of a rater_labels field."""
     if len(text) > _STAGE1_WIDTH:
         raise ValueError(f"rater_labels longer than {_STAGE1_WIDTH} characters")
-    (r1, l1), (r2, l2) = (pair.split(":") for pair in text.split(";"))
+    (r1, l1), (r2, l2) = (pair.split(":") for pair in _unseparated(text).split(";"))
     return _id(r1), _id(r2), _label(l1), _label(l2)
 
 
@@ -476,7 +483,7 @@ def _adjudicator_pair(text: str) -> tuple[int, int]:
         raise ValueError(f"adjudicator_label longer than {_ADJUDICATOR_WIDTH} characters")
     if not text:
         return -1, -1
-    r3, l3 = text.split(":")
+    r3, l3 = _unseparated(text).split(":")
     return _id(r3), _label(l3)
 
 
@@ -521,9 +528,8 @@ def _parse_record(record: list[str], d: int) -> tuple:
     if odd:
         raise ValueError(f"byte {odd[0]:#04x} is not printable ASCII")
     sample_id, *features, true_label, stage1, adjudicator, consensus, final_label, soft_label = record
-    separated = [field for field in record[: d + 2] + record[d + 4 :] if "_" in field]
-    if separated:
-        raise ValueError(f"could not convert {separated[0]!r}: numbers hold no _ separators")
+    for field in record:
+        _unseparated(field)
     sample_id, features, soft_label = _id(sample_id), [float(x) for x in features], float(soft_label)
     stage1, adjudicator = _stage1_pairs(stage1), _adjudicator_pair(adjudicator)
     flags = (_label(true_label), _label(consensus), _label(final_label))

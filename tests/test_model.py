@@ -292,6 +292,9 @@ MALFORMED_CHECKPOINTS = {
     "numeric_string_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, "0.25")),
     "bool_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, True)),
     "nested_list_in_data": _edited(lambda doc: doc["tensors"][0].update(data=[doc["tensors"][0]["data"]])),
+    "int_beyond_float_range_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, 10**400)),
+    # numpy refuses 10**12-wide layers without allocating, so this fails fast even if the size check is lost.
+    "widths_the_tensors_do_not_hold": _edited(lambda doc: doc["model"].update(trunk_dims=[10**12] * 3)),
     "truncated": lambda text: text[:95],
     "not_an_object": lambda text: "[]",
     "float_input_dim": _edited(lambda doc: doc["model"].update(input_dim=5.0)),

@@ -582,12 +582,17 @@ CORRUPT_FILES = {
                                          _edit_row(4, set_field("adjudicator_label", "3:-1"))),
 }
 
-# Inputs the oracle accepts and the reader rejects: numpy's number grammar has
-# no _ separators and only ASCII digits, and a rater field may not exceed the
-# longest valid one however its numbers are padded.
+# Inputs the oracle accepts and the reader rejects: the contract has no _
+# separators in any field, the rater ids and labels included, though int()
+# skips them; numpy's number grammar has only ASCII digits; and a rater field
+# may not exceed the longest valid one however its numbers are padded.
 ONLY_THE_ORACLE_ACCEPTS = {
     "underscore_in_a_sample_id": _edit_row(2, lambda fields, header: fields.__setitem__(0, "1_0" + fields[0])),
     "underscore_in_a_feature": _edit_row(2, set_field("f_0", "1_0.5")),
+    "underscore_in_a_rater_id": _edit_row(2, lambda fields, header: fields.__setitem__(
+        header.index("rater_labels"), "0_" + fields[header.index("rater_labels")])),
+    "underscore_in_a_rater_label": _edit_row(2, lambda fields, header: fields.__setitem__(
+        header.index("rater_labels"), fields[header.index("rater_labels")].replace(":", ":0_", 1))),
     "arabic_indic_digit": _edit_row(2, set_field("true_label", "١")),
     "zero_padded_rater_field": _edit_row(2, lambda fields, header: fields.__setitem__(
         header.index("rater_labels"), "0" * 40 + fields[header.index("rater_labels")])),
