@@ -30,7 +30,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DataError, EmptyDatasetError, ParameterError, TrainingDivergedError, UndefinedMetricError
+from .errors import DataError, EmptyDatasetError, ParameterError
 from .labels import attach_soft_labels, compute_rater_weights
 from .metrics import METRIC_NAMES, EvalReport, evaluate
 from .model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
@@ -55,7 +55,7 @@ from .simulate import (
     split_sizes,
     write_dataset_csv,
 )
-from .train import ARM_FLAGS, TrainConfig, fit, kept_initial_params
+from .train import ARM_FLAGS, TrainConfig, fit, fit_problems
 
 _DEFAULT_PANEL = default_panel()
 _DEFAULT_MODEL = ModelConfig(DEFAULT_FEATURE_DIM)
@@ -276,11 +276,8 @@ def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
         params, log = fit(train_ds, val_ds, model_config, cfg.train_config(), on_epoch=write_record)
     save_checkpoint(params, out_dir / "checkpoint.json", metadata=snapshot)
     epochs = [record for record in log if "diverged" not in record]
-    if len(epochs) < len(log):
-        print(f"warning: training diverged: {log[-1]['diverged']}", file=sys.stderr)
-    if kept_initial_params(log):
-        print("warning: no epoch had a defined validation AUC, so the checkpoint holds "
-              "the initial parameters", file=sys.stderr)
+    for problem in fit_problems(log):
+        print(f"warning: {problem}", file=sys.stderr)
     print(f"trained {len(epochs)} epochs; wrote checkpoint.json, train_log.jsonl to {out_dir}")
     return 0
 
@@ -354,11 +351,8 @@ def cmd_ablation(cfg: ExperimentConfig, out_dir: Path, n_seeds: int) -> int:
         for seed in seeds:
             try:
                 _, log, report = run_experiment(replace(cfg, seed=seed, ablation=arm))
-                if log and "diverged" in log[-1]:
-                    raise TrainingDivergedError(f"training diverged: {log[-1]['diverged']}")
-                if kept_initial_params(log):
-                    raise UndefinedMetricError("no epoch had a defined validation AUC, "
-                                               "so the fit kept the initial parameters")
+                if problems := fit_problems(log):
+                    raise problems[0]
                 fusion_all = report.metrics["fusion"]["all"]
             except Exception as exc:  # arm keeps going; grid marks the failure and nulls its metrics
                 import traceback  # only on this failure path, so start-up stays lean
@@ -396,32 +390,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
+        """The flags every command takes, and ``run(cfg, args)``, which ``main`` calls."""
+        p.set_defaults(run=run)
         p.add_argument("--config", type=Path, default=None, help="flat key=value settings file")
         p.add_argument("--seed", type=int, default=None, help="run seed")
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     gen = sub.add_parser("generate", help="write train/val/test CSVs plus a manifest")
-    add_common(gen)
+    add_common(gen, lambda cfg, args: cmd_generate(cfg, args.out))
     gen.add_argument("--n", dest="n_samples", metavar="N", type=int, default=None, help="number of samples")
     gen.add_argument("--difficulty-mix", type=float, default=None)
     gen.add_argument("--class-balance", type=float, default=None)
 
     tr = sub.add_parser("train", help="train on generated CSVs")
-    add_common(tr)
+    add_common(tr, lambda cfg, args: cmd_train(cfg, args.data, args.out))
     tr.add_argument("--data", type=Path, required=True, help="directory with train/val CSVs")
     tr.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int, default=None,
                     help="max training epochs")
     tr.add_argument("--ablation", choices=sorted(ARM_FLAGS), default=None)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset CSV")
-    add_common(ev)
+    add_common(ev, lambda cfg, args: cmd_eval(cfg, args.checkpoint, args.data, args.out))
     ev.add_argument("--checkpoint", type=Path, required=True)
     ev.add_argument("--data", type=Path, required=True, help="dataset CSV")
     ev.add_argument("--threshold", type=float, default=None)
 
     ab = sub.add_parser("ablation", help="run all ablation arms over several seeds")
-    add_common(ab)
+    add_common(ab, lambda cfg, args: cmd_ablation(cfg, args.out, args.seeds))
     ab.add_argument("--seeds", type=int, default=5, help="number of seeds per arm")
     ab.add_argument("--n", dest="n_samples", metavar="N", type=int, default=None, help="number of samples")
     ab.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int, default=None,
@@ -439,21 +435,9 @@ def main(argv=None) -> int:
     except (ParameterError, OSError) as exc:
         parser.error(str(exc))
     try:
-        if args.command == "generate":
-            return cmd_generate(cfg, args.out)
-        if args.command == "train":
-            return cmd_train(cfg, args.data, args.out)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint, args.data, args.out)
-        if args.command == "ablation":
-            return cmd_ablation(cfg, args.out, args.seeds)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(cfg, args)
     except (EmptyDatasetError, ParameterError) as exc:
         parser.error(str(exc))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -326,13 +326,14 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     params = ModelParams(config, multi_branch)
+    # Known, distinct, correctly shaped tensors that hold at least the model's size are all of its tensors.
     for name, arr in tensors.items():
-        if name not in params.tensors:
+        view = params.tensors.get(name)
+        if view is None:
             raise DataError(f"{path}: unknown tensor {name}")
+        if arr.shape != view.shape:
+            raise DataError(f"{path}: tensor {name} has shape {list(arr.shape)}, the model's is {list(view.shape)}")
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: tensor {name} holds non-finite values")
-    for name, view in params.tensors.items():
-        if name not in tensors or tensors[name].shape != view.shape:
-            raise DataError(f"{path}: tensor {name} missing or mis-shaped")
-        view[...] = tensors[name]
+        view[...] = arr
     return params, metadata

@@ -252,9 +252,20 @@ def _validation_auc(params: ModelParams, features: np.ndarray, labels: np.ndarra
         return None, str(exc)
 
 
-def kept_initial_params(log: list[dict]) -> bool:
-    """Whether the ``fit`` that wrote ``log`` kept its initial parameters: no epoch had a defined val AUC."""
-    return all(record.get("val_auc") is None for record in log)
+def fit_problems(log: list[dict]) -> list[Exception]:
+    """Why the ``fit`` that wrote ``log`` gave no result; empty when it gave one.
+
+    A ``TrainingDivergedError`` when it diverged, then an
+    ``UndefinedMetricError`` when no epoch had a defined validation AUC, so
+    that it kept its initial parameters.
+    """
+    problems = []
+    if log and "diverged" in log[-1]:
+        problems.append(TrainingDivergedError(f"training diverged: {log[-1]['diverged']}"))
+    if all(record.get("val_auc") is None for record in log):
+        problems.append(UndefinedMetricError("no epoch had a defined validation AUC, "
+                                             "so the fit kept the initial parameters"))
+    return problems
 
 
 def fit(
@@ -305,24 +316,24 @@ def fit(
                     for key in sums:
                         sums[key] += scalars[key] * idx.size
             except TrainingDivergedError as exc:
-                log.append({"epoch": epoch, "step": state.t, "diverged": str(exc)})
-                if on_epoch is not None:
-                    on_epoch(log[-1])
-                break
-            val_auc, undefined = _validation_auc(state.params, val.features, val_labels)
-            if val_auc is not None and val_auc >= best_val_auc:
-                best_val_auc = val_auc
-                best_params.flat[...] = state.params.flat
-                best_params.version += 1
-            record = {
-                "epoch": epoch,
-                "lr": learning_rate(train_config, epoch),
-                **{key: sums[key] / n for key in sums},
-                "val_auc": val_auc,
-            }
-            if undefined is not None:
-                record["val_auc_undefined"] = undefined
+                record = {"epoch": epoch, "step": state.t, "diverged": str(exc)}
+            else:
+                val_auc, undefined = _validation_auc(state.params, val.features, val_labels)
+                if val_auc is not None and val_auc >= best_val_auc:
+                    best_val_auc = val_auc
+                    best_params.flat[...] = state.params.flat
+                    best_params.version += 1
+                record = {
+                    "epoch": epoch,
+                    "lr": learning_rate(train_config, epoch),
+                    **{key: sums[key] / n for key in sums},
+                    "val_auc": val_auc,
+                }
+                if undefined is not None:
+                    record["val_auc_undefined"] = undefined
             log.append(record)
             if on_epoch is not None:
                 on_epoch(record)
+            if "diverged" in record:
+                break
     return best_params, log

@@ -91,6 +91,7 @@ def test_gain_needs_nine_tenths_of_pairs_and_a_gap_beyond_the_parents_iqr(tmp_pa
     ([1.9, 2.1] * 5, [2.6] * 10, [7.0] * 10, ("worse", "worse")),  # 30% worse on both
     ([1.9, 2.1] * 5, [1.0] * 10, [13.0] * 10, ("ok", "ok")),  # better on both
     ([1.0, 3.0] * 5, [2.0] * 10, [10.0] * 10, ("unresolved", "ok")),  # parent IQR is its median
+    ([1.0, 3.0] * 5, [0.5] * 10, [10.0] * 10, ("ok", "ok")),  # the same, but every change run is better
 ])
 def test_bound_check_judges_the_change_median_against_the_parent_median(
         tmp_path, capsys, parent_run_s, change_run_s, change_rate, verdicts):

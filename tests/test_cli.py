@@ -188,6 +188,10 @@ class TestConfigFile:
         assert f"{cfg}:1: config key n_samples: cannot parse 'abc'" in result.stderr
         assert not (tmp_path / "x").exists()
 
+    def test_override_that_is_not_a_setting_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="'no_such_setting'"):
+            resolve_config(None, {"no_such_setting": 1})
+
     def test_first_of_two_bad_lines_is_named(self, tmp_path):
         path = tmp_path / "two.cfg"
         path.write_text("seed = 3\nlr = abc\nnonsense = 1\n")
@@ -417,6 +421,15 @@ def test_eval_rejects_non_finite_checkpoint_metadata_before_any_output(tmp_path,
     assert not (tmp_path / "e").exists()
 
 
+def test_eval_of_a_missing_dataset_csv_fails_before_any_output(tmp_path, small_run):
+    missing = tmp_path / "nope.csv"
+    result = run_cli("eval", "--checkpoint", small_run / "run" / "checkpoint.json", "--data", missing,
+                     "--out", tmp_path / "e")
+    assert result.returncode == 1
+    assert f"missing dataset file {missing}" in result.stderr
+    assert not (tmp_path / "e").exists()
+
+
 class TestEvalRejectsBrokenRows:
     @pytest.mark.parametrize("breakage", sorted(BROKEN_ROWS))
     def test_exit_1_naming_path_and_line(self, tmp_path, small_run, breakage):
@@ -558,6 +571,8 @@ class TestStrictJson:
         record = strict_json(lines[0])
         assert record["val_auc"] is None
         assert record["val_auc_undefined"] == "AUC requires both classes present"
+        assert ("warning: no epoch had a defined validation AUC, so the fit kept the initial parameters"
+                in result.stderr)
         strict_json((run / "checkpoint.json").read_text())
         strict_json((run / "config_resolved.json").read_text())
 

@@ -287,6 +287,7 @@ def _edited(change):
 
 MALFORMED_CHECKPOINTS = {
     "mis_shaped_tensor": _edited(lambda doc: doc["tensors"][0].update(shape=[3])),
+    "transposed_weight": _edited(lambda doc: doc["tensors"][0].update(shape=[6, 5])),  # trunk.0.W is [5, 6]
     "scalar_trunk_dims": _edited(lambda doc: doc["model"].update(trunk_dims=5)),
     "string_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, "x")),
     "numeric_string_in_data": _edited(lambda doc: doc["tensors"][0]["data"].__setitem__(0, "0.25")),

@@ -21,7 +21,8 @@ change's median stays within the metric's ``bound``: ``ok`` when it is worse
 than the parent's median, in the metric's ``better`` direction, by at most
 ``bound`` times the parent's median, ``worse`` when by more, and
 ``unresolved`` when the parent's own IQR exceeds ``bound`` times its median.
-Standard library only.
+It is ``ok`` in any case when every change run reports the metric and beats
+every parent run that reports it. Standard library only.
 """
 
 from __future__ import annotations
@@ -73,13 +74,19 @@ def compare(parent: list, change: list, better: str):
     return won, stats, won >= 0.9 * len(parent) and gap > stats[0][2] - stats[0][0]
 
 
-def within_bound(stats, better: str, bound: float) -> str:
-    """"ok", "worse" or "unresolved" for each side's quartiles ``stats``, as the module docstring says."""
-    (q1, median, q3), change = stats[0], stats[1][1]
+def within_bound(values, stats, better: str, bound: float) -> str:
+    """"ok", "worse" or "unresolved", as the module docstring says.
+
+    ``values`` holds each side's values, one per pair and None for a failed run, and ``stats`` their quartiles.
+    """
+    sign = 1 if better == "higher" else -1
+    parent, change = values
+    if None not in change and all(sign * (c - p) > 0 for c in change for p in parent if p is not None):
+        return "ok"
+    (q1, median, q3), change_median = stats[0], stats[1][1]
     if not median or not (q3 - q1) / abs(median) <= bound:
         return "unresolved"
-    sign = 1 if better == "higher" else -1
-    return "ok" if sign * (change - median) / abs(median) >= -bound else "worse"
+    return "ok" if sign * (change_median - median) / abs(median) >= -bound else "worse"
 
 
 def print_table(workload: str, metrics: list[dict], results: dict, seed: int, seconds: float) -> None:
@@ -94,7 +101,7 @@ def print_table(workload: str, metrics: list[dict], results: dict, seed: int, se
             continue
         won, stats, claim = compare(*values, m["better"])
         cells = "".join(f"{' / '.join(f'{v:.5g}' for v in s):>36}" for s in stats)
-        print(f"{m['name']:<22}{cells}{within_bound(stats, m['better'], m['bound']):>12}"
+        print(f"{m['name']:<22}{cells}{within_bound(values, stats, m['better'], m['bound']):>12}"
               f"{f'{won}/{pairs}':>8}  {'yes' if claim else 'no'}")
 
 
